@@ -160,6 +160,17 @@ impl SessionInner {
     }
 }
 
+/// Consumers per search of a `jobs`-job batch: the caller's `threads`
+/// while the jobs alone leave pool threads idle, one once they fill the
+/// pool (see [`EvalSession::search_batch`]).
+fn search_threads(jobs: usize, threads: Option<usize>) -> Option<usize> {
+    if jobs >= rayon::current_num_threads() {
+        Some(1)
+    } else {
+        threads
+    }
+}
+
 /// A shared-cache context for batch evaluation; see the
 /// [module docs](self).
 ///
@@ -274,9 +285,14 @@ impl EvalSession {
     /// or any mix — through the shared caches.
     ///
     /// Jobs themselves run concurrently on the persistent worker pool
-    /// (so a batch of fixed-mapping evaluations parallelizes too), and
-    /// search jobs additionally fan their candidate stream out over
-    /// `threads` workers via [`Model::search_parallel_with_stats`].
+    /// (so a batch of fixed-mapping evaluations parallelizes too). A
+    /// batch with fewer jobs than the pool has threads additionally
+    /// fans each search's candidate stream out over `threads` workers
+    /// via [`Model::search_parallel_with_stats`]; a batch that already
+    /// fills the pool gives each search one consumer instead — splitting
+    /// a stream between workers that are all busy buys no parallelism
+    /// and costs the stream lock plus a from-scratch recompute at every
+    /// batch seam.
     /// Results are per-job and index-aligned with `jobs`: each job's
     /// winner, objective and [`SearchStats`] are bit-identical to
     /// evaluating it through a standalone model, whatever the
@@ -289,6 +305,7 @@ impl EvalSession {
         jobs: &[EvalJob],
         threads: Option<usize>,
     ) -> Vec<Result<JobOutcome, JobError>> {
+        let threads = search_threads(jobs.len(), threads);
         self.run_batch(jobs, &|model, space, mapper, objective| {
             model.search_parallel_counted(space, mapper, objective, threads)
         })
@@ -305,6 +322,7 @@ impl EvalSession {
         jobs: &[EvalJob],
         threads: Option<usize>,
     ) -> Vec<Result<JobOutcome, JobError>> {
+        let threads = search_threads(jobs.len(), threads);
         self.run_batch(jobs, &|model, space, mapper, objective| {
             model.search_parallel_counted_from_scratch(space, mapper, objective, threads)
         })

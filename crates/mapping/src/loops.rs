@@ -152,17 +152,6 @@ pub struct Mapping {
     keep: Arc<Vec<Vec<bool>>>,
 }
 
-/// Hashes by content (nests plus the keep matrix behind the `Arc`),
-/// consistent with the derived `PartialEq` — two mappings with equal
-/// schedules hash alike even when their keep matrices are distinct
-/// allocations. Enables the mapper's hybrid-strategy dedup set.
-impl std::hash::Hash for Mapping {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.nests.hash(state);
-        (*self.keep).hash(state);
-    }
-}
-
 impl Mapping {
     /// Builds a mapping from raw parts; prefer [`MappingBuilder`].
     pub fn new(nests: Vec<Vec<Loop>>, keep: Vec<Vec<bool>>) -> Self {

@@ -21,7 +21,9 @@
 //! searches return bit-identical winners.
 
 use crate::loops::Mapping;
-use crate::mapspace::{CandidateKey, ChangeDepth, Mapspace, MapspaceShard};
+use crate::mapspace::{
+    CandidateKey, ChangeDepth, EnumerateIter, HaltonSampleIter, Mapspace, MapspaceShard, SampleIter,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -234,40 +236,11 @@ impl Mapper {
                 seed,
                 sampling,
             } => {
-                // dedup sampled candidates against the enumerated prefix:
-                // re-evaluating a mapping enumeration already scored
-                // wastes the sample budget without changing the winner.
-                // The prefix stays streaming (O(1) beyond the dedup set
-                // itself): each enumerated candidate is recorded into the
-                // set as it is yielded, and the sample tail filters
-                // against it. The tail is built only once the prefix runs
-                // dry — and not at all when the prefix *covered* the
-                // space: every sample would dedup away, so the tail's
-                // 20x-samples draw budget would be pure waste (the cover
-                // check is free — the enumeration stream already knows
-                // whether its counter wrapped). `enumerate == 0` is the
-                // pure-sampling degenerate: exhaustion then means "no
-                // prefix", not "covered", so the tail always runs.
-                let mut seen: HashSet<Mapping> = HashSet::new();
-                let mut prefix = space.iter_enumerate(enumerate);
-                let mut tail: Option<Box<dyn Iterator<Item = Mapping> + Send + 'a>> = None;
-                Box::new(std::iter::from_fn(move || loop {
-                    if let Some(t) = tail.as_mut() {
-                        return t
-                            .find(|m| !seen.contains(m))
-                            .map(|m| (ChangeDepth::Reset, m));
-                    }
-                    if let Some((depth, m)) = prefix.next_delta() {
-                        if samples > 0 {
-                            seen.insert(m.clone());
-                        }
-                        return Some((depth, m));
-                    }
-                    tail = if samples == 0 || (enumerate > 0 && prefix.space_exhausted()) {
-                        Some(Box::new(std::iter::empty()))
-                    } else {
-                        Some(sample_tail(space, samples, seed, sampling))
-                    };
+                let mut stream = SampleTail::new(space, enumerate, samples, seed, sampling);
+                Box::new(std::iter::from_fn(move || {
+                    stream
+                        .next_prefix()
+                        .or_else(|| stream.next_sample().map(|m| (ChangeDepth::Reset, m)))
                 }))
             }
         }
@@ -514,7 +487,7 @@ impl Mapper {
     ) -> (Option<SearchResult>, SearchStats) {
         match *self {
             Mapper::Exhaustive { limit } => {
-                let (best, stats) = sharded_enumerate_search(space, evaluator, limit, shards, None);
+                let (best, stats) = sharded_enumerate_search(space, evaluator, limit, shards);
                 finish_sharded(best, stats)
             }
             Mapper::Random { .. } => self.par_search_counted(space, evaluator, None),
@@ -524,28 +497,12 @@ impl Mapper {
                 seed,
                 sampling,
             } => {
-                if samples == 0 {
-                    let (best, stats) =
-                        sharded_enumerate_search(space, evaluator, enumerate, shards, None);
-                    return finish_sharded(best, stats);
-                }
-                let record = Mutex::new(HashSet::new());
                 let (mut best, mut stats) =
-                    sharded_enumerate_search(space, evaluator, enumerate, shards, Some(&record));
-                // a prefix that ran dry *below* its cap enumerated the
-                // whole space: every sample would dedup away, so the
-                // tail (and its 20x-samples draw budget) is skipped —
-                // same shortcut as the unsharded stream, read off the
-                // already-summed counters for free. (A space of exactly
-                // `enumerate` candidates falls through to the tail,
-                // where the dedup filter still drops every draw.)
-                if stats.generated < enumerate {
-                    return finish_sharded(best, stats);
+                    sharded_enumerate_search(space, evaluator, enumerate, shards);
+                if samples > 0 {
+                    let tail = SampleTail::new(space, enumerate, samples, seed, sampling);
+                    walk_sample_tail(tail, evaluator, &mut best, &mut stats);
                 }
-                let seen = record.into_inner().expect("hybrid dedup set");
-                walk_sample_tail(
-                    space, samples, seed, sampling, &seen, evaluator, &mut best, &mut stats,
-                );
                 finish_sharded(best, stats)
             }
         }
@@ -567,9 +524,7 @@ impl Mapper {
     ///   the enumerated stream.
     /// * `Hybrid` — shard `shard` of the enumerated prefix; shard 0
     ///   additionally owns the (inherently sequential) seeded sample
-    ///   tail, regenerating the *full* prefix locally to rebuild the
-    ///   dedup set and the cover-check counter the unsharded stream
-    ///   maintains for free.
+    ///   tail ([`walk_sample_tail`]).
     /// * `Random` — one seeded sequence with nothing to shard: shard 0
     ///   walks it whole (matching the in-process fallback's winner);
     ///   other shards return empty.
@@ -586,7 +541,7 @@ impl Mapper {
         assert!(shard < shards, "shard index {shard} out of {shards}");
         let enumerated_shard = |limit: usize| {
             let mut own = space.shards(shards, limit).swap_remove(shard);
-            walk_shard(&mut own, evaluator, None)
+            walk_shard(&mut own, evaluator)
         };
         match *self {
             Mapper::Exhaustive { limit } => enumerated_shard(limit),
@@ -626,32 +581,10 @@ impl Mapper {
                 sampling,
             } => {
                 let (mut best, mut stats) = enumerated_shard(enumerate);
-                if samples == 0 || shard != 0 {
-                    return (best, stats);
+                if samples > 0 && shard == 0 {
+                    let tail = SampleTail::new(space, enumerate, samples, seed, sampling);
+                    walk_sample_tail(tail, evaluator, &mut best, &mut stats);
                 }
-                // shard 0 owns the sample tail. The tail's dedup set and
-                // the cover-check counter span the *whole* prefix, so
-                // regenerate it locally (generation only — no evaluation;
-                // shards are disjoint and collectively exhaustive, so
-                // this count equals the union of every shard's
-                // `generated`).
-                let mut seen: HashSet<Mapping> = HashSet::new();
-                let mut prefix = space.iter_enumerate(enumerate);
-                let mut total_generated = 0usize;
-                while let Some((_, m)) = prefix.next_delta() {
-                    total_generated += 1;
-                    seen.insert(m);
-                }
-                // a prefix that ran dry below its cap covered the space:
-                // every sample would dedup away, so the tail is skipped —
-                // the same shortcut search_sharded_counted takes on the
-                // summed counters
-                if total_generated < enumerate {
-                    return (best, stats);
-                }
-                walk_sample_tail(
-                    space, samples, seed, sampling, &seen, evaluator, &mut best, &mut stats,
-                );
                 (best, stats)
             }
         }
@@ -683,19 +616,111 @@ pub fn merge_shard_results(
     finish_sharded(best, stats)
 }
 
-/// The hybrid strategy's sample tail as a boxed stream (uniform RNG or
-/// Halton low-discrepancy draws).
-fn sample_tail<'a>(
+/// The hybrid strategy's candidate source: an enumerated prefix, then
+/// seeded draws that skip whatever the prefix already yielded —
+/// re-evaluating a mapping enumeration already scored wastes the sample
+/// budget without changing the winner. Every hybrid search path draws
+/// its tail through this one type, so they cannot disagree on what a
+/// duplicate is or when the tail runs.
+///
+/// Candidates are compared by dedup key (the per-slot factors the
+/// iterators already hold, see [`EnumerateIter::last_key`]), never by
+/// building, cloning or hashing mappings; memory is O(`enumerate`).
+struct SampleTail<'a> {
     space: &'a Mapspace,
+    prefix: EnumerateIter<'a>,
+    /// Dedup keys of the prefix candidates yielded or skipped so far.
+    seen: HashSet<Vec<u64>>,
+    /// The seeded draws, started by the first
+    /// [`next_sample`](SampleTail::next_sample).
+    draws: Option<Draws<'a>>,
+    /// Key buffer, reused across candidates.
+    key: Vec<u64>,
+    enumerate: usize,
     samples: usize,
     seed: u64,
     sampling: SampleStrategy,
-) -> Box<dyn Iterator<Item = Mapping> + Send + 'a> {
-    match sampling {
-        SampleStrategy::Uniform => {
-            Box::new(space.iter_sample(samples, StdRng::seed_from_u64(seed)))
+}
+
+/// The seeded draws behind a [`SampleTail`].
+enum Draws<'a> {
+    Uniform(SampleIter<'a, StdRng>),
+    Halton(HaltonSampleIter<'a>),
+}
+
+impl<'a> SampleTail<'a> {
+    fn new(
+        space: &'a Mapspace,
+        enumerate: usize,
+        samples: usize,
+        seed: u64,
+        sampling: SampleStrategy,
+    ) -> Self {
+        SampleTail {
+            space,
+            prefix: space.iter_enumerate(enumerate),
+            seen: HashSet::new(),
+            draws: None,
+            key: Vec::new(),
+            enumerate,
+            samples,
+            seed,
+            sampling,
         }
-        SampleStrategy::Halton => Box::new(space.iter_sample_halton(samples, seed)),
+    }
+
+    /// The next enumerated candidate, remembered for the tail's dedup.
+    fn next_prefix(&mut self) -> Option<(ChangeDepth, Mapping)> {
+        let next = self.prefix.next_delta()?;
+        self.remember();
+        Some(next)
+    }
+
+    /// Runs the prefix dry without building its mappings (generation
+    /// only): what a search that evaluated the prefix elsewhere — in
+    /// shards, in other processes — does before drawing the tail.
+    fn skip_prefix(&mut self) {
+        while self.prefix.advance().is_some() {
+            self.remember();
+        }
+    }
+
+    fn remember(&mut self) {
+        // without a tail to filter, the set would be dead weight
+        if self.samples > 0 {
+            self.prefix.last_key(&mut self.key);
+            self.seen.insert(self.key.clone());
+        }
+    }
+
+    /// The next sampled candidate the prefix did not yield; call once
+    /// the prefix has run dry. Yields nothing when the prefix *covered*
+    /// the space: every draw would dedup away, so the tail's
+    /// `20 × samples` draw budget would be pure waste (the cover check
+    /// is free — the enumeration stream knows whether its counter
+    /// wrapped). `enumerate == 0` is the pure-sampling degenerate:
+    /// exhaustion then means "no prefix", not "covered", so the tail
+    /// always runs.
+    fn next_sample(&mut self) -> Option<Mapping> {
+        if self.samples == 0 || (self.enumerate > 0 && self.prefix.space_exhausted()) {
+            return None;
+        }
+        let (space, samples, seed) = (self.space, self.samples, self.seed);
+        let draws = self.draws.get_or_insert_with(|| match self.sampling {
+            SampleStrategy::Uniform => {
+                Draws::Uniform(space.iter_sample(samples, StdRng::seed_from_u64(seed)))
+            }
+            SampleStrategy::Halton => Draws::Halton(space.iter_sample_halton(samples, seed)),
+        });
+        loop {
+            let m = match draws {
+                Draws::Uniform(it) => it.next().inspect(|_| it.last_key(&mut self.key)),
+                Draws::Halton(it) => it.next().inspect(|_| it.last_key(&mut self.key)),
+            }?;
+            if !self.seen.contains(&self.key) {
+                return Some(m);
+            }
+        }
     }
 }
 
@@ -725,12 +750,9 @@ fn finish_sharded(
 /// local `(value, key)`-minimal winner and counters. Shared verbatim by
 /// the in-process concurrent sharded search and the per-process
 /// [`Mapper::search_shard_counted`] path, so the two cannot diverge.
-/// `record` (the hybrid prefix dedup set) receives every produced
-/// candidate when present.
 fn walk_shard<E: CandidateEvaluator + ?Sized>(
     shard: &mut MapspaceShard<'_>,
     evaluator: &E,
-    record: Option<&Mutex<HashSet<Mapping>>>,
 ) -> (Option<(f64, CandidateKey, Mapping)>, SearchStats) {
     let mut local: Option<(f64, CandidateKey, Mapping)> = None;
     let mut stats = SearchStats::default();
@@ -739,9 +761,6 @@ fn walk_shard<E: CandidateEvaluator + ?Sized>(
     let mut worker = evaluator.worker();
     while let Some((key, depth, m)) = shard.next_delta() {
         stats.generated += 1;
-        if let Some(rec) = record {
-            rec.lock().expect("hybrid dedup set").insert(m.clone());
-        }
         if !worker.precheck(&m, depth) {
             stats.pruned += 1;
             continue;
@@ -764,28 +783,24 @@ fn walk_shard<E: CandidateEvaluator + ?Sized>(
 /// Walks the hybrid strategy's seeded sample tail, folding survivors of
 /// the prefix dedup filter into `best`/`stats` under sampled candidate
 /// keys. Shared by the in-process sharded search and shard 0 of the
-/// per-process path.
-#[allow(clippy::too_many_arguments)]
+/// per-process path: the prefix itself was evaluated elsewhere (in
+/// shards), so it is regenerated here — generation only — to rebuild the
+/// dedup set and the cover check the unsharded stream maintains as it
+/// goes.
 fn walk_sample_tail<E: CandidateEvaluator + ?Sized>(
-    space: &Mapspace,
-    samples: usize,
-    seed: u64,
-    sampling: SampleStrategy,
-    seen: &HashSet<Mapping>,
+    mut tail: SampleTail<'_>,
     evaluator: &E,
     best: &mut Option<(f64, CandidateKey, Mapping)>,
     stats: &mut SearchStats,
 ) {
+    tail.skip_prefix();
     // the sample tail is one seeded sequence: it runs sequentially,
     // deduplicated against the complete prefix exactly like the
     // unsharded hybrid stream (sampled keys order after all enumerated
     // keys, matching the tail's stream position); sampled draws share
     // no prefix, so every one is a Reset
     let mut worker = evaluator.worker();
-    for (i, m) in sample_tail(space, samples, seed, sampling)
-        .filter(|m| !seen.contains(m))
-        .enumerate()
-    {
+    for (i, m) in std::iter::from_fn(|| tail.next_sample()).enumerate() {
         let key = CandidateKey::sampled(i as u64);
         stats.generated += 1;
         if !worker.precheck(&m, ChangeDepth::Reset) {
@@ -806,14 +821,11 @@ fn walk_sample_tail<E: CandidateEvaluator + ?Sized>(
 
 /// Evaluates every shard of the space's enumerated stream concurrently,
 /// returning the `(value, key)`-minimal winner plus summed counters.
-/// `record` (the hybrid prefix dedup set) receives every produced
-/// candidate when present.
 fn sharded_enumerate_search<E: CandidateEvaluator + ?Sized>(
     space: &Mapspace,
     evaluator: &E,
     limit: usize,
     shards: usize,
-    record: Option<&Mutex<HashSet<Mapping>>>,
 ) -> (Option<(f64, CandidateKey, Mapping)>, SearchStats) {
     let generated = AtomicUsize::new(0);
     let pruned = AtomicUsize::new(0);
@@ -826,7 +838,7 @@ fn sharded_enumerate_search<E: CandidateEvaluator + ?Sized>(
             (&generated, &pruned, &evaluated, &invalid, &best);
         for mut shard in space.shards(shards, limit) {
             s.spawn(move |_| {
-                let (local, s) = walk_shard(&mut shard, evaluator, record);
+                let (local, s) = walk_shard(&mut shard, evaluator);
                 generated.fetch_add(s.generated, Ordering::Relaxed);
                 pruned.fetch_add(s.pruned, Ordering::Relaxed);
                 evaluated.fetch_add(s.evaluated, Ordering::Relaxed);
@@ -952,8 +964,8 @@ mod tests {
         };
         let stream: Vec<Mapping> = mapper.candidates(&space).collect();
         assert!(stream.len() > 40, "tail must contribute candidates");
-        let prefix: std::collections::HashSet<&Mapping> = stream.iter().take(40).collect();
-        for m in stream.iter().skip(40) {
+        let (prefix, tail) = stream.split_at(40);
+        for m in tail {
             assert!(!prefix.contains(m), "sampled candidate repeats prefix");
         }
     }
@@ -1245,8 +1257,8 @@ mod tests {
             sampling: SampleStrategy::Halton,
         };
         let stream: Vec<Mapping> = mapper.candidates(&space).collect();
-        let prefix: std::collections::HashSet<&Mapping> = stream.iter().take(200).collect();
-        for m in stream.iter().skip(200) {
+        let (prefix, tail) = stream.split_at(stream.len().min(200));
+        for m in tail {
             assert!(!prefix.contains(m), "halton sample repeats prefix");
         }
     }

@@ -9,7 +9,7 @@
 //! orders, Sparseloop locates the best concrete schedule.
 
 use crate::loops::{Loop, Mapping};
-use rand::Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use sparseloop_arch::Architecture;
 use sparseloop_tensor::einsum::{DimId, Einsum, TensorId};
@@ -61,14 +61,16 @@ pub fn factorizations(n: u64, k: usize, limit: Option<usize>) -> Vec<Vec<u64>> {
     out
 }
 
-/// A random ordered factorization of `n` into `k` positive factors.
-pub fn random_factorization(n: u64, k: usize, rng: &mut impl Rng) -> Vec<u64> {
+/// A random ordered factorization of `n` into `k` positive factors — the
+/// reference draw [`SampleIter`] must reproduce value for value (same
+/// factors, same generator state afterwards).
+#[cfg(test)]
+fn random_factorization(n: u64, k: usize, rng: &mut impl Rng) -> Vec<u64> {
     let mut factors = vec![1u64; k];
     let mut rest = n;
-    let mut divisors: Vec<u64> = Vec::new();
     // Peel random divisors into random positions until rest is 1.
     while rest > 1 {
-        divisors_excluding_one(rest, &mut divisors);
+        let divisors: Vec<u64> = (2..=rest).filter(|d| rest.is_multiple_of(*d)).collect();
         let d = divisors[rng.gen_range(0..divisors.len())];
         // take a prime-ish chunk: smallest prime factor of d
         let p = smallest_prime_factor(d);
@@ -77,28 +79,6 @@ pub fn random_factorization(n: u64, k: usize, rng: &mut impl Rng) -> Vec<u64> {
         rest /= p;
     }
     factors
-}
-
-/// The divisors of `n >= 2` except 1, ascending, via trial division to
-/// `√n` — the same list a linear scan of `2..=n` produces, three orders
-/// of magnitude faster for the large composite bounds real workloads
-/// have (random sampling draws this per peel per dimension, which made
-/// the hybrid mapper's sample tail the most expensive part of its
-/// candidate stream).
-fn divisors_excluding_one(n: u64, out: &mut Vec<u64>) {
-    out.clear();
-    let mut d = 2u64;
-    while d * d <= n {
-        if n.is_multiple_of(d) {
-            out.push(d);
-            if d != n / d {
-                out.push(n / d);
-            }
-        }
-        d += 1;
-    }
-    out.push(n);
-    out.sort_unstable();
 }
 
 fn smallest_prime_factor(n: u64) -> u64 {
@@ -152,9 +132,10 @@ fn radical_inverse(mut i: u64, base: u64) -> f64 {
     r
 }
 
-/// Lazy, memoizing stream of the ordered factorizations of `n` into `k`
-/// positive factors, produced in exactly the order [`factorizations`]
-/// returns them.
+/// Lazy, memoizing stream of the ordered factorizations of `n` into
+/// `caps.len()` positive factors, factor `j` at most `caps[j]`, produced
+/// in exactly the order [`factorizations`] returns them (its list with
+/// the cap-violating entries left out).
 ///
 /// [`Mapspace::iter_enumerate`] walks a mixed-radix counter over one
 /// stream per workload dimension. The counter revisits indices, so
@@ -164,12 +145,23 @@ fn radical_inverse(mut i: u64, base: u64) -> f64 {
 /// full ordered-factor list of an astronomically composite bound up front
 /// (the eager per-dimension allocation previously flagged in ROADMAP).
 ///
-/// `k == 0` models a dimension that owns no loop slots: the stream holds
-/// exactly one empty factorization (a unit radix in the counter).
+/// The caps are the spatial slots' fanout budgets: a factorization that
+/// puts more than a level's whole fanout into one spatial slot fails the
+/// fanout check whatever the other dimensions choose, so it is never
+/// materialized and the counter never steps onto it. A capped stream may
+/// therefore hold nothing at all.
+///
+/// No positions (`caps` empty) models a dimension that owns no loop
+/// slots: the stream holds exactly one empty factorization (a unit radix
+/// in the counter).
 struct FactorizationStream {
     n: u64,
-    k: usize,
-    cache: Vec<Vec<u64>>,
+    caps: Vec<u64>,
+    /// Materialized factorizations, `caps.len()` factors each, back to
+    /// back.
+    cache: Vec<u64>,
+    /// Factorizations materialized so far.
+    len: usize,
     /// DFS continuation: one frame per already-chosen factor position.
     stack: Vec<Frame>,
     /// Factors chosen by the frames, index-aligned with `stack`.
@@ -187,35 +179,34 @@ struct Frame {
 }
 
 impl FactorizationStream {
-    fn new(n: u64, k: usize) -> Self {
+    fn new(n: u64, caps: Vec<u64>) -> Self {
         assert!(n >= 1, "need n >= 1");
         FactorizationStream {
             n,
-            k,
+            // a zero cap admits no factor at all, not even the 1 the
+            // walk descends with
+            done: caps.contains(&0),
+            caps,
             cache: Vec::new(),
+            len: 0,
             stack: Vec::new(),
             current: Vec::new(),
             started: false,
-            done: false,
         }
-    }
-
-    /// Number of factorizations materialized so far (laziness probe).
-    #[cfg(test)]
-    fn materialized(&self) -> usize {
-        self.cache.len()
     }
 
     /// The `i`-th factorization, extending the cache as needed; `None`
     /// past the end of the stream.
     fn get(&mut self, i: usize) -> Option<&[u64]> {
-        while self.cache.len() <= i && self.advance() {}
-        self.cache.get(i).map(Vec::as_slice)
+        while self.len <= i && self.advance() {}
+        (i < self.len).then(|| self.cached(i))
     }
 
     /// The `i`-th factorization, which must already be materialized.
     fn cached(&self, i: usize) -> &[u64] {
-        &self.cache[i]
+        assert!(i < self.len, "factorization {i} not materialized");
+        let k = self.caps.len();
+        &self.cache[i * k..(i + 1) * k]
     }
 
     /// Materializes the next factorization; `false` once exhausted.
@@ -223,45 +214,51 @@ impl FactorizationStream {
         if self.done {
             return false;
         }
-        if self.k == 0 {
+        let Some(&tail_cap) = self.caps.last() else {
             self.done = true;
-            self.cache.push(Vec::new());
+            self.len = 1;
             return true;
-        }
+        };
+        let mut tail = None;
         if !self.started {
             self.started = true;
-            let tail = self.descend(self.n);
-            self.emit(tail);
-            return true;
+            tail = Some(self.descend(self.n));
         }
         loop {
+            if tail.is_some_and(|t| t <= tail_cap) {
+                self.cache.extend_from_slice(&self.current);
+                self.cache.extend(tail);
+                self.len += 1;
+                return true;
+            }
             let Some(frame) = self.stack.last_mut() else {
                 self.done = true;
                 return false;
             };
-            // next divisor of this level's remaining value
+            // next divisor of this level's remaining value within its cap
+            let most = frame.remaining.min(self.caps[self.current.len() - 1]);
             let mut d = frame.next;
-            while d <= frame.remaining && !frame.remaining.is_multiple_of(d) {
+            while d <= most && !frame.remaining.is_multiple_of(d) {
                 d += 1;
             }
-            if d > frame.remaining {
+            if d > most {
                 self.stack.pop();
                 self.current.pop();
+                tail = None;
                 continue;
             }
             frame.next = d + 1;
             let rest = frame.remaining / d;
             *self.current.last_mut().expect("frame has a chosen factor") = d;
-            let tail = self.descend(rest);
-            self.emit(tail);
-            return true;
+            tail = Some(self.descend(rest));
         }
     }
 
     /// Chooses factor 1 at every level below the current one, down to
-    /// depth `k - 1`; returns the value left for the final position.
+    /// the last position but one; returns the value left for the final
+    /// position.
     fn descend(&mut self, rest: u64) -> u64 {
-        while self.stack.len() < self.k - 1 {
+        while self.stack.len() < self.caps.len() - 1 {
             self.stack.push(Frame {
                 remaining: rest,
                 next: 2,
@@ -269,12 +266,6 @@ impl FactorizationStream {
             self.current.push(1);
         }
         rest
-    }
-
-    fn emit(&mut self, tail: u64) {
-        let mut f = self.current.clone();
-        f.push(tail);
-        self.cache.push(f);
     }
 }
 
@@ -486,20 +477,13 @@ impl Mapspace {
     }
 
     /// Builds the mapping corresponding to per-slot factors, dropping
-    /// factor-1 loops. Returns `None` if a spatial fanout budget is
-    /// exceeded. `keep` is the shared bypass configuration snapshot the
-    /// iterator took from this space (see [`Mapping::with_shared_keep`]).
-    fn mapping_from_factors(
-        &self,
-        slots: &[Slot],
-        factors: &[u64],
-        keep: &Arc<Vec<Vec<bool>>>,
-    ) -> Option<Mapping> {
-        if !self.fanout_ok(slots, factors) {
-            return None;
-        }
+    /// factor-1 loops. The factors must already have passed
+    /// [`fanout_ok`](Mapspace::fanout_ok); every generated mapping
+    /// shares the plan's bypass configuration snapshot (see
+    /// [`Mapping::with_shared_keep`]).
+    fn build_mapping(&self, plan: &SlotPlan, factors: &[u64]) -> Mapping {
         let mut nests: Vec<Vec<Loop>> = vec![Vec::new(); self.num_levels];
-        for (s, &f) in slots.iter().zip(factors) {
+        for (s, &f) in plan.slots.iter().zip(factors) {
             if f > 1 {
                 nests[s.level].push(if s.spatial {
                     Loop::spatial(s.dim, f)
@@ -508,50 +492,33 @@ impl Mapspace {
                 });
             }
         }
-        Some(Mapping::with_shared_keep(nests, Arc::clone(keep)))
+        Mapping::with_shared_keep(nests, Arc::clone(&plan.keep))
     }
 
     /// Whether per-slot factors respect every level's spatial fanout
-    /// budget — the exact validity test [`mapping_from_factors`] applies
-    /// before building a mapping (shared with the shard census, which
-    /// must count candidates without paying for their construction).
-    ///
-    /// [`mapping_from_factors`]: Mapspace::mapping_from_factors
+    /// budget — the validity test every candidate passes before its
+    /// mapping is built (and the shard census applies to count
+    /// candidates without paying for their construction). One pass:
+    /// slots are grouped by level, so a running product per level
+    /// suffices; it saturates rather than wraps, so bounds whose product
+    /// exceeds `u64::MAX` read as over budget, not as some small number.
     fn fanout_ok(&self, slots: &[Slot], factors: &[u64]) -> bool {
-        for l in 0..self.num_levels {
-            let spatial_product: u64 = slots
-                .iter()
-                .zip(factors)
-                .filter(|(s, _)| s.level == l && s.spatial)
-                .map(|(_, &f)| f)
-                .product();
-            if spatial_product > self.fanout[l] {
+        let mut level = usize::MAX;
+        let mut product = 1u64;
+        for (s, &f) in slots.iter().zip(factors) {
+            if !s.spatial {
+                continue;
+            }
+            if s.level != level {
+                level = s.level;
+                product = 1;
+            }
+            product = product.saturating_mul(f);
+            if product > self.fanout[level] {
                 return false;
             }
         }
         true
-    }
-
-    /// Lazy factorization streams for the dims in `range` (unit streams
-    /// for dimensions that own no slots), each with index 0
-    /// pre-materialized so a counter's initial state is addressable
-    /// (every stream holds >= 1 factorization). Shared by the
-    /// enumeration iterator, the shard census, and the shards
-    /// themselves — one definition, so they cannot drift apart.
-    fn dim_streams(
-        &self,
-        plan: &SlotPlan,
-        range: std::ops::Range<usize>,
-    ) -> Vec<FactorizationStream> {
-        range
-            .map(|d| {
-                let mut stream =
-                    FactorizationStream::new(self.dim_bounds[d], plan.per_dim[d].len());
-                let first = stream.get(0);
-                debug_assert!(first.is_some());
-                stream
-            })
-            .collect()
     }
 
     /// Precomputes the slot layout shared by enumeration and sampling.
@@ -565,9 +532,30 @@ impl Mapspace {
         }
         let feasible =
             (0..self.num_dims).all(|d| !per_dim[d].is_empty() || self.dim_bounds[d] == 1);
+        let caps = slots
+            .iter()
+            .map(|s| {
+                if s.spatial {
+                    self.fanout[s.level]
+                } else {
+                    u64::MAX
+                }
+            })
+            .collect();
+        let class = slots
+            .iter()
+            .map(|s| {
+                slots
+                    .iter()
+                    .position(|t| t == s)
+                    .expect("slot equals itself") as u64
+            })
+            .collect();
         SlotPlan {
             slots,
             per_dim,
+            caps,
+            class,
             feasible,
             keep: Arc::new(self.keep.clone()),
         }
@@ -596,18 +584,21 @@ impl Mapspace {
     /// [`enumerate`]: Mapspace::enumerate
     pub fn iter_enumerate(&self, limit: usize) -> EnumerateIter<'_> {
         let plan = self.plan();
-        let dims = self.dim_streams(&plan, 0..self.num_dims);
-        let num_slots = plan.slots.len();
+        let mut counter = Counter::new(self, &plan, self.num_dims);
+        let mut factors = vec![1u64; plan.slots.len()];
+        let exhausted = !plan.feasible || limit == 0 || counter.empty;
+        if !exhausted {
+            counter.rewind(&plan, &mut factors);
+        }
         EnumerateIter {
             space: self,
-            choice: vec![0usize; self.num_dims],
-            dims,
-            factors: vec![1u64; num_slots],
-            prev_factors: vec![1u64; num_slots],
+            counter,
+            last: factors.clone(),
+            factors,
             have_prev: false,
             produced: 0,
             limit,
-            exhausted: !plan.feasible || limit == 0,
+            exhausted,
             plan,
         }
     }
@@ -616,10 +607,26 @@ impl Mapspace {
     /// possible). Draws stop after `count` valid mappings or `20 × count`
     /// attempts, whichever comes first — identical semantics to
     /// [`sample`](Mapspace::sample), which collects this iterator.
+    ///
+    /// # Draw order
+    ///
+    /// One attempt visits the dimensions that own loop slots in index
+    /// order and, per dimension, peels its bound one prime at a time:
+    /// `gen_range(0..#divisors of the rest, 1 excluded)` picks a divisor
+    /// (ascending order) whose smallest prime factor is peeled, then
+    /// `gen_range(0..#slots)` picks the slot it lands in. That is
+    /// **exactly `2·Ω(bound)` bounded draws per dimension** (Ω = prime
+    /// factors with multiplicity) whatever the draws come out as — so
+    /// the iterator draws an attempt's raw values up front and abandons
+    /// the attempt as soon as its spatial factors overrun a fanout
+    /// budget, without working out the rest. The yielded mappings and
+    /// the generator state after every attempt are those of drawing and
+    /// placing every prime in order, for any `R`.
     pub fn iter_sample<R: Rng>(&self, count: usize, rng: R) -> SampleIter<'_, R> {
         let plan = self.plan();
         SampleIter {
             space: self,
+            draw: FactorDraw::new(self, &plan),
             plan,
             rng,
             produced: 0,
@@ -670,6 +677,7 @@ impl Mapspace {
         let decisions: usize = dim_primes.iter().map(Vec::len).sum();
         HaltonSampleIter {
             space: self,
+            factors: vec![1u64; plan.slots.len()],
             plan,
             bases: first_primes(decisions),
             dim_primes,
@@ -720,8 +728,9 @@ impl Mapspace {
     pub fn shards(&self, n: usize, limit: usize) -> Vec<MapspaceShard<'_>> {
         let n = n.max(1);
         let plan = self.plan();
+        let empty = || (0..n).map(|_| MapspaceShard::empty(self)).collect();
         if !plan.feasible || limit == 0 {
-            return (0..n).map(|_| MapspaceShard::empty(self)).collect();
+            return empty();
         }
         // grow the block space from the outermost dimension inward until
         // it offers at least n blocks (or swallows every dimension)
@@ -739,38 +748,32 @@ impl Mapspace {
             outer_rev.push(list);
         }
         outer_rev.reverse(); // now ordered by dim index: split, split+1, …
-        let outer_lists = Arc::new(outer_rev);
-        let base = if limit < usize::MAX {
-            Some(Arc::new(self.shard_census(
-                &plan,
-                split,
-                &outer_lists,
-                blocks,
-                limit,
-            )))
-        } else {
-            None
-        };
+        let outer = Arc::new(BlockSpace {
+            split,
+            lists: outer_rev,
+        });
+        let census = Counter::new(self, &plan, split);
+        if census.empty {
+            return empty();
+        }
+        let base = (limit < usize::MAX)
+            .then(|| Arc::new(self.shard_census(&plan, &outer, census, blocks, limit)));
         (0..n)
             .map(|s| {
                 let plan = plan.clone();
-                let inner = self.dim_streams(&plan, 0..split);
                 let num_slots = plan.slots.len();
                 MapspaceShard {
                     space: self,
+                    counter: Counter::new(self, &plan, split),
                     plan,
-                    split,
-                    outer_lists: Arc::clone(&outer_lists),
+                    outer: Arc::clone(&outer),
                     blocks: (s as u64..blocks).step_by(n).collect(),
                     base: base.clone(),
                     limit,
-                    inner,
-                    cur_block: 0,
+                    next_block: 0,
                     cur_block_id: 0,
-                    outer_choice: Vec::new(),
-                    choice: Vec::new(),
                     factors: vec![1u64; num_slots],
-                    prev_factors: vec![1u64; num_slots],
+                    last: vec![1u64; num_slots],
                     have_prev: false,
                     rank: 0,
                     block_active: false,
@@ -788,53 +791,27 @@ impl Mapspace {
     fn shard_census(
         &self,
         plan: &SlotPlan,
-        split: usize,
-        outer_lists: &[Vec<Vec<u64>>],
+        outer: &BlockSpace,
+        mut counter: Counter,
         blocks: u64,
         limit: usize,
     ) -> Vec<usize> {
-        let mut inner = self.dim_streams(plan, 0..split);
         let mut factors = vec![1u64; plan.slots.len()];
         let mut base = Vec::with_capacity(blocks as usize);
         let mut cum = 0usize;
         for b in 0..blocks {
             base.push(cum.min(limit));
-            if cum >= limit {
+            if cum >= limit || !outer.enter(b, plan, &mut counter, &mut factors) {
                 continue;
             }
-            let outer_choice = decode_block(b, outer_lists);
-            let mut choice = vec![0usize; split];
             loop {
-                {
-                    let (inner, choice, outer_choice) = (&inner, &choice, &outer_choice);
-                    plan.assemble(&mut factors, |d| {
-                        if d < split {
-                            inner[d].cached(choice[d])
-                        } else {
-                            &outer_lists[d - split][outer_choice[d - split]]
-                        }
-                    });
-                }
                 if self.fanout_ok(&plan.slots, &factors) {
                     cum += 1;
                     if cum >= limit {
                         break;
                     }
                 }
-                // advance the inner counter
-                let mut d = 0;
-                let wrapped = loop {
-                    if d == split {
-                        break true;
-                    }
-                    choice[d] += 1;
-                    if inner[d].get(choice[d]).is_some() {
-                        break false;
-                    }
-                    choice[d] = 0;
-                    d += 1;
-                };
-                if wrapped {
+                if !counter.step(plan, &mut factors) {
                     break;
                 }
             }
@@ -843,18 +820,46 @@ impl Mapspace {
     }
 }
 
-/// Decodes a block id into per-suffix-dim factorization choices
-/// (dimension `split` varies fastest, matching the global counter).
-fn decode_block(mut id: u64, outer_lists: &[Vec<Vec<u64>>]) -> Vec<usize> {
-    outer_lists
-        .iter()
-        .map(|list| {
+/// The block half of a sharded enumeration: the eager factorization
+/// lists of the suffix dims `split..`, whose cross product (dimension
+/// `split` varying fastest, matching the global counter) numbers the
+/// blocks.
+struct BlockSpace {
+    /// Dim index where the block (suffix) space begins; dims below it
+    /// form the within-block cross product.
+    split: usize,
+    lists: Vec<Vec<Vec<u64>>>,
+}
+
+impl BlockSpace {
+    /// Writes block `id`'s suffix-dim factors and rewinds `counter` to
+    /// the block's first position. `false` when one of the block's
+    /// factorizations overruns a spatial cap: the block holds no
+    /// candidate and nothing need walk it.
+    fn enter(
+        &self,
+        mut id: u64,
+        plan: &SlotPlan,
+        counter: &mut Counter,
+        factors: &mut [u64],
+    ) -> bool {
+        for (i, list) in self.lists.iter().enumerate() {
             let len = list.len() as u64;
-            let c = (id % len) as usize;
+            let f = &list[(id % len) as usize];
             id /= len;
-            c
-        })
-        .collect()
+            let d = self.split + i;
+            if plan.per_dim[d]
+                .iter()
+                .zip(f)
+                .any(|(&s, &v)| v > plan.caps[s])
+            {
+                return false;
+            }
+            plan.write_dim(factors, d, f);
+        }
+        counter.rewind(plan, factors);
+        true
+    }
 }
 
 /// Slot layout shared by the candidate iterators.
@@ -863,6 +868,12 @@ struct SlotPlan {
     slots: Vec<Slot>,
     /// Slot indices owned by each dimension.
     per_dim: Vec<Vec<usize>>,
+    /// Per slot, the most one factor may put there: the level's fanout
+    /// for a spatial slot, unbounded for a temporal one.
+    caps: Vec<u64>,
+    /// Per slot, the index of the first slot with the same level, dim
+    /// and kind (itself, unless a constraint lists a dim twice).
+    class: Vec<u64>,
     /// False when some dimension with bound > 1 has no slot.
     feasible: bool,
     /// Bypass configuration shared by every generated mapping.
@@ -870,15 +881,80 @@ struct SlotPlan {
 }
 
 impl SlotPlan {
-    /// Writes the per-slot factors for one per-dim factorization choice.
-    fn assemble<'a>(&self, factors: &mut [u64], mut pick: impl FnMut(usize) -> &'a [u64]) {
-        factors.fill(1);
-        for (d, slots) in self.per_dim.iter().enumerate() {
-            let f = pick(d);
-            for (j, &slot_idx) in slots.iter().enumerate() {
-                factors[slot_idx] = f.get(j).copied().unwrap_or(1);
+    /// Writes dimension `d`'s factorization into its slots.
+    fn write_dim(&self, factors: &mut [u64], d: usize, f: &[u64]) {
+        for (&slot, &v) in self.per_dim[d].iter().zip(f) {
+            factors[slot] = v;
+        }
+    }
+
+    /// The dedup key of a candidate's per-slot factors: equal keys ⇔
+    /// equal mappings. Factor-1 slots vanish from a mapping, and twin
+    /// slots (same level, dim and kind) build the same loop, so the key
+    /// lists `(class, factor)` for the non-unit slots — the mapping's
+    /// loop nests, without building or hashing the mapping.
+    fn key_of(&self, factors: &[u64], key: &mut Vec<u64>) {
+        key.clear();
+        for (&class, &f) in self.class.iter().zip(factors) {
+            if f > 1 {
+                key.extend([class, f]);
             }
         }
+    }
+}
+
+/// Mixed-radix counter over the capped factorization streams of dims
+/// `0..streams.len()` (dim 0 varies fastest) that keeps a per-slot
+/// factor buffer in step: moving a digit rewrites that dimension's slots
+/// and no others. Shared by the enumeration iterator, the shard census,
+/// and the shards themselves — one definition, so they cannot drift
+/// apart.
+struct Counter {
+    streams: Vec<FactorizationStream>,
+    choice: Vec<usize>,
+    /// Some stream holds no factorization: the counter has no position
+    /// and must not be moved.
+    empty: bool,
+}
+
+impl Counter {
+    fn new(space: &Mapspace, plan: &SlotPlan, dims: usize) -> Self {
+        let mut streams: Vec<FactorizationStream> = (0..dims)
+            .map(|d| {
+                let caps = plan.per_dim[d].iter().map(|&s| plan.caps[s]).collect();
+                FactorizationStream::new(space.dim_bounds[d], caps)
+            })
+            .collect();
+        // index 0 pre-materialized, so `rewind` is always addressable
+        let empty = streams.iter_mut().any(|s| s.get(0).is_none());
+        Counter {
+            choice: vec![0; dims],
+            streams,
+            empty,
+        }
+    }
+
+    /// Moves every digit to its first factorization.
+    fn rewind(&mut self, plan: &SlotPlan, factors: &mut [u64]) {
+        for (d, stream) in self.streams.iter().enumerate() {
+            self.choice[d] = 0;
+            plan.write_dim(factors, d, stream.cached(0));
+        }
+    }
+
+    /// Moves to the next position, extending streams lazily; `false`
+    /// once the counter wrapped around to its first position.
+    fn step(&mut self, plan: &SlotPlan, factors: &mut [u64]) -> bool {
+        for (d, stream) in self.streams.iter_mut().enumerate() {
+            self.choice[d] += 1;
+            if let Some(f) = stream.get(self.choice[d]) {
+                plan.write_dim(factors, d, f);
+                return true;
+            }
+            self.choice[d] = 0;
+            plan.write_dim(factors, d, stream.cached(0));
+        }
+        false
     }
 }
 
@@ -887,16 +963,14 @@ impl SlotPlan {
 pub struct EnumerateIter<'a> {
     space: &'a Mapspace,
     plan: SlotPlan,
-    /// Per-dim lazy factorization streams; the iterator walks their
-    /// cross product with a mixed-radix counter, materializing each
-    /// stream only as far as the counter has reached.
-    dims: Vec<FactorizationStream>,
-    choice: Vec<usize>,
-    /// Per-slot factor buffer, reused across candidates (the iterator
+    /// Walks the cross product of the per-dim factorization streams,
+    /// materializing each stream only as far as it has reached.
+    counter: Counter,
+    /// Per-slot factors at the counter's position (the iterator
     /// allocates nothing per candidate beyond the mapping itself).
     factors: Vec<u64>,
-    /// Factors of the previously *yielded* candidate (delta baseline).
-    prev_factors: Vec<u64>,
+    /// Factors of the last *yielded* candidate (delta baseline).
+    last: Vec<u64>,
     have_prev: bool,
     produced: usize,
     limit: usize,
@@ -925,43 +999,41 @@ impl EnumerateIter<'_> {
     /// [`ChangeDepth`]). The first candidate reports
     /// [`ChangeDepth::Reset`].
     pub fn next_delta(&mut self) -> Option<(ChangeDepth, Mapping)> {
-        let num_dims = self.space.num_dims;
+        let depth = self.advance()?;
+        Some((depth, self.space.build_mapping(&self.plan, &self.last)))
+    }
+
+    /// [`next_delta`](EnumerateIter::next_delta) without building the
+    /// mapping: the candidate is left as its per-slot factors (see
+    /// [`last_key`](EnumerateIter::last_key)).
+    pub(crate) fn advance(&mut self) -> Option<ChangeDepth> {
         while !self.exhausted && self.produced < self.limit {
-            {
-                let (plan, dims, choice, factors) =
-                    (&self.plan, &self.dims, &self.choice, &mut self.factors);
-                plan.assemble(factors, |d| dims[d].cached(choice[d]));
-            }
-            let candidate =
-                self.space
-                    .mapping_from_factors(&self.plan.slots, &self.factors, &self.plan.keep);
-            // advance the mixed-radix counter, extending streams lazily
-            let mut d = 0;
-            loop {
-                if d == num_dims {
-                    self.exhausted = true;
-                    break;
-                }
-                self.choice[d] += 1;
-                if self.dims[d].get(self.choice[d]).is_some() {
-                    break;
-                }
-                self.choice[d] = 0;
-                d += 1;
-            }
-            if let Some(m) = candidate {
-                let depth = if self.have_prev {
-                    change_depth(&self.plan.slots, &self.prev_factors, &self.factors)
+            let mut found = None;
+            if self.space.fanout_ok(&self.plan.slots, &self.factors) {
+                found = Some(if self.have_prev {
+                    change_depth(&self.plan.slots, &self.last, &self.factors)
                 } else {
                     ChangeDepth::Reset
-                };
-                std::mem::swap(&mut self.factors, &mut self.prev_factors);
+                });
+                self.last.copy_from_slice(&self.factors);
                 self.have_prev = true;
                 self.produced += 1;
-                return Some((depth, m));
+            }
+            // the counter moves on before the candidate is handed out, so
+            // a stream that just yielded its space's last candidate
+            // already knows it is exhausted
+            self.exhausted = !self.counter.step(&self.plan, &mut self.factors);
+            if found.is_some() {
+                return found;
             }
         }
         None
+    }
+
+    /// The dedup key of the last yielded candidate (equal keys ⇔ equal
+    /// mappings, across every iterator of one space).
+    pub(crate) fn last_key(&self, key: &mut Vec<u64>) {
+        self.plan.key_of(&self.last, key);
     }
 }
 
@@ -973,14 +1045,315 @@ impl Iterator for EnumerateIter<'_> {
     }
 }
 
+/// A precomputed `gen_range(0..len)`: the same raw values consumed and
+/// the same result as the vendored generator's draw.
+#[derive(Clone, Copy, Default)]
+struct Bounded {
+    len: u64,
+    /// `u64::MAX − (2⁶⁴ mod len)`: the largest raw value the draw
+    /// accepts — the generator rejects and redraws above it to stay
+    /// unbiased.
+    zone: u64,
+}
+
+impl Bounded {
+    fn new(len: usize) -> Self {
+        let len = len as u64;
+        Bounded {
+            len,
+            zone: u64::MAX - (u64::MAX - len + 1) % len,
+        }
+    }
+
+    fn draw<G: RngCore>(&self, rng: &mut G) -> usize {
+        loop {
+            let v = rng.next_u64();
+            if v <= self.zone {
+                return (v % self.len) as usize;
+            }
+        }
+    }
+}
+
+/// The divisor lattice of one dimension bound, tabulated for the
+/// sampler's peel: for a `rest` (a divisor of the bound), drawing index
+/// `i` among its divisors other than 1, ascending, peels the smallest
+/// prime factor of the `i`-th and leaves `rest / prime`. Rows are built
+/// on first visit, so the table grows with the rests draws actually
+/// reach, not with the square of the divisor count.
+struct DivisorLattice {
+    /// All divisors of the bound, ascending: index 0 is 1 (the peel's
+    /// end), the last is the bound (its start).
+    divisors: Vec<u64>,
+    /// Smallest prime factor of each divisor (of 1: unused).
+    spf: Vec<u64>,
+    /// Per divisor, its row of `edges` (an empty draw: not built yet —
+    /// every rest above 1 has at least itself to draw).
+    rows: Vec<Row>,
+    /// `(prime peeled, index of the rest it leaves)`, row after row.
+    edges: Vec<(u64, usize)>,
+    /// Ω(bound): peels per walk from the bound down to 1.
+    peels: usize,
+}
+
+#[derive(Clone, Copy, Default)]
+struct Row {
+    start: usize,
+    /// The draw over the row's edges.
+    pick: Bounded,
+}
+
+impl DivisorLattice {
+    fn new(bound: u64) -> Self {
+        let primes = prime_factors(bound);
+        let mut divisors = vec![1u64];
+        let mut i = 0;
+        while i < primes.len() {
+            // every divisor so far, times each power of the next prime
+            let p = primes[i];
+            let run = primes[i..].iter().take_while(|&&q| q == p).count();
+            let base = divisors.len();
+            let mut power = 1;
+            for _ in 0..run {
+                power *= p;
+                for j in 0..base {
+                    divisors.push(divisors[j] * power);
+                }
+            }
+            i += run;
+        }
+        divisors.sort_unstable();
+        let spf = divisors
+            .iter()
+            .map(|d| *primes.iter().find(|&&p| d.is_multiple_of(p)).unwrap_or(&1))
+            .collect();
+        DivisorLattice {
+            rows: vec![Row::default(); divisors.len()],
+            divisors,
+            spf,
+            edges: Vec::new(),
+            peels: primes.len(),
+        }
+    }
+
+    /// The peel row of the `i`-th divisor (`i > 0`).
+    fn row(&mut self, i: usize) -> Row {
+        if self.rows[i].pick.len == 0 {
+            let rest = self.divisors[i];
+            let start = self.edges.len();
+            for j in 1..=i {
+                if rest.is_multiple_of(self.divisors[j]) {
+                    let p = self.spf[j];
+                    let next = self
+                        .divisors
+                        .binary_search(&(rest / p))
+                        .expect("a divisor's divisors are in the lattice");
+                    self.edges.push((p, next));
+                }
+            }
+            self.rows[i] = Row {
+                start,
+                pick: Bounded::new(self.edges.len() - start),
+            };
+        }
+        self.rows[i]
+    }
+}
+
+/// One dimension of the sampler's attempt: its peel table and slots.
+struct DimDraw {
+    dim: usize,
+    lattice: DivisorLattice,
+    /// The draw over the dimension's slots.
+    place: Bounded,
+    /// Where the dimension's draws start in an attempt's raw values
+    /// (when each bounded draw takes exactly one).
+    first_raw: usize,
+}
+
+/// The uniform sampler's attempt state (see [`Mapspace::iter_sample`]
+/// for the draw order it reproduces).
+struct FactorDraw {
+    /// Dimensions that own slots and have something to factor, in index
+    /// order.
+    dims: Vec<DimDraw>,
+    /// Indices into `dims`: those with a spatial slot — the only ones
+    /// that can overrun a fanout — first.
+    spatial_first: Vec<usize>,
+    /// Bounded draws per attempt: `2·Ω(bound)` summed over `dims`.
+    draws: usize,
+    /// Raw values up to here pass any bounded draw of this space on the
+    /// first try (its ranges are at most `u64::MAX - safe_raw` wide).
+    safe_raw: u64,
+    /// Per-slot factors of the current attempt, written as primes land.
+    factors: Vec<u64>,
+    /// Per-level running product of the spatial factors.
+    spatial: Vec<u64>,
+    /// The current attempt's first `draws` raw values.
+    raw: Vec<u64>,
+}
+
+impl FactorDraw {
+    fn new(space: &Mapspace, plan: &SlotPlan) -> Self {
+        let mut draws = 0;
+        let dims: Vec<DimDraw> = (0..space.num_dims)
+            .filter(|&d| !plan.per_dim[d].is_empty() && space.dim_bounds[d] > 1)
+            .map(|d| {
+                let lattice = DivisorLattice::new(space.dim_bounds[d]);
+                let first_raw = draws;
+                draws += 2 * lattice.peels;
+                DimDraw {
+                    dim: d,
+                    lattice,
+                    place: Bounded::new(plan.per_dim[d].len()),
+                    first_raw,
+                }
+            })
+            .collect();
+        let has_spatial = |t: &DimDraw| plan.per_dim[t.dim].iter().any(|&s| plan.slots[s].spatial);
+        let (mut spatial_first, rest): (Vec<usize>, Vec<usize>) =
+            (0..dims.len()).partition(|&i| has_spatial(&dims[i]));
+        spatial_first.extend(rest);
+        let widest = dims
+            .iter()
+            .map(|t| t.lattice.divisors.len().max(plan.per_dim[t.dim].len()))
+            .max()
+            .unwrap_or(0);
+        FactorDraw {
+            dims,
+            spatial_first,
+            draws,
+            safe_raw: u64::MAX - widest as u64,
+            factors: vec![1u64; plan.slots.len()],
+            spatial: vec![1u64; space.num_levels],
+            raw: Vec::new(),
+        }
+    }
+
+    /// One attempt: draws a factorization of every dimension into
+    /// `factors`; `true` when it respects every fanout budget. Consumes
+    /// from `rng` exactly what the full draw consumes.
+    ///
+    /// The attempt's raw values are drawn up front, one per bounded
+    /// draw. Unless one of them is large enough that some draw might
+    /// reject it, every draw takes exactly its own value, so the
+    /// dimensions can be peeled in any order — those that can overrun a
+    /// fanout first, and the attempt abandoned the moment one does,
+    /// with the generator already where the full draw leaves it.
+    /// Otherwise the attempt is replayed draw for draw: the recorded
+    /// values, then the live generator for whatever rejections add.
+    fn attempt<G: RngCore>(&mut self, space: &Mapspace, plan: &SlotPlan, rng: &mut G) -> bool {
+        self.raw.clear();
+        self.raw.extend((0..self.draws).map(|_| rng.next_u64()));
+        self.factors.fill(1);
+        self.spatial.fill(1);
+        let FactorDraw {
+            dims,
+            spatial_first,
+            factors,
+            spatial,
+            raw,
+            ..
+        } = self;
+        if raw.iter().all(|&v| v <= self.safe_raw) {
+            spatial_first.iter().all(|&i| {
+                let t = &mut dims[i];
+                // `rng` stays untouched: no draw rejects these values
+                let mut own = Replay {
+                    recorded: raw[t.first_raw..].iter(),
+                    live: &mut *rng,
+                };
+                t.peel(space, plan, factors, spatial, &mut own, true)
+            })
+        } else {
+            let mut replay = Replay {
+                recorded: raw.iter(),
+                live: rng,
+            };
+            // no short-circuit: every dimension must take its draws
+            let mut fits = true;
+            for t in dims.iter_mut() {
+                fits &= t.peel(space, plan, factors, spatial, &mut replay, false);
+            }
+            fits
+        }
+    }
+}
+
+impl DimDraw {
+    /// Peels the dimension's bound prime by prime into random slots of
+    /// `factors`; `false` when a level's spatial product overran its
+    /// fanout — at once with `stop_on_overrun`, after placing every
+    /// prime without.
+    fn peel<G: RngCore>(
+        &mut self,
+        space: &Mapspace,
+        plan: &SlotPlan,
+        factors: &mut [u64],
+        spatial: &mut [u64],
+        rng: &mut G,
+        stop_on_overrun: bool,
+    ) -> bool {
+        let slots = &plan.per_dim[self.dim];
+        let mut fits = true;
+        let mut rest = self.lattice.divisors.len() - 1;
+        while rest > 0 {
+            let row = self.lattice.row(rest);
+            let (prime, next) = self.lattice.edges[row.start + row.pick.draw(rng)];
+            let slot = slots[self.place.draw(rng)];
+            rest = next;
+            factors[slot] *= prime;
+            let Slot {
+                level,
+                spatial: is_spatial,
+                ..
+            } = plan.slots[slot];
+            if is_spatial {
+                spatial[level] = spatial[level].saturating_mul(prime);
+                if spatial[level] > space.fanout[level] {
+                    fits = false;
+                    if stop_on_overrun {
+                        break;
+                    }
+                }
+            }
+        }
+        fits
+    }
+}
+
+/// Raw values already drawn, then a live generator.
+struct Replay<'a, G> {
+    recorded: std::slice::Iter<'a, u64>,
+    live: &'a mut G,
+}
+
+impl<G: RngCore> RngCore for Replay<'_, G> {
+    fn next_u64(&mut self) -> u64 {
+        match self.recorded.next() {
+            Some(&v) => v,
+            None => self.live.next_u64(),
+        }
+    }
+}
+
 /// Lazy random mapspace sampling (see [`Mapspace::iter_sample`]).
 pub struct SampleIter<'a, R: Rng> {
     space: &'a Mapspace,
     plan: SlotPlan,
+    draw: FactorDraw,
     rng: R,
     produced: usize,
     attempts: usize,
     count: usize,
+}
+
+impl<R: Rng> SampleIter<'_, R> {
+    /// The dedup key of the last yielded candidate (see
+    /// [`EnumerateIter::last_key`]).
+    pub(crate) fn last_key(&self, key: &mut Vec<u64>) {
+        self.plan.key_of(&self.draw.factors, key);
+    }
 }
 
 impl<R: Rng> Iterator for SampleIter<'_, R> {
@@ -990,29 +1363,11 @@ impl<R: Rng> Iterator for SampleIter<'_, R> {
         if !self.plan.feasible {
             return None;
         }
-        let mut factors = vec![1u64; self.plan.slots.len()];
-        while self.produced < self.count && self.attempts < self.count * 20 {
+        while self.produced < self.count && self.attempts < self.count.saturating_mul(20) {
             self.attempts += 1;
-            let draws: Vec<Vec<u64>> = (0..self.space.num_dims)
-                .map(|d| {
-                    if self.plan.per_dim[d].is_empty() {
-                        Vec::new()
-                    } else {
-                        random_factorization(
-                            self.space.dim_bounds[d],
-                            self.plan.per_dim[d].len(),
-                            &mut self.rng,
-                        )
-                    }
-                })
-                .collect();
-            self.plan.assemble(&mut factors, |d| &draws[d]);
-            if let Some(m) =
-                self.space
-                    .mapping_from_factors(&self.plan.slots, &factors, &self.plan.keep)
-            {
+            if self.draw.attempt(self.space, &self.plan, &mut self.rng) {
                 self.produced += 1;
-                return Some(m);
+                return Some(self.space.build_mapping(&self.plan, &self.draw.factors));
             }
         }
         None
@@ -1056,27 +1411,23 @@ impl CandidateKey {
 pub struct MapspaceShard<'a> {
     space: &'a Mapspace,
     plan: SlotPlan,
-    /// Dim index where the block (suffix) space begins; dims below it
-    /// form the within-block cross product.
-    split: usize,
-    /// Eager factorization lists of the suffix dims (shared by shards).
-    outer_lists: Arc<Vec<Vec<Vec<u64>>>>,
+    /// The suffix-dim block space (shared by the shards).
+    outer: Arc<BlockSpace>,
     /// Block ids owned by this shard, ascending.
     blocks: Vec<u64>,
     /// Per-block global base index from the census (`None`: no output
     /// limit was requested).
     base: Option<Arc<Vec<usize>>>,
     limit: usize,
-    /// Lazy factorization streams of the within-block dims.
-    inner: Vec<FactorizationStream>,
-    cur_block: usize,
+    /// Counter over the within-block dims.
+    counter: Counter,
+    /// Index into `blocks` of the next block to enter.
+    next_block: usize,
     cur_block_id: u64,
-    outer_choice: Vec<usize>,
-    choice: Vec<usize>,
-    /// Per-slot factor buffer, reused across candidates.
+    /// Per-slot factors at the counter's position.
     factors: Vec<u64>,
-    /// Factors of the previously yielded candidate (delta baseline).
-    prev_factors: Vec<u64>,
+    /// Factors of the last yielded candidate (delta baseline).
+    last: Vec<u64>,
     have_prev: bool,
     rank: u64,
     block_active: bool,
@@ -1084,23 +1435,24 @@ pub struct MapspaceShard<'a> {
 }
 
 impl<'a> MapspaceShard<'a> {
-    /// A shard holding no candidates (infeasible space or zero limit).
+    /// A shard holding no candidates (empty space or zero limit).
     fn empty(space: &'a Mapspace) -> Self {
+        let plan = space.plan();
         MapspaceShard {
             space,
-            plan: space.plan(),
-            split: 0,
-            outer_lists: Arc::new(Vec::new()),
+            counter: Counter::new(space, &plan, 0),
+            plan,
+            outer: Arc::new(BlockSpace {
+                split: 0,
+                lists: Vec::new(),
+            }),
             blocks: Vec::new(),
             base: None,
             limit: 0,
-            inner: Vec::new(),
-            cur_block: 0,
+            next_block: 0,
             cur_block_id: 0,
-            outer_choice: Vec::new(),
-            choice: Vec::new(),
             factors: Vec::new(),
-            prev_factors: Vec::new(),
+            last: Vec::new(),
             have_prev: false,
             rank: 0,
             block_active: false,
@@ -1114,102 +1466,71 @@ impl<'a> MapspaceShard<'a> {
     /// [`ChangeDepth::Reset`] — shard seams never assume a prefix, so a
     /// sharded evaluation stays bit-identical to the unsharded one.
     pub fn next_delta(&mut self) -> Option<(CandidateKey, ChangeDepth, Mapping)> {
-        let (key, m) = self.next_inner()?;
-        let depth = if self.have_prev {
-            change_depth(&self.plan.slots, &self.prev_factors, &self.factors)
-        } else {
-            ChangeDepth::Reset
-        };
-        std::mem::swap(&mut self.factors, &mut self.prev_factors);
-        self.have_prev = true;
-        Some((key, depth, m))
+        let (key, depth) = self.advance()?;
+        let mapping = self.space.build_mapping(&self.plan, &self.last);
+        Some((key, depth, mapping))
     }
 
-    /// Produces the next candidate, leaving its factors in
-    /// `self.factors` for the delta computation.
-    fn next_inner(&mut self) -> Option<(CandidateKey, Mapping)> {
-        if self.done {
-            return None;
-        }
-        loop {
+    /// Moves to the shard's next candidate, leaving its factors in
+    /// `self.last`.
+    fn advance(&mut self) -> Option<(CandidateKey, ChangeDepth)> {
+        while !self.done {
             if !self.block_active {
-                let Some(&b) = self.blocks.get(self.cur_block) else {
-                    self.done = true;
-                    return None;
+                let Some(&b) = self.blocks.get(self.next_block) else {
+                    break;
                 };
-                if let Some(base) = &self.base {
-                    // bases are nondecreasing in the block id: once one
-                    // of this shard's blocks starts at the cutoff, all
-                    // its later blocks do too
-                    if base[b as usize] >= self.limit {
-                        self.done = true;
-                        return None;
-                    }
+                // bases are nondecreasing in the block id: once one of
+                // this shard's blocks starts at the cutoff, all its
+                // later blocks do too
+                if self.base_of(b).is_some_and(|base| base >= self.limit) {
+                    break;
+                }
+                self.next_block += 1;
+                if !self
+                    .outer
+                    .enter(b, &self.plan, &mut self.counter, &mut self.factors)
+                {
+                    continue;
                 }
                 self.cur_block_id = b;
-                self.outer_choice = decode_block(b, &self.outer_lists);
-                self.choice = vec![0usize; self.split];
                 self.rank = 0;
                 self.block_active = true;
             }
-            {
-                let (plan, inner, choice, outer_choice, outer_lists, split, factors) = (
-                    &self.plan,
-                    &self.inner,
-                    &self.choice,
-                    &self.outer_choice,
-                    &self.outer_lists,
-                    self.split,
-                    &mut self.factors,
-                );
-                plan.assemble(factors, |d| {
-                    if d < split {
-                        inner[d].cached(choice[d])
-                    } else {
-                        &outer_lists[d - split][outer_choice[d - split]]
-                    }
-                });
-            }
-            let candidate =
-                self.space
-                    .mapping_from_factors(&self.plan.slots, &self.factors, &self.plan.keep);
-            // advance the within-block counter
-            let mut d = 0;
-            let wrapped = loop {
-                if d == self.split {
-                    break true;
+            let mut found = None;
+            if self.space.fanout_ok(&self.plan.slots, &self.factors) {
+                // exact global output-limit semantics: past this
+                // candidate's unsharded stream position, every remaining
+                // candidate of this shard sits even later in the stream
+                let base = self.base_of(self.cur_block_id);
+                if base.is_some_and(|base| base + self.rank as usize >= self.limit) {
+                    break;
                 }
-                self.choice[d] += 1;
-                if self.inner[d].get(self.choice[d]).is_some() {
-                    break false;
-                }
-                self.choice[d] = 0;
-                d += 1;
-            };
-            if wrapped {
-                self.block_active = false;
-                self.cur_block += 1;
-            }
-            if let Some(m) = candidate {
-                if let Some(base) = &self.base {
-                    // exact global output-limit semantics: this
-                    // candidate's unsharded stream position
-                    let global = base[self.cur_block_id as usize] + self.rank as usize;
-                    if global >= self.limit {
-                        // every remaining candidate of this shard sits
-                        // even later in the stream
-                        self.done = true;
-                        return None;
-                    }
-                }
+                let depth = if self.have_prev {
+                    change_depth(&self.plan.slots, &self.last, &self.factors)
+                } else {
+                    ChangeDepth::Reset
+                };
                 let key = CandidateKey {
                     block: self.cur_block_id,
                     rank: self.rank,
                 };
+                found = Some((key, depth));
+                self.last.copy_from_slice(&self.factors);
+                self.have_prev = true;
                 self.rank += 1;
-                return Some((key, m));
+            }
+            self.block_active = self.counter.step(&self.plan, &mut self.factors);
+            if found.is_some() {
+                return found;
             }
         }
+        self.done = true;
+        None
+    }
+
+    /// The census base of block `b` (`None`: no output limit).
+    fn base_of(&self, b: u64) -> Option<usize> {
+        self.base.as_ref().map(|base| base[b as usize])
     }
 }
 
@@ -1230,10 +1551,20 @@ pub struct HaltonSampleIter<'a> {
     dim_primes: Vec<Vec<u64>>,
     /// One distinct Halton base per `(dim, prime)` decision.
     bases: Vec<u64>,
+    /// Per-slot factors of the current draw.
+    factors: Vec<u64>,
     offset: u64,
     produced: usize,
     attempts: usize,
     count: usize,
+}
+
+impl HaltonSampleIter<'_> {
+    /// The dedup key of the last yielded candidate (see
+    /// [`EnumerateIter::last_key`]).
+    pub(crate) fn last_key(&self, key: &mut Vec<u64>) {
+        self.plan.key_of(&self.factors, key);
+    }
 }
 
 impl Iterator for HaltonSampleIter<'_> {
@@ -1243,36 +1574,23 @@ impl Iterator for HaltonSampleIter<'_> {
         if !self.plan.feasible {
             return None;
         }
-        let mut factors = vec![1u64; self.plan.slots.len()];
-        while self.produced < self.count && self.attempts < self.count * 20 {
+        while self.produced < self.count && self.attempts < self.count.saturating_mul(20) {
             let index = self.offset + self.attempts as u64;
             self.attempts += 1;
-            let mut base_idx = 0;
-            let draws: Vec<Vec<u64>> = (0..self.space.num_dims)
-                .map(|d| {
-                    let k = self.plan.per_dim[d].len();
-                    if k == 0 {
-                        return Vec::new();
-                    }
-                    let mut f = vec![1u64; k];
-                    for &p in &self.dim_primes[d] {
-                        // one low-discrepancy coordinate per prime-factor
-                        // placement: stratified slot assignment
-                        let h = radical_inverse(index, self.bases[base_idx]);
-                        base_idx += 1;
-                        let pos = ((h * k as f64) as usize).min(k - 1);
-                        f[pos] *= p;
-                    }
-                    f
-                })
-                .collect();
-            self.plan.assemble(&mut factors, |d| &draws[d]);
-            if let Some(m) =
-                self.space
-                    .mapping_from_factors(&self.plan.slots, &factors, &self.plan.keep)
-            {
+            self.factors.fill(1);
+            let mut bases = self.bases.iter();
+            for (slots, primes) in self.plan.per_dim.iter().zip(&self.dim_primes) {
+                for (&p, &base) in primes.iter().zip(&mut bases) {
+                    // one low-discrepancy coordinate per prime-factor
+                    // placement: stratified slot assignment
+                    let h = radical_inverse(index, base);
+                    let pos = ((h * slots.len() as f64) as usize).min(slots.len() - 1);
+                    self.factors[slots[pos]] *= p;
+                }
+            }
+            if self.space.fanout_ok(&self.plan.slots, &self.factors) {
                 self.produced += 1;
-                return Some(m);
+                return Some(self.space.build_mapping(&self.plan, &self.factors));
             }
         }
         None
@@ -1482,7 +1800,7 @@ mod tests {
     fn factorization_stream_matches_eager_list() {
         for (n, k) in [(1, 1), (1, 3), (6, 2), (8, 3), (24, 3), (64, 4), (97, 2)] {
             let eager = factorizations(n, k, None);
-            let mut stream = FactorizationStream::new(n, k);
+            let mut stream = FactorizationStream::new(n, vec![u64::MAX; k]);
             let mut lazy = Vec::new();
             let mut i = 0;
             while let Some(f) = stream.get(i) {
@@ -1497,8 +1815,35 @@ mod tests {
     }
 
     #[test]
+    fn capped_stream_is_the_uncapped_list_filtered_in_order() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for n in [1u64, 2, 7, 8, 12, 36, 64, 97, 210] {
+            for k in 1..=4usize {
+                for _ in 0..12 {
+                    // caps from "nothing fits" through fanout-sized to
+                    // unbounded, any mix of positions
+                    let caps: Vec<u64> = (0..k)
+                        .map(|_| [0, 1, 2, 3, 4, 8, n, u64::MAX][rng.gen_range(0usize..8)])
+                        .collect();
+                    let want: Vec<Vec<u64>> = factorizations(n, k, None)
+                        .into_iter()
+                        .filter(|f| f.iter().zip(&caps).all(|(v, cap)| v <= cap))
+                        .collect();
+                    let mut stream = FactorizationStream::new(n, caps.clone());
+                    let mut got = Vec::new();
+                    while let Some(f) = stream.get(got.len()) {
+                        got.push(f.to_vec());
+                    }
+                    assert_eq!(got, want, "n={n} caps={caps:?}");
+                    assert!(stream.get(got.len() + 1).is_none());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn factorization_stream_unit_radix() {
-        let mut s = FactorizationStream::new(7, 0);
+        let mut s = FactorizationStream::new(7, Vec::new());
         assert_eq!(s.get(0).unwrap(), &[] as &[u64]);
         assert!(s.get(1).is_none());
     }
@@ -1516,9 +1861,9 @@ mod tests {
         assert!(first.is_some());
         let eager = factorizations(64, 2, None).len();
         assert!(
-            it.dims[0].materialized() <= 2,
+            it.counter.streams[0].len <= 2,
             "one candidate materialized {} of {} factorizations",
-            it.dims[0].materialized(),
+            it.counter.streams[0].len,
             eager
         );
     }
@@ -1595,9 +1940,12 @@ mod tests {
         let e = Einsum::matmul(36, 36, 36);
         let a = arch();
         let space = Mapspace::all_temporal(&e, &a);
-        let halton: std::collections::HashSet<Mapping> = space.iter_sample_halton(200, 3).collect();
-        let uniform: std::collections::HashSet<Mapping> =
-            space.iter_sample(200, StdRng::seed_from_u64(3)).collect();
+        let distinct = |it: &mut dyn Iterator<Item = Mapping>| {
+            it.map(|m| m.nests().to_vec())
+                .collect::<std::collections::HashSet<_>>()
+        };
+        let halton = distinct(&mut space.iter_sample_halton(200, 3));
+        let uniform = distinct(&mut space.iter_sample(200, StdRng::seed_from_u64(3)));
         assert!(
             halton.len() + 10 >= uniform.len(),
             "halton {} vs uniform {}",
@@ -1629,6 +1977,255 @@ mod tests {
             for lp in &m.nests()[1] {
                 assert_eq!(lp.dim, DimId(2));
             }
+        }
+    }
+
+    /// A space built field by field: bounds, per-level temporal and
+    /// spatial dims, per-level fanout.
+    fn raw_space(
+        bounds: &[u64],
+        temporal: &[Vec<usize>],
+        spatial: &[Vec<usize>],
+        fanout: &[u64],
+    ) -> Mapspace {
+        let dims = |l: &[Vec<usize>]| -> Vec<Vec<DimId>> {
+            l.iter()
+                .map(|d| d.iter().copied().map(DimId).collect())
+                .collect()
+        };
+        Mapspace {
+            num_levels: fanout.len(),
+            num_tensors: 1,
+            num_dims: bounds.len(),
+            dim_bounds: bounds.to_vec(),
+            temporal_order: dims(temporal),
+            spatial_dims: dims(spatial),
+            fanout: fanout.to_vec(),
+            keep: vec![vec![true]; fanout.len()],
+        }
+    }
+
+    /// The sampler this crate shipped before draws were tabulated: one
+    /// [`random_factorization`] per dimension through `gen_range`, every
+    /// prime placed, then a levels × slots fanout check (exact, in
+    /// `u128`).
+    fn reference_attempt(
+        space: &Mapspace,
+        plan: &SlotPlan,
+        rng: &mut impl Rng,
+    ) -> Option<Vec<u64>> {
+        let mut factors = vec![1u64; plan.slots.len()];
+        for d in 0..space.num_dims {
+            if !plan.per_dim[d].is_empty() {
+                let f = random_factorization(space.dim_bounds[d], plan.per_dim[d].len(), rng);
+                plan.write_dim(&mut factors, d, &f);
+            }
+        }
+        let fits = (0..space.num_levels).all(|l| {
+            let product: u128 = plan
+                .slots
+                .iter()
+                .zip(&factors)
+                .filter(|(s, _)| s.level == l && s.spatial)
+                .map(|(_, &f)| f as u128)
+                .product();
+            product <= space.fanout[l] as u128
+        });
+        fits.then_some(factors)
+    }
+
+    /// `count` mappings or `20 × count` attempts of the reference draw.
+    fn reference_sample(space: &Mapspace, count: usize, rng: &mut impl Rng) -> Vec<Mapping> {
+        let plan = space.plan();
+        let mut out = Vec::new();
+        let mut attempts = 0;
+        while plan.feasible && out.len() < count && attempts < count * 20 {
+            attempts += 1;
+            if let Some(factors) = reference_attempt(space, &plan, rng) {
+                out.push(space.build_mapping(&plan, &factors));
+            }
+        }
+        out
+    }
+
+    /// Random spaces over three levels: bounds from 1 through primes and
+    /// prime powers to composites, zero to five slots per dim, fanouts
+    /// 1, small, and unbounded.
+    fn random_spaces(seed: u64, n: usize) -> Vec<Mapspace> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bounds = [1u64, 2, 3, 7, 8, 9, 12, 27, 30, 64, 97, 224, 360, 512];
+        let fanouts = [1u64, 2, 4, 12, 168, u64::MAX];
+        (0..n)
+            .map(|_| {
+                let num_dims = rng.gen_range(1usize..5);
+                let dim_bounds: Vec<u64> = (0..num_dims)
+                    .map(|_| bounds[rng.gen_range(0..bounds.len())])
+                    .collect();
+                let mut pick = |often: u32| -> Vec<Vec<usize>> {
+                    (0..3)
+                        .map(|_| {
+                            (0..num_dims)
+                                .filter(|_| rng.gen_range(0u32..4) < often)
+                                .collect()
+                        })
+                        .collect()
+                };
+                let (temporal, spatial) = (pick(3), pick(1));
+                let fanout: Vec<u64> = (0..3)
+                    .map(|_| fanouts[rng.gen_range(0..fanouts.len())])
+                    .collect();
+                raw_space(&dim_bounds, &temporal, &spatial, &fanout)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sample_attempts_match_the_reference_draw_and_leave_the_same_generator() {
+        for (i, space) in random_spaces(41, 300).iter().enumerate() {
+            let plan = space.plan();
+            let mut draw = FactorDraw::new(space, &plan);
+            let mut fast = StdRng::seed_from_u64(i as u64);
+            let mut slow = fast.clone();
+            for attempt in 0..40 {
+                let got = draw
+                    .attempt(space, &plan, &mut fast)
+                    .then(|| draw.factors.clone());
+                let want = reference_attempt(space, &plan, &mut slow);
+                assert_eq!(got, want, "space {i} attempt {attempt}");
+                assert_eq!(
+                    format!("{fast:?}"),
+                    format!("{slow:?}"),
+                    "generator state, space {i} attempt {attempt}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn iter_sample_matches_the_reference_sampler() {
+        for (i, space) in random_spaces(43, 120).iter().enumerate() {
+            for count in [0, 1, 128] {
+                let mut fast = StdRng::seed_from_u64(1000 + i as u64);
+                let mut slow = fast.clone();
+                let got: Vec<Mapping> = space.iter_sample(count, &mut fast).collect();
+                assert_eq!(
+                    got,
+                    reference_sample(space, count, &mut slow),
+                    "space {i} count {count}"
+                );
+                assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "space {i}");
+            }
+        }
+    }
+
+    /// A generator that plays a script, then repeats it.
+    #[derive(Clone)]
+    struct Scripted {
+        script: Vec<u64>,
+        pos: usize,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            let v = self.script[self.pos % self.script.len()];
+            self.pos += 1;
+            v
+        }
+    }
+
+    #[test]
+    fn raw_values_above_the_lemire_zones_replay_the_attempt_exactly() {
+        // m=12, n=45 over three slots each, the middle one spatial under
+        // fanout 1. The draw ranges (5, 3, 2, ... divisors; 3 slots) are
+        // mostly not powers of two, so the top raw values are rejected
+        // by some bounded draws and accepted by others: one among an
+        // attempt's first 12 raw values forces the draw-for-draw replay,
+        // and a rejection shifts every later draw by one
+        let space = raw_space(
+            &[12, 45],
+            &[vec![0, 1], vec![0, 1], vec![]],
+            &[vec![], vec![0, 1], vec![]],
+            &[1, 1, 1],
+        );
+        let plan = space.plan();
+        let mut draw = FactorDraw::new(&space, &plan);
+        assert_eq!(draw.draws, 2 * (3 + 3));
+        let mut seeds = StdRng::seed_from_u64(5);
+        for round in 0..200 {
+            let base: Vec<u64> = (0..24).map(|_| seeds.gen::<u64>() >> 1).collect();
+            for at in 0..16 {
+                for top in [u64::MAX, u64::MAX - 1, u64::MAX - 2] {
+                    let mut script = base.clone();
+                    script[at] = top;
+                    let mut fast = Scripted { script, pos: 0 };
+                    let mut slow = fast.clone();
+                    let got = draw
+                        .attempt(&space, &plan, &mut fast)
+                        .then(|| draw.factors.clone());
+                    let want = reference_attempt(&space, &plan, &mut slow);
+                    assert_eq!(got, want, "round {round} top value at {at}");
+                    assert_eq!(fast.pos, slow.pos, "round {round} top value at {at}");
+                    let replayed = draw.raw.iter().any(|&v| v > draw.safe_raw);
+                    assert_eq!(replayed, at < draw.draws);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spatial_products_past_u64_read_as_over_budget() {
+        // two spatial slots of 2^33 each multiply to 2^66, which wraps to
+        // 4 — inside a fanout of 4 — unless the product saturates
+        let space = raw_space(
+            &[1 << 33, 1 << 33],
+            &[vec![0, 1], vec![]],
+            &[vec![], vec![0, 1]],
+            &[1, 4],
+        );
+        let plan = space.plan();
+        let spatial_only = [1, 1, 1 << 33, 1 << 33];
+        assert!(!space.fanout_ok(&plan.slots, &spatial_only));
+        assert!(space.fanout_ok(&plan.slots, &[1 << 33, 1 << 32, 1, 2]));
+        // the sampler's running product, on the replay path that places
+        // every prime: the leading raw value forces the replay (and is
+        // rejected by the first draw, over 33 divisors), the 1s after it
+        // send every prime of both bounds into the spatial slots (slot 1
+        // of 2)
+        let mut draw = FactorDraw::new(&space, &plan);
+        let mut script = vec![1; 200];
+        script[0] = u64::MAX;
+        let mut ones = Scripted { script, pos: 0 };
+        assert!(!draw.attempt(&space, &plan, &mut ones));
+        assert_eq!(ones.pos, 1 + 2 * 66);
+        assert_eq!(draw.factors, spatial_only);
+        assert_eq!(draw.spatial[1], u64::MAX);
+    }
+
+    #[test]
+    fn a_dimension_that_fits_no_slot_empties_every_stream() {
+        // a dimension of 8 whose only slot is spatial under fanout 4: its
+        // capped stream holds nothing, whether it is a within-block
+        // dimension (first) or a block dimension (last) of the shards
+        for bounds in [[8u64, 6], [6, 8]] {
+            let tight = bounds.iter().position(|&b| b == 8).unwrap();
+            let space = raw_space(
+                &bounds,
+                &[vec![1 - tight], vec![1 - tight]],
+                &[vec![], vec![tight]],
+                &[1, 4],
+            );
+            assert_eq!(space.iter_enumerate(usize::MAX).count(), 0);
+            let mut it = space.iter_enumerate(10);
+            assert!(it.next_delta().is_none() && it.space_exhausted());
+            for n in 1..=4 {
+                for limit in [1, 10, usize::MAX] {
+                    for shard in space.shards(n, limit) {
+                        assert_eq!(shard.count(), 0, "n={n} limit={limit}");
+                    }
+                }
+            }
+            assert_eq!(space.iter_sample(16, StdRng::seed_from_u64(1)).count(), 0);
+            assert_eq!(space.iter_sample_halton(16, 1).count(), 0);
         }
     }
 }

@@ -317,6 +317,10 @@ pub struct CancelToken {
 struct CancelInner {
     canceled: AtomicBool,
     deadline: Option<Instant>,
+    /// Probes left before the token trips itself (0 = never): lets a
+    /// test land a cancel between two specific checkpoints.
+    #[cfg(test)]
+    trip_in_probes: std::sync::atomic::AtomicUsize,
 }
 
 impl CancelToken {
@@ -329,8 +333,8 @@ impl CancelToken {
     pub fn with_deadline(deadline: Duration) -> Self {
         CancelToken {
             inner: Arc::new(CancelInner {
-                canceled: AtomicBool::new(false),
                 deadline: Some(Instant::now() + deadline),
+                ..CancelInner::default()
             }),
         }
     }
@@ -340,8 +344,22 @@ impl CancelToken {
         self.inner.canceled.store(true, Ordering::Release);
     }
 
+    /// A token that trips itself from inside its `n`-th probe.
+    #[cfg(test)]
+    fn tripping_at_probe(n: usize) -> Self {
+        let token = CancelToken::new();
+        token.inner.trip_in_probes.store(n, Ordering::SeqCst);
+        token
+    }
+
     /// Whether the token has tripped (explicitly or by deadline).
     pub fn is_canceled(&self) -> bool {
+        #[cfg(test)]
+        if self.inner.trip_in_probes.load(Ordering::SeqCst) > 0
+            && self.inner.trip_in_probes.fetch_sub(1, Ordering::SeqCst) == 1
+        {
+            self.cancel();
+        }
         self.inner.canceled.load(Ordering::Acquire)
             || self.inner.deadline.is_some_and(|d| Instant::now() >= d)
     }
@@ -1002,6 +1020,14 @@ fn worker_loop(shared: &Shared) {
                     }
                 };
                 shared.record_outcome(request_id, enqueued_nanos, recorded);
+                // a canceled single job has no partial result to keep
+                // (its one entry is the checkpoint's `JobError::Canceled`
+                // or an answer nobody waits for): it resolves like every
+                // other cancellation. Scenario replies keep what finished.
+                let reply = match reply {
+                    Ok(ServeReply::Job(_)) if canceled => Err(ServeError::Canceled),
+                    reply => reply,
+                };
                 // the submitter may have dropped its ticket; that is fine
                 let _ = responder.send(reply);
             }
@@ -1613,7 +1639,15 @@ mod tests {
         // the reply still resolves: completed experiments are kept, the
         // tail past the cancellation checkpoint (if any — whether a
         // given experiment beat the cancel is a timing race) is skipped
-        let reply = ticket.wait().unwrap().into_scenario();
+        let reply = match ticket.wait() {
+            // the timeout fired while the request was still queued: the
+            // worker's dequeue-time probe retired it whole
+            Err(ServeError::Canceled) => {
+                assert_eq!(service.shutdown().canceled, 1);
+                return;
+            }
+            reply => reply.unwrap().into_scenario(),
+        };
         for r in &reply.results {
             assert!(
                 matches!(r, Ok(_) | Err(JobError::Canceled)),
@@ -1637,6 +1671,24 @@ mod tests {
             stats.submitted,
             stats.completed + stats.panicked + stats.canceled
         );
+    }
+
+    #[test]
+    fn cancel_between_dequeue_and_first_checkpoint_resolves_canceled() {
+        // probe 1 is the worker's dequeue-time check (passes), probe 2
+        // the batch's first checkpoint, where the token trips: the job
+        // is skipped, and a request booked as canceled must answer as
+        // canceled, not with an `Ok` reply wrapping the skipped job
+        let service = EvalService::start(ServeConfig::default().with_workers(1));
+        let ticket = service
+            .submit_with_token(
+                ServeRequest::Job(Box::new(search_job(0.5))),
+                CancelToken::tripping_at_probe(2),
+            )
+            .unwrap();
+        assert!(matches!(ticket.wait(), Err(ServeError::Canceled)));
+        let stats = service.shutdown();
+        assert_eq!((stats.canceled, stats.completed), (1, 0));
     }
 
     #[test]
