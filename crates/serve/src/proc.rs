@@ -25,7 +25,6 @@ use sparseloop_core::{EvalSession, JobPlan};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -263,31 +262,29 @@ where
                 trace_request,
                 trace_parent,
             } => {
-                let stop = Arc::new(AtomicBool::new(false));
-                let heartbeater = if heartbeat_ms > 0 {
-                    let stop = Arc::clone(&stop);
+                // Dropping `alive` wakes the heartbeater mid-wait, so the
+                // join below returns at once instead of outsleeping a
+                // cadence, and no heartbeat can follow the reply.
+                let (alive, stopped) = mpsc::channel::<()>();
+                let heartbeater = (heartbeat_ms > 0).then(|| {
                     let writer = Arc::clone(&writer);
-                    Some(std::thread::spawn(move || {
+                    let cadence = Duration::from_millis(heartbeat_ms as u64);
+                    std::thread::spawn(move || {
                         let mut seq = 0u64;
-                        loop {
-                            std::thread::sleep(Duration::from_millis(heartbeat_ms as u64));
-                            if stop.load(Ordering::Acquire) {
-                                return;
-                            }
+                        while stopped.recv_timeout(cadence) == Err(mpsc::RecvTimeoutError::Timeout)
+                        {
                             seq += 1;
                             let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
                             if write_frame(&mut *w, &Frame::Heartbeat { id, seq }).is_err() {
                                 return;
                             }
                         }
-                    }))
-                } else {
-                    None
-                };
+                    })
+                });
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     run_task(&spec, shard as usize, shards as usize)
                 }));
-                stop.store(true, Ordering::Release);
+                drop(alive);
                 if let Some(h) = heartbeater {
                     let _ = h.join();
                 }
@@ -342,9 +339,10 @@ where
                     Some(WorkerFault::DropResult) => {}
                     Some(WorkerFault::SlowFrames { delay_ms }) => {
                         // a deterministic straggler: the result is late,
-                        // not lost — heartbeats stopped above, so the
-                        // delay must stay under the supervisor's
-                        // heartbeat timeout (seeded plans keep it small)
+                        // not lost — the heartbeater was woken and joined
+                        // above, so the delay runs silent and must stay
+                        // under the supervisor's heartbeat timeout
+                        // (seeded plans keep it small)
                         std::thread::sleep(Duration::from_millis(delay_ms));
                         let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
                         if let Some(stats) = &stats_frame {
@@ -662,18 +660,7 @@ mod tests {
             }
         }
         // a ping is not a protocol breach: the worker still serves tasks
-        handle
-            .send(&Frame::Task {
-                id: 1,
-                shard: 0,
-                shards: 1,
-                heartbeat_ms: 0,
-                spec: "scenario:\n  nonsense: true\n".into(),
-                want_stats: false,
-                trace_request: 0,
-                trace_parent: 0,
-            })
-            .unwrap();
+        handle.send(&task(1, 0, BAD_SPEC)).unwrap();
         match rx.recv_timeout(Duration::from_secs(5)).unwrap().kind {
             EventKind::Frame(Frame::TaskFailed { id: 1, .. }) => {}
             other => panic!("expected task reply after pings, got {other:?}"),
@@ -687,18 +674,7 @@ mod tests {
         let mut handle = ThreadSpawner.spawn(0, 1, None, tx).unwrap();
         // hello
         let _ = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        handle
-            .send(&Frame::Task {
-                id: 3,
-                shard: 0,
-                shards: 1,
-                heartbeat_ms: 0,
-                spec: "scenario:\n  nonsense: true\n".into(),
-                want_stats: false,
-                trace_request: 0,
-                trace_parent: 0,
-            })
-            .unwrap();
+        handle.send(&task(3, 0, BAD_SPEC)).unwrap();
         match rx.recv_timeout(Duration::from_secs(5)).unwrap().kind {
             EventKind::Frame(Frame::TaskFailed {
                 id: 3,
@@ -706,6 +682,113 @@ mod tests {
                 ..
             }) => {}
             other => panic!("expected deterministic failure, got {other:?}"),
+        }
+        handle.kill();
+    }
+
+    /// Spec text of a one-experiment spMspM scenario on a `dim`³ layer:
+    /// one fixed mapping when `limit` is `None` (the worker compiles it
+    /// and has nothing to search), otherwise an exhaustive search over
+    /// up to `limit` temporal mappings.
+    fn spmspm_spec(dim: u64, limit: Option<usize>) -> String {
+        use sparseloop_designs::{Experiment, MappingPolicy, Scenario};
+        use sparseloop_mapping::{Mapper, Mapspace};
+        let scenario = Scenario::new("tiny", "one spMspM layer", move || {
+            let layer = sparseloop_workloads::spmspm(dim, dim, dim, 0.5, 0.5);
+            let dp = sparseloop_designs::fig1::bitmask_design(&layer.einsum);
+            let space = Mapspace::all_temporal(&layer.einsum, &dp.arch);
+            let Some(limit) = limit else {
+                let mapping = space.enumerate(1).remove(0);
+                return vec![Experiment::fixed("tiny@fixed", dp, layer, mapping)];
+            };
+            let mut exp = Experiment::search("tiny@search", dp, layer, space);
+            if let MappingPolicy::Search { mapper, .. } = &mut exp.policy {
+                *mapper = Mapper::Exhaustive { limit };
+            }
+            vec![exp]
+        });
+        sparseloop_spec::emit_scenario(&scenario)
+    }
+
+    /// A spec that fails to compile: the worker answers `TaskFailed`.
+    const BAD_SPEC: &str = "scenario:\n  nonsense: true\n";
+
+    fn task(id: u64, heartbeat_ms: u32, spec: impl Into<String>) -> Frame {
+        Frame::Task {
+            id,
+            shard: 0,
+            shards: 1,
+            heartbeat_ms,
+            spec: spec.into(),
+            want_stats: false,
+            trace_request: 0,
+            trace_parent: 0,
+        }
+    }
+
+    fn next_frame(rx: &mpsc::Receiver<WorkerEvent>) -> Frame {
+        match rx.recv_timeout(Duration::from_secs(10)).unwrap().kind {
+            EventKind::Frame(frame) => frame,
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn finished_task_replies_without_waiting_out_the_heartbeat() {
+        // the reply waits on the heartbeat thread's join, so that join
+        // must not wait out the rest of a cadence
+        let (tx, rx) = mpsc::channel();
+        let mut handle = ThreadSpawner.spawn(0, 1, None, tx).unwrap();
+        assert!(matches!(next_frame(&rx), Frame::Hello { .. }));
+        let cases = [
+            (1, BAD_SPEC.to_string(), false),
+            (2, spmspm_spec(4, None), true),
+        ];
+        for (id, spec, ok) in cases {
+            let started = std::time::Instant::now();
+            handle.send(&task(id, 200, spec)).unwrap();
+            let reply = next_frame(&rx);
+            let elapsed = started.elapsed();
+            match reply {
+                Frame::TaskDone { id: got, .. } if ok => assert_eq!(got, id),
+                Frame::TaskFailed { id: got, .. } if !ok => assert_eq!(got, id),
+                other => panic!("task {id}: unexpected reply {other:?}"),
+            }
+            assert!(
+                elapsed < Duration::from_millis(50),
+                "task {id}: round trip {elapsed:?} must stay under a quarter of the 200ms cadence"
+            );
+        }
+        handle.kill();
+    }
+
+    #[test]
+    fn no_heartbeat_follows_its_task_result() {
+        let (tx, rx) = mpsc::channel();
+        let mut handle = ThreadSpawner.spawn(0, 1, None, tx).unwrap();
+        assert!(matches!(next_frame(&rx), Frame::Hello { .. }));
+        // ~4k evaluated candidates: many 1ms cadences, even in release
+        handle
+            .send(&task(7, 1, spmspm_spec(120, Some(4096))))
+            .unwrap();
+        let mut heartbeats = 0;
+        loop {
+            match next_frame(&rx) {
+                Frame::Heartbeat { id: 7, .. } => heartbeats += 1,
+                Frame::TaskDone { id: 7, .. } => break,
+                other => panic!("unexpected frame while computing: {other:?}"),
+            }
+        }
+        assert!(
+            heartbeats >= 1,
+            "a long task must heartbeat before its result"
+        );
+        // frames arrive in write order, so the pong fences off anything
+        // the worker wrote after its result
+        handle.send(&Frame::Ping { seq: 99 }).unwrap();
+        match next_frame(&rx) {
+            Frame::Pong { seq: 99 } => {}
+            other => panic!("frame between TaskDone and the pong fence: {other:?}"),
         }
         handle.kill();
     }

@@ -333,6 +333,9 @@ struct SlotState {
     /// trace context, so worker phase spans parent under it; the
     /// dispatch span itself is recorded with this id at result receipt.
     dispatch_span_id: u64,
+    /// Compile + search nanos from the worker's latest `Stats` frame,
+    /// which precedes its `TaskDone` (0 when the host is unobserved).
+    busy_nanos: u64,
 }
 
 /// Observability attachment of a [`ShardHost`]: the shared hub plus the
@@ -715,10 +718,22 @@ impl<S: WorkerSpawner> ShardHost<S> {
                                     if id == task_id && shard_results[shard].is_none() =>
                                 {
                                     if let Some(o) = &self.obs {
-                                        let (dispatched, span_id) = self.slots[slot]
-                                            .as_ref()
-                                            .map(|st| (st.dispatched_nanos, st.dispatch_span_id))
-                                            .unwrap_or((0, 0));
+                                        let st = self.slots[slot].as_ref().expect("epoch-checked");
+                                        // idle = dispatch round trip minus
+                                        // worker busy time; hedges send
+                                        // no Stats, so only primaries count
+                                        if !is_hedge {
+                                            let earliest =
+                                                st.dispatched_nanos.saturating_add(st.busy_nanos);
+                                            let label = shard.to_string();
+                                            o.hub
+                                                .registry()
+                                                .counter(
+                                                    "sparseloop_fleet_idle_nanos_total",
+                                                    &[("shard", &label)],
+                                                )
+                                                .add(o.hub.now_nanos().saturating_sub(earliest));
+                                        }
                                         let span_kind = if is_hedge {
                                             SpanKind::HedgeDispatch
                                         } else {
@@ -727,11 +742,11 @@ impl<S: WorkerSpawner> ShardHost<S> {
                                         let (rid, roundtrip) = trace.unwrap_or((0, 0));
                                         o.hub.span_with_id(
                                             rid,
-                                            span_id,
+                                            st.dispatch_span_id,
                                             roundtrip,
                                             span_kind,
                                             Some(shard as u32),
-                                            dispatched,
+                                            st.dispatched_nanos,
                                         );
                                     }
                                     if is_hedge {
@@ -758,6 +773,8 @@ impl<S: WorkerSpawner> ShardHost<S> {
                                     trace_request,
                                     trace_parent,
                                 } if id == task_id => {
+                                    self.slots[slot].as_mut().expect("epoch-checked").busy_nanos =
+                                        compile_nanos.saturating_add(search_nanos);
                                     // v3 workers echo the trace context
                                     // the task carried; a v2 worker's
                                     // zeros fall back to this request.
@@ -985,6 +1002,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
             kill_after,
             dispatched_nanos: 0,
             dispatch_span_id: 0,
+            busy_nanos: 0,
         });
         Ok(())
     }
@@ -1762,6 +1780,25 @@ mod tests {
             wire_generated > 0 && wire_generated <= i128::from(total_generated),
             "wire generated {wire_generated} vs merged {total_generated}"
         );
+    }
+
+    #[test]
+    fn fleet_idle_time_excludes_the_heartbeat_cadence() {
+        // round trip minus worker busy time: with a 200ms cadence a
+        // reply held back by the heartbeat thread would read >= 200ms
+        use sparseloop_obs::ObsHub;
+        let text = sparseloop_spec::emit_scenario(&small_scenario());
+        let hub = ObsHub::new();
+        let cfg = fast_config(2).with_heartbeat(200, Duration::from_secs(5));
+        let mut host = ShardHost::new_observed(cfg, ThreadSpawner, hub.clone());
+        host.run_spec(&text).unwrap();
+        let snap = hub.snapshot();
+        for shard in ["0", "1"] {
+            let idle = snap
+                .value("sparseloop_fleet_idle_nanos_total", &[("shard", shard)])
+                .unwrap_or_else(|| panic!("shard {shard}: idle counter missing"));
+            assert!(idle < 50_000_000, "shard {shard}: idle {idle}ns");
+        }
     }
 
     #[test]
