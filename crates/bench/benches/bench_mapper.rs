@@ -8,10 +8,10 @@
 //! * `search_pruned`    — streaming candidates through
 //!   `Model::precheck`, skipping the 3-step pipeline for tiles that
 //!   cannot fit (the sequential production path);
-//! * `search_parallel`  — the pruned pipeline fanned out over all cores
-//!   with the deterministic reduction.
+//! * `search_sharded`   — the pruned pipeline split into one shard per
+//!   core with the deterministic reduction.
 //!
-//! On a multi-core machine `search_parallel` vs `search_unpruned` is the
+//! On a multi-core machine `search_sharded` vs `search_unpruned` is the
 //! headline throughput ratio; on one core the pruning alone carries the
 //! speedup.
 
@@ -58,8 +58,9 @@ fn bench_mapper(c: &mut Criterion) {
     c.bench_function("search_tight_pruned", |b| {
         b.iter(|| model_big.search(&space_big, mapper, Objective::Edp))
     });
-    c.bench_function("search_tight_parallel", |b| {
-        b.iter(|| model_big.search_parallel(&space_big, mapper, Objective::Edp, None))
+    let shards = std::thread::available_parallelism().map_or(1, |n| n.get());
+    c.bench_function("search_tight_sharded", |b| {
+        b.iter(|| model_big.search_sharded_counted(&space_big, mapper, Objective::Edp, shards))
     });
 }
 

@@ -16,7 +16,7 @@
 //!
 //! Every request must still complete (no unresolved request, non-zero
 //! exit otherwise) and its merged winners must be **bit-identical** to
-//! the in-process `run_sharded` reference. CI runs this in release
+//! the in-process `Scenario::run` reference. CI runs this in release
 //! mode; a supervision regression that loses or changes a single
 //! winner bit under any schedule cannot land.
 
@@ -402,7 +402,7 @@ fn main() {
                 .expect("smoke spec compiles")
                 .into_scenario();
             let reply =
-                sparseloop_serve::scenario_reply(scenario.run_sharded(&EvalSession::new(), shards));
+                sparseloop_serve::scenario_reply(scenario.run(&EvalSession::new(), Some(shards)));
             (shards, reply)
         })
         .collect();

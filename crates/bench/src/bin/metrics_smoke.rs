@@ -186,7 +186,7 @@ fn fleet_phase(failures: &mut Vec<String>) -> MetricsSnapshot {
     let registry = sparseloop_designs::ScenarioRegistry::standard();
     let scenario = registry.expect("fig1_format_tradeoff");
     let text = sparseloop_spec::emit_scenario(scenario);
-    let reference = sparseloop_serve::scenario_reply(scenario.run_sharded(&EvalSession::new(), 2));
+    let reference = sparseloop_serve::scenario_reply(scenario.run(&EvalSession::new(), Some(2)));
     let hub = ObsHub::new();
     // a fault-free run plus one seeded schedule, both publishing into
     // the same hub; expected counter values are the *sum* of each

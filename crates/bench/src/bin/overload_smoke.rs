@@ -66,7 +66,7 @@ fn worker_bin() -> PathBuf {
 
 fn reference_reply(text: &str) -> ScenarioReply {
     let scenario = sparseloop_spec::compile_str(text).unwrap().into_scenario();
-    scenario_reply(scenario.run_sharded(&EvalSession::new(), SHARDS))
+    scenario_reply(scenario.run(&EvalSession::new(), Some(SHARDS)))
 }
 
 fn reply_mismatch(got: &ScenarioReply, want: &ScenarioReply) -> Option<String> {

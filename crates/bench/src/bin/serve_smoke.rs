@@ -3,8 +3,8 @@
 //! `(workers, shards)` configurations, then fails (non-zero exit) when
 //!
 //! * any required experiment comes back empty, or
-//! * any served result differs from the direct
-//!   [`Scenario::run`]/`search_parallel` reference — i.e. serving,
+//! * any served result differs from the direct, unsharded
+//!   [`Scenario::run`] reference — i.e. serving,
 //!   sharding or worker scheduling changed a single bit of any winner.
 //!
 //! CI runs this in release mode, so a change that breaks the service's
@@ -166,5 +166,5 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("all served results bit-identical to direct search_parallel");
+    println!("all served results bit-identical to the direct unsharded run");
 }

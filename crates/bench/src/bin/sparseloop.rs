@@ -5,12 +5,16 @@
 //! ```text
 //! sparseloop list [<spec-dir>]        # registered + spec-dir scenarios
 //! sparseloop check <spec.yaml>...     # parse + compile, report errors
-//! sparseloop run <spec.yaml | name> [--threads N] [--shards N]
+//! sparseloop run <spec.yaml | name> [--shards N]
 //! sparseloop emit <scenario-name>     # standard scenario -> spec text
 //! sparseloop emit --all <dir>         # whole registry -> <dir>/<name>.yaml
 //! sparseloop stats [<spec.yaml | name>] [--shards N] [--metrics-snapshot <path>]
 //!                  [--serve <addr>]
 //! ```
+//!
+//! `run` searches each experiment's mapspace in `--shards N` disjoint
+//! shards evaluated concurrently (default 1: one sequential walk);
+//! results are bit-identical at any shard count.
 //!
 //! `stats` serves the scenario through an *observed* evaluation service
 //! and an in-process worker fleet sharing one metrics hub, then prints
@@ -32,7 +36,7 @@ use std::process::ExitCode;
 const USAGE: &str = "usage:
   sparseloop list [<spec-dir>]
   sparseloop check <spec.yaml>...
-  sparseloop run <spec.yaml | scenario-name> [--threads N] [--shards N]
+  sparseloop run <spec.yaml | scenario-name> [--shards N]
   sparseloop emit <scenario-name>
   sparseloop emit --all <dir>
   sparseloop stats [<spec.yaml | scenario-name>] [--shards N] [--metrics-snapshot <path>] [--serve <addr>]";
@@ -107,18 +111,10 @@ fn check(args: &[String]) -> ExitCode {
 
 fn run(args: &[String]) -> ExitCode {
     let mut target = None;
-    let mut threads = None;
     let mut shards = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => threads = Some(n),
-                None => {
-                    eprintln!("run: --threads needs an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) => shards = Some(n.max(1)),
                 None => {
@@ -137,13 +133,6 @@ fn run(args: &[String]) -> ExitCode {
         eprintln!("run: no spec file or scenario name given\n{USAGE}");
         return ExitCode::FAILURE;
     };
-    if threads.is_some() && shards.is_some() {
-        eprintln!(
-            "run: --threads and --shards are mutually exclusive (sharded runs size \
-             their own worker pool); pick one"
-        );
-        return ExitCode::FAILURE;
-    }
     // a path that exists is a spec file; anything else is a registry name
     let scenario: Scenario = if Path::new(&target).is_file() {
         match load_file(&target) {
@@ -179,10 +168,7 @@ fn run(args: &[String]) -> ExitCode {
         }
     };
     let session = EvalSession::new();
-    let outcome = match shards {
-        Some(s) => scenario.run_sharded(&session, s),
-        None => scenario.run(&session, threads),
-    };
+    let outcome = scenario.run(&session, shards);
     print_outcome(&scenario, &outcome);
     let all_required_ok = outcome
         .experiments

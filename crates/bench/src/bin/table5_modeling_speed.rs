@@ -138,14 +138,11 @@ fn write_mapper_bench(
 
     // warm the model's format/density caches so all variants compare
     // steady-state throughput
-    let _ = model.search_with_stats(&space, mapper, Objective::Edp);
+    let _ = model.search(&space, mapper, Objective::Edp);
 
-    let (seq, seq_secs) = timed(|| {
-        model
-            .search_with_stats(&space, mapper, Objective::Edp)
-            .expect("search succeeds")
-    });
-    let stats = seq.2;
+    let ((seq, stats), seq_secs) =
+        timed(|| model.search_sharded_counted(&space, mapper, Objective::Edp, 1));
+    let seq = seq.expect("search succeeds");
     let (unpruned, unpruned_secs) = timed(|| {
         mapper
             .search(&space, |m: &sparseloop_mapping::Mapping| {
@@ -158,16 +155,22 @@ fn write_mapper_bench(
     // sequential_pruned row
     let (seq_ref, seq_ref_secs) = timed(|| {
         mapper
-            .search_pruned(&space, &model.evaluator_from_scratch(Objective::Edp))
+            .search_sharded_counted(&space, &model.evaluator_from_scratch(Objective::Edp), 1)
+            .0
             .expect("search succeeds")
     });
     assert_eq!(seq.1.edp, seq_ref.objective, "reference/incremental parity");
-    let (par, par_secs) = timed(|| {
-        model
-            .search_parallel_with_stats(&space, mapper, Objective::Edp, None)
-            .expect("search succeeds")
-    });
-    assert_eq!(seq.0, par.0, "parallel/sequential parity");
+    // the same driver at one shard per core
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let ((par, _), par_secs) =
+        timed(|| model.search_sharded_counted(&space, mapper, Objective::Edp, threads));
+    assert_eq!(
+        seq.0,
+        par.expect("search succeeds").0,
+        "sharded/sequential parity"
+    );
 
     let scenario_rows: Vec<String> = outcomes
         .iter()
@@ -248,9 +251,7 @@ fn write_mapper_bench(
         seq_ref.stats.generated as f64 / seq_ref_secs.max(1e-12),
         stats.generated as f64 / seq_secs.max(1e-12),
         stats.generated as f64 / par_secs.max(1e-12),
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        threads,
         scenario_rows.join(",\n"),
         delta_rows.join(",\n"),
     );

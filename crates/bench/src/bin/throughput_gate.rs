@@ -62,16 +62,14 @@ fn main() {
 
     // -- tracked exhaustive scenario: pruned sequential path --
     let (model, space, mapper) = sparseloop_bench::tight_search_scenario();
-    let _ = model.search_with_stats(&space, mapper, Objective::Edp); // warm caches
+    let _ = model.search(&space, mapper, Objective::Edp); // warm caches
     let mut best = f64::MAX;
     let mut generated = 0usize;
     for _ in 0..REPS {
-        let (result, secs) = timed(|| {
-            model
-                .search_with_stats(&space, mapper, Objective::Edp)
-                .expect("tight scenario finds a mapping")
-        });
-        generated = result.2.generated;
+        let ((result, stats), secs) =
+            timed(|| model.search_sharded_counted(&space, mapper, Objective::Edp, 1));
+        result.expect("tight scenario finds a mapping");
+        generated = stats.generated;
         best = best.min(secs);
     }
     let measured = generated as f64 / best.max(1e-12);

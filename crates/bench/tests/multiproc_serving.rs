@@ -2,7 +2,7 @@
 //! worker processes: the `sparseloop-shard-worker` binary (resolved via
 //! `CARGO_BIN_EXE_*`, so cargo builds it before these tests run) is
 //! spawned under a [`ShardHost`] and must produce merged winners
-//! bit-identical to in-process `run_sharded` — with and without
+//! bit-identical to in-process `Scenario::run` — with and without
 //! injected faults. The full failure matrix lives in the `fault_smoke`
 //! binary; these tests keep the process boundary itself under tier-1
 //! coverage.
@@ -35,7 +35,7 @@ fn small_scenario() -> Scenario {
 
 fn reference_reply(text: &str, shards: usize) -> ScenarioReply {
     let scenario = sparseloop_spec::compile_str(text).unwrap().into_scenario();
-    scenario_reply(scenario.run_sharded(&EvalSession::new(), shards))
+    scenario_reply(scenario.run(&EvalSession::new(), Some(shards)))
 }
 
 fn assert_bit_identical(got: &ScenarioReply, want: &ScenarioReply, tag: &str) {

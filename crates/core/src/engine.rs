@@ -532,89 +532,23 @@ impl Model {
         FromScratchEvaluator(self.evaluator(objective))
     }
 
-    /// [`search_parallel_counted`](Model::search_parallel_counted)
-    /// through the from-scratch reference pipeline (see
-    /// [`evaluator_from_scratch`](Model::evaluator_from_scratch)).
-    pub fn search_parallel_counted_from_scratch(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        objective: Objective,
-        threads: Option<usize>,
-    ) -> (Option<(Mapping, Evaluation)>, SearchStats) {
-        let (result, stats) =
-            mapper.par_search_counted(space, &self.evaluator_from_scratch(objective), threads);
-        let outcome = result.map(|r| {
-            let eval = self
-                .evaluate(&r.mapping)
-                .expect("winning mapping must re-evaluate");
-            (r.mapping, eval)
-        });
-        (outcome, stats)
-    }
-
     /// Searches a mapspace for the best mapping under `objective`.
     /// Returns `None` if no candidate mapping is valid.
     ///
     /// Candidates stream out of the mapspace lazily and pass through the
     /// capacity precheck before the full pipeline runs (see
-    /// [`Model::precheck`]).
+    /// [`Model::precheck`]); one worker walks the whole stream.
     pub fn search(
         &self,
         space: &Mapspace,
         mapper: Mapper,
         objective: Objective,
     ) -> Option<(Mapping, Evaluation)> {
-        self.search_with_stats(space, mapper, objective)
-            .map(|(mapping, eval, _)| (mapping, eval))
+        self.search_sharded_counted(space, mapper, objective, 1).0
     }
 
-    /// Like [`search`](Model::search), also returning the
-    /// generated/pruned/evaluated/invalid counters of the run.
-    pub fn search_with_stats(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        objective: Objective,
-    ) -> Option<(Mapping, Evaluation, SearchStats)> {
-        let result = mapper.search_pruned(space, &self.evaluator(objective))?;
-        let eval = self
-            .evaluate(&result.mapping)
-            .expect("winning mapping must re-evaluate");
-        Some((result.mapping, eval, result.stats))
-    }
-
-    /// Parallel mapspace search: same winner as [`search`](Model::search)
-    /// — bit-identical `(mapping, objective)` thanks to the mapper's
-    /// deterministic `(value, candidate index)` reduction — using
-    /// `threads` workers (default: all available cores).
-    pub fn search_parallel(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        objective: Objective,
-        threads: Option<usize>,
-    ) -> Option<(Mapping, Evaluation)> {
-        self.search_parallel_with_stats(space, mapper, objective, threads)
-            .map(|(mapping, eval, _)| (mapping, eval))
-    }
-
-    /// Like [`search_parallel`](Model::search_parallel), also returning
-    /// the run's counters.
-    pub fn search_parallel_with_stats(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        objective: Objective,
-        threads: Option<usize>,
-    ) -> Option<(Mapping, Evaluation, SearchStats)> {
-        let (outcome, stats) = self.search_parallel_counted(space, mapper, objective, threads);
-        outcome.map(|(mapping, eval)| (mapping, eval, stats))
-    }
-
-    /// Parallel search returning the run's counters even when no
-    /// candidate is valid: a fruitless search still walked its stream,
-    /// and batch throughput accounting wants that work visible.
+    /// [`search_sharded_counted`](Model::search_sharded_counted) at
+    /// `threads` shards (one when `None`).
     pub fn search_parallel_counted(
         &self,
         space: &Mapspace,
@@ -622,37 +556,19 @@ impl Model {
         objective: Objective,
         threads: Option<usize>,
     ) -> (Option<(Mapping, Evaluation)>, SearchStats) {
-        let (result, stats) = mapper.par_search_counted(space, &self.evaluator(objective), threads);
-        let outcome = result.map(|r| {
-            let eval = self
-                .evaluate(&r.mapping)
-                .expect("winning mapping must re-evaluate");
-            (r.mapping, eval)
-        });
-        (outcome, stats)
+        self.search_sharded_counted(space, mapper, objective, threads.unwrap_or(1))
     }
 
-    /// Sharded mapspace search: partitions the candidate stream into
-    /// `shards` disjoint, collectively exhaustive sub-streams (split on
-    /// the outermost factorization dimensions, see [`Mapspace::shards`])
-    /// evaluated concurrently, merging shard winners with the same
-    /// deterministic `(objective, candidate position)` reduction as
-    /// [`search_parallel`](Model::search_parallel) — results are
-    /// bit-identical to the unsharded searches at any shard count.
-    pub fn search_sharded(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        objective: Objective,
-        shards: usize,
-    ) -> Option<(Mapping, Evaluation)> {
-        let (outcome, _) = self.search_sharded_counted(space, mapper, objective, shards);
-        outcome
-    }
-
-    /// Like [`search_sharded`](Model::search_sharded), returning the
-    /// run's counters even when no candidate is valid (see
-    /// [`search_parallel_counted`](Model::search_parallel_counted)).
+    /// The model's search driver ([`Mapper::search_sharded_counted`]):
+    /// the candidate stream is walked in `shards` disjoint,
+    /// collectively exhaustive sub-streams (split on the outermost
+    /// factorization dimensions, see [`Mapspace::shards`]) evaluated
+    /// concurrently, and shard winners merge under the deterministic
+    /// `(objective, candidate position)` reduction — results are
+    /// bit-identical at any shard count; `shards <= 1` is one sequential
+    /// walk. The run's counters are returned even when no candidate is
+    /// valid: a fruitless search still walked its stream, and batch
+    /// throughput accounting wants that work visible.
     pub fn search_sharded_counted(
         &self,
         space: &Mapspace,
@@ -660,8 +576,19 @@ impl Model {
         objective: Objective,
         shards: usize,
     ) -> (Option<(Mapping, Evaluation)>, SearchStats) {
-        let (result, stats) =
-            mapper.search_sharded_counted(space, &self.evaluator(objective), shards);
+        self.search_with(space, mapper, &self.evaluator(objective), shards)
+    }
+
+    /// The search driver through any evaluator of this model, with the
+    /// winner re-evaluated into its full [`Evaluation`].
+    pub(crate) fn search_with<E: CandidateEvaluator>(
+        &self,
+        space: &Mapspace,
+        mapper: Mapper,
+        evaluator: &E,
+        shards: usize,
+    ) -> (Option<(Mapping, Evaluation)>, SearchStats) {
+        let (result, stats) = mapper.search_sharded_counted(space, evaluator, shards);
         let outcome = result.map(|r| {
             let eval = self
                 .evaluate(&r.mapping)
@@ -915,6 +842,22 @@ mod tests {
             .unwrap();
         best.validate(m.workload().einsum(), m.arch()).unwrap();
         assert!(eval.edp > 0.0);
+    }
+
+    #[test]
+    fn parallel_counted_is_the_driver_at_threads_shards() {
+        let m = model(0.5);
+        let space = Mapspace::all_temporal(m.workload().einsum(), m.arch());
+        let mapper = Mapper::Exhaustive { limit: 2000 };
+        let (want, want_stats) = m.search_sharded_counted(&space, mapper, Objective::Edp, 1);
+        let (want, want_eval) = want.expect("space holds a valid mapping");
+        for threads in [None, Some(1), Some(3)] {
+            let (got, stats) = m.search_parallel_counted(&space, mapper, Objective::Edp, threads);
+            let (got, eval) = got.expect("space holds a valid mapping");
+            assert_eq!(got, want, "threads={threads:?}");
+            assert_eq!(eval.edp.to_bits(), want_eval.edp.to_bits());
+            assert_eq!(stats, want_stats, "threads={threads:?}");
+        }
     }
 
     #[test]

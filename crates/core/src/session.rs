@@ -20,10 +20,10 @@
 //! Results are unchanged by construction — both caches memoize pure
 //! functions of their keys — so [`EvalSession::search_batch`] returns
 //! bit-identical winners and [`SearchStats`] to running
-//! [`Model::search_parallel_with_stats`] per layer; only the number of
+//! [`Model::search_sharded_counted`] per layer; only the number of
 //! underlying analyses shrinks (observable via
-//! [`EvalSession::format_stats`]). Parallel search inside the session
-//! reuses the persistent `rayon` worker pool, so a batch of many small
+//! [`EvalSession::format_stats`]). Batch jobs and search shards run on
+//! the persistent `rayon` worker pool, so a batch of many small
 //! mapspaces does not pay a thread spawn/join round trip per layer.
 
 use crate::engine::{EvalError, Evaluation, Model, Objective};
@@ -160,17 +160,6 @@ impl SessionInner {
     }
 }
 
-/// Consumers per search of a `jobs`-job batch: the caller's `threads`
-/// while the jobs alone leave pool threads idle, one once they fill the
-/// pool (see [`EvalSession::search_batch`]).
-fn search_threads(jobs: usize, threads: Option<usize>) -> Option<usize> {
-    if jobs >= rayon::current_num_threads() {
-        Some(1)
-    } else {
-        threads
-    }
-}
-
 /// A shared-cache context for batch evaluation; see the
 /// [module docs](self).
 ///
@@ -284,31 +273,24 @@ impl EvalSession {
     /// Evaluates a whole batch — a multi-layer workload, a design sweep,
     /// or any mix — through the shared caches.
     ///
-    /// Jobs themselves run concurrently on the persistent worker pool
-    /// (so a batch of fixed-mapping evaluations parallelizes too). A
-    /// batch with fewer jobs than the pool has threads additionally
-    /// fans each search's candidate stream out over `threads` workers
-    /// via [`Model::search_parallel_with_stats`]; a batch that already
-    /// fills the pool gives each search one consumer instead — splitting
-    /// a stream between workers that are all busy buys no parallelism
-    /// and costs the stream lock plus a from-scratch recompute at every
-    /// batch seam.
+    /// Jobs run concurrently on the persistent worker pool (so a batch
+    /// of fixed-mapping evaluations parallelizes too), and each search
+    /// job runs the one search driver, [`Model::search_sharded_counted`],
+    /// at `shards` shards; `None` gives each search one consumer — a
+    /// sequential walk with true `ChangeDepth`s end to end.
     /// Results are per-job and index-aligned with `jobs`: each job's
     /// winner, objective and [`SearchStats`] are bit-identical to
-    /// evaluating it through a standalone model, whatever the
-    /// interleaving (caching is observable only in [`SessionStats`]).
-    /// A job returns a [`JobError`] when its fixed mapping fails to
-    /// evaluate (the [`EvalError`] is preserved) or its mapspace holds
-    /// no valid candidate.
+    /// evaluating it through a standalone model at any shard count,
+    /// whatever the interleaving (caching is observable only in
+    /// [`SessionStats`]). A job returns a [`JobError`] when its fixed
+    /// mapping fails to evaluate (the [`EvalError`] is preserved) or its
+    /// mapspace holds no valid candidate.
     pub fn search_batch(
         &self,
         jobs: &[EvalJob],
-        threads: Option<usize>,
+        shards: Option<usize>,
     ) -> Vec<Result<JobOutcome, JobError>> {
-        let threads = search_threads(jobs.len(), threads);
-        self.run_batch(jobs, &|model, space, mapper, objective| {
-            model.search_parallel_counted(space, mapper, objective, threads)
-        })
+        self.search_batch_sharded_with(jobs, shards.unwrap_or(1), None)
     }
 
     /// Like [`search_batch`](EvalSession::search_batch), but every
@@ -320,47 +302,38 @@ impl EvalSession {
     pub fn search_batch_from_scratch(
         &self,
         jobs: &[EvalJob],
-        threads: Option<usize>,
+        shards: Option<usize>,
     ) -> Vec<Result<JobOutcome, JobError>> {
-        let threads = search_threads(jobs.len(), threads);
-        self.run_batch(jobs, &|model, space, mapper, objective| {
-            model.search_parallel_counted_from_scratch(space, mapper, objective, threads)
-        })
+        let shards = shards.unwrap_or(1);
+        self.run_batch(
+            jobs,
+            &|model, space, mapper, objective| {
+                model.search_with(
+                    space,
+                    mapper,
+                    &model.evaluator_from_scratch(objective),
+                    shards,
+                )
+            },
+            None,
+        )
     }
 
-    /// Like [`search_batch`](EvalSession::search_batch), but each search
-    /// job partitions its candidate stream into `shards` disjoint
-    /// sub-streams evaluated concurrently
-    /// ([`Model::search_sharded_counted`]).
-    ///
-    /// Winners and counters are bit-identical to
-    /// [`search_batch`](EvalSession::search_batch) — and therefore to
-    /// per-layer [`Model::search_parallel`] — at any shard count; only
-    /// the work distribution changes. This is the serving layer's
-    /// search mode: one queue worker drives one job while the candidate
-    /// stream itself fans out over the shared worker pool.
-    pub fn search_batch_sharded(
-        &self,
-        jobs: &[EvalJob],
-        shards: usize,
-    ) -> Vec<Result<JobOutcome, JobError>> {
-        self.search_batch_sharded_with(jobs, shards, None)
-    }
-
-    /// Like [`search_batch_sharded`](EvalSession::search_batch_sharded),
+    /// [`search_batch`](EvalSession::search_batch) at `shards` shards,
     /// with a cancellation probe checked at each job seam — the batch's
     /// cancellation checkpoints. A probe returning `true` makes every
     /// not-yet-started job resolve to [`JobError::Canceled`] instead of
     /// running; jobs already past their checkpoint run to completion (a
     /// checkpoint is a *retirement seam*, not a preemption point), so
     /// results that do complete stay bit-identical to an uncanceled run.
+    /// This is the serving layer's search mode.
     pub fn search_batch_sharded_with(
         &self,
         jobs: &[EvalJob],
         shards: usize,
         cancel: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> Vec<Result<JobOutcome, JobError>> {
-        self.run_batch_with(
+        self.run_batch(
             jobs,
             &|model, space, mapper, objective| {
                 model.search_sharded_counted(space, mapper, objective, shards)
@@ -370,27 +343,10 @@ impl EvalSession {
     }
 
     /// Shared batch driver: evaluates fixed-mapping jobs directly and
-    /// delegates search jobs to `search`.
+    /// delegates search jobs to `search`, checking the optional
+    /// cancellation probe once per job, immediately before it starts.
     #[allow(clippy::type_complexity)]
     fn run_batch(
-        &self,
-        jobs: &[EvalJob],
-        search: &(dyn Fn(
-            &Model,
-            &Mapspace,
-            Mapper,
-            Objective,
-        ) -> (Option<(Mapping, Evaluation)>, SearchStats)
-              + Sync),
-    ) -> Vec<Result<JobOutcome, JobError>> {
-        self.run_batch_with(jobs, search, None)
-    }
-
-    /// [`run_batch`](EvalSession::run_batch) with an optional
-    /// cancellation probe checked once per job, immediately before the
-    /// job starts.
-    #[allow(clippy::type_complexity)]
-    fn run_batch_with(
         &self,
         jobs: &[EvalJob],
         search: &(dyn Fn(
@@ -606,10 +562,10 @@ mod tests {
     fn sharded_batch_matches_plain_batch_bit_identically() {
         let jobs = [job(0.25), job(0.5), job(0.25)];
         let session = EvalSession::new();
-        let reference = session.search_batch(&jobs, Some(2));
+        let reference = session.search_batch(&jobs, None);
         for shards in [1, 2, 3, 7] {
             let sharded_session = EvalSession::new();
-            let sharded = sharded_session.search_batch_sharded(&jobs, shards);
+            let sharded = sharded_session.search_batch(&jobs, Some(shards));
             for (a, b) in sharded.iter().zip(&reference) {
                 let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
                 assert_eq!(a.mapping, b.mapping, "shards={shards}");
@@ -622,13 +578,34 @@ mod tests {
     }
 
     #[test]
+    fn from_scratch_batch_matches_incremental_batch() {
+        // the reference pipeline runs the same driver: same winners,
+        // evaluations and counters, sequential or sharded
+        let jobs = [job(0.25), job(0.5)];
+        let reference = EvalSession::new().search_batch(&jobs, None);
+        for shards in [None, Some(3)] {
+            let from_scratch = EvalSession::new().search_batch_from_scratch(&jobs, shards);
+            for (a, b) in from_scratch.iter().zip(&reference) {
+                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+                assert_eq!(a.mapping, b.mapping, "shards={shards:?}");
+                assert_eq!(
+                    a.eval.edp.to_bits(),
+                    b.eval.edp.to_bits(),
+                    "shards={shards:?}"
+                );
+                assert_eq!(a.stats, b.stats, "shards={shards:?}");
+            }
+        }
+    }
+
+    #[test]
     fn canceled_probe_skips_jobs_at_the_checkpoint() {
         let jobs = [job(0.25), job(0.5)];
         let session = EvalSession::new();
         let results = session.search_batch_sharded_with(&jobs, 2, Some(&|| true));
         assert!(results.iter().all(|r| matches!(r, Err(JobError::Canceled))));
         // an unfired probe changes nothing: bit-identical to no probe
-        let plain = session.search_batch_sharded(&jobs, 2);
+        let plain = session.search_batch(&jobs, Some(2));
         let probed = session.search_batch_sharded_with(&jobs, 2, Some(&|| false));
         for (a, b) in probed.iter().zip(&plain) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());

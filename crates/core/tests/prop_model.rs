@@ -320,9 +320,8 @@ proptest! {
 
     /// Search winners, their full `Evaluation`s, and `SearchStats` are
     /// bit-identical between the incremental pipeline and the
-    /// from-scratch reference — sequentially, at 1/2/4 threads, and at
-    /// 1/3 shards, for exhaustive and hybrid strategies over random
-    /// mapspaces.
+    /// from-scratch reference — sequentially and at 1/2/3/4 shards, for
+    /// exhaustive and hybrid strategies over random mapspaces.
     #[test]
     fn incremental_search_parity_across_threads_and_shards(
         m in 1u64..10, n in 1u64..10, k in 1u64..10,
@@ -358,9 +357,10 @@ proptest! {
             Mapper::Exhaustive { limit: 250 }
         };
         // reference: the stateless from-scratch pipeline, sequential
-        let (reference, ref_stats) = mapper.search_pruned_counted(
+        let (reference, ref_stats) = mapper.search_sharded_counted(
             &space,
             &model.evaluator_from_scratch(Objective::Edp),
+            1,
         );
         let check = |got: Option<(sparseloop_mapping::Mapping, sparseloop_core::Evaluation)>,
                      stats: sparseloop_mapping::SearchStats,
@@ -384,16 +384,7 @@ proptest! {
             }
             Ok(())
         };
-        for threads in [1usize, 2, 4] {
-            let (got, stats) = model.search_parallel_counted(
-                &space,
-                mapper,
-                Objective::Edp,
-                Some(threads),
-            );
-            check(got, stats, &format!("threads={threads}"))?;
-        }
-        for shards in [1usize, 3] {
+        for shards in [1usize, 2, 3, 4] {
             let (got, stats) =
                 model.search_sharded_counted(&space, mapper, Objective::Edp, shards);
             check(got, stats, &format!("shards={shards}"))?;
@@ -401,12 +392,12 @@ proptest! {
     }
 
     /// Parallel and sequential model search agree bit-for-bit on the
-    /// all-temporal matmul mapspace, for every thread count.
+    /// all-temporal matmul mapspace, for every shard count.
     #[test]
     fn parallel_search_parity(
         m in 1u64..8, n in 1u64..8, k in 1u64..8,
         da_pct in 10u64..=100,
-        threads in 2usize..5,
+        shards in 2usize..5,
     ) {
         let e = Einsum::matmul(m, n, k);
         let w = Workload::new(
@@ -425,16 +416,14 @@ proptest! {
             .unwrap();
         let model = Model::new(w, arch.clone(), SafSpec::dense());
         let space = Mapspace::all_temporal(&e, &arch);
-        let seq = model.search_with_stats(&space, Mapper::Exhaustive { limit: 500 }, Objective::Edp);
-        let par = model.search_parallel_with_stats(
-            &space,
-            Mapper::Exhaustive { limit: 500 },
-            Objective::Edp,
-            Some(threads),
-        );
+        let mapper = Mapper::Exhaustive { limit: 500 };
+        let (seq, ss) = model.search_sharded_counted(&space, mapper, Objective::Edp, 1);
+        let (par, ps) = model.search_sharded_counted(&space, mapper, Objective::Edp, shards);
         match (seq, par) {
-            (None, None) => {}
-            (Some((sm, se, ss)), Some((pm, pe, ps))) => {
+            (None, None) => {
+                prop_assert_eq!(ss, ps, "stats must agree");
+            }
+            (Some((sm, se)), Some((pm, pe))) => {
                 prop_assert_eq!(&sm, &pm, "winning mappings must be identical");
                 prop_assert_eq!(se.edp, pe.edp, "objective must be bit-identical");
                 prop_assert_eq!(ss, ps, "stats must agree");

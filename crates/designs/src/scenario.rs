@@ -140,26 +140,19 @@ impl Scenario {
     }
 
     /// Runs every experiment through `session`'s shared caches (see
-    /// [`EvalSession::search_batch`]), timing the whole batch.
-    pub fn run(&self, session: &EvalSession, threads: Option<usize>) -> ScenarioOutcome {
-        self.run_with(|jobs| session.search_batch(jobs, threads))
+    /// [`EvalSession::search_batch`]), timing the whole batch. Each
+    /// search experiment walks its candidate stream in `shards` shards
+    /// (`None`: one consumer); results are bit-identical at any count.
+    pub fn run(&self, session: &EvalSession, shards: Option<usize>) -> ScenarioOutcome {
+        self.run_with(|jobs| session.search_batch(jobs, shards))
     }
 
-    /// Like [`run`](Scenario::run), but each search experiment shards
-    /// its candidate stream over `shards` disjoint sub-iterators (see
-    /// [`EvalSession::search_batch_sharded`]) — results are
-    /// bit-identical to [`run`](Scenario::run) at any shard count. The
-    /// serving layer's scenario mode.
-    pub fn run_sharded(&self, session: &EvalSession, shards: usize) -> ScenarioOutcome {
-        self.run_with(|jobs| session.search_batch_sharded(jobs, shards))
-    }
-
-    /// Like [`run_sharded`](Scenario::run_sharded), with a cancellation
-    /// probe checked at each experiment seam (see
+    /// Like [`run`](Scenario::run) at `shards` shards, with a
+    /// cancellation probe checked at each experiment seam (see
     /// [`EvalSession::search_batch_sharded_with`]): once the probe
     /// fires, remaining experiments resolve to [`JobError::Canceled`]
     /// instead of running. Experiments that do run stay bit-identical
-    /// to [`run_sharded`](Scenario::run_sharded).
+    /// to [`run`](Scenario::run). The serving layer's scenario mode.
     pub fn run_sharded_with(
         &self,
         session: &EvalSession,
@@ -167,19 +160,6 @@ impl Scenario {
         cancel: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> ScenarioOutcome {
         self.run_with(|jobs| session.search_batch_sharded_with(jobs, shards, cancel))
-    }
-
-    /// Like [`run`](Scenario::run), through the from-scratch reference
-    /// pipeline (scratch arenas and prefix-incremental caching disabled;
-    /// see [`EvalSession::search_batch_from_scratch`]). Outcomes are
-    /// bit-identical to [`run`](Scenario::run); only the evaluation cost
-    /// differs — the before/after throughput benches run both.
-    pub fn run_from_scratch(
-        &self,
-        session: &EvalSession,
-        threads: Option<usize>,
-    ) -> ScenarioOutcome {
-        self.run_with(|jobs| session.search_batch_from_scratch(jobs, threads))
     }
 
     /// Shared driver: builds the jobs, times the batch, assembles the
@@ -248,16 +228,10 @@ impl ScenarioOutcome {
     /// succeeding and failing).
     pub fn total_stats(&self) -> SearchStats {
         let mut total = SearchStats::default();
-        let mut add = |s: &SearchStats| {
-            total.generated += s.generated;
-            total.pruned += s.pruned;
-            total.evaluated += s.evaluated;
-            total.invalid += s.invalid;
-        };
         for r in &self.results {
             match r {
-                Ok(outcome) => add(&outcome.stats),
-                Err(JobError::NoValidCandidate { stats }) => add(stats),
+                Ok(outcome) => total.absorb(&outcome.stats),
+                Err(JobError::NoValidCandidate { stats }) => total.absorb(stats),
                 Err(JobError::Eval(_)) | Err(JobError::Canceled) => {}
             }
         }
@@ -919,6 +893,34 @@ mod tests {
             let cl = out.result(&format!("CoordinateList@{d}")).unwrap();
             assert!(cl.eval.cycles <= bm.eval.cycles + 1e-9);
         }
+    }
+
+    #[test]
+    fn total_stats_counts_fruitless_searches() {
+        // a search with no valid candidate still walked its stream; a
+        // failed fixed mapping and a canceled job streamed nothing
+        let walked = |generated, pruned, invalid| SearchStats {
+            generated,
+            pruned,
+            evaluated: 0,
+            invalid,
+        };
+        let outcome = ScenarioOutcome {
+            name: "t".into(),
+            experiments: Vec::new(),
+            results: vec![
+                Err(JobError::NoValidCandidate {
+                    stats: walked(5, 2, 3),
+                }),
+                Err(JobError::NoValidCandidate {
+                    stats: walked(4, 4, 0),
+                }),
+                Err(JobError::Canceled),
+            ],
+            wall_seconds: 1.0,
+        };
+        assert_eq!(outcome.total_stats(), walked(9, 6, 3));
+        assert_eq!(outcome.mappings_per_sec(), 9.0);
     }
 
     #[test]

@@ -15,10 +15,17 @@
 //! memory in the candidate count — and flow through a two-stage
 //! evaluation: a cheap [`CandidateEvaluator::precheck`] rejects
 //! obviously-invalid candidates (e.g. oversized tiles) before the full
-//! objective runs. [`Mapper::par_search`] distributes the same stream
-//! over worker threads and reduces with a deterministic
-//! `(objective, candidate index)` tie-break, so parallel and sequential
-//! searches return bit-identical winners.
+//! objective runs.
+//!
+//! There is one search driver, [`Mapper::search_sharded_counted`], and
+//! one loop under it: a worker walks one keyed candidate stream and
+//! keeps the `(objective, key)` minimum. A sequential search is one
+//! walk over the whole stream; a threaded search walks `n` disjoint
+//! shards ([`Mapspace::shards`]) concurrently; a multi-process search
+//! runs [`Mapper::search_shard_counted`] per worker process. Every mode
+//! reduces its walks with [`merge_shard_results`], and shard keys order
+//! exactly like the unsharded stream, so all of them return
+//! bit-identical winners and counters.
 
 use crate::loops::Mapping;
 use crate::mapspace::{
@@ -27,8 +34,6 @@ use crate::mapspace::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Statistics from one mapper run.
 ///
@@ -111,8 +116,7 @@ pub trait CandidateEvaluator: Sync {
 /// The caller walks one candidate stream in order. For each candidate it
 /// calls [`precheck`](WorkerEvaluator::precheck) with the candidate's
 /// [`ChangeDepth`] (relative to the stream's *previous* candidate — pass
-/// [`ChangeDepth::Reset`] when that relation is unknown, e.g. at batch
-/// seams of a work-stealing parallel search), and, if the precheck
+/// [`ChangeDepth::Reset`] when that relation is unknown), and, if the precheck
 /// passes, [`evaluate`](WorkerEvaluator::evaluate) with the *same*
 /// candidate and depth. Implementations compose depths internally, so
 /// skipping `evaluate` for pruned candidates is always sound.
@@ -147,10 +151,19 @@ where
     }
 }
 
-/// Candidates pulled from the shared stream per lock acquisition in
-/// [`Mapper::par_search`]; amortizes lock traffic without letting any
-/// worker run far ahead of the stream.
-const PAR_BATCH: usize = 32;
+/// [`Mapper::search`]'s closure objective as a worker whose precheck
+/// accepts every candidate.
+struct FnWorker<F>(F);
+
+impl<F: FnMut(&Mapping) -> Option<f64>> WorkerEvaluator for FnWorker<F> {
+    fn precheck(&mut self, _mapping: &Mapping, _change: ChangeDepth) -> bool {
+        true
+    }
+
+    fn evaluate(&mut self, mapping: &Mapping, _change: ChangeDepth) -> Option<f64> {
+        (self.0)(mapping)
+    }
+}
 
 /// How [`Mapper::Hybrid`] draws its sample tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -201,8 +214,8 @@ pub enum Mapper {
 
 impl Mapper {
     /// The strategy's candidate stream over `space`: a lazy, deterministic
-    /// iterator (for a fixed strategy, including seeds) shared by the
-    /// sequential and parallel search paths.
+    /// iterator (for a fixed strategy, including seeds): the stream every
+    /// search walks, whole or in shards.
     pub fn candidates<'a>(
         &self,
         space: &'a Mapspace,
@@ -246,266 +259,61 @@ impl Mapper {
         }
     }
 
-    /// Runs the search, returning the best mapping by the minimized
-    /// objective, or `None` when no candidate evaluates successfully.
+    /// Runs the search with a plain closure objective (no precheck),
+    /// returning the best mapping by the minimized objective, or `None`
+    /// when no candidate evaluates successfully.
     ///
     /// Candidates are streamed: memory use is O(1) in the mapspace size
     /// and `stats.generated` counts candidates as they are drawn.
-    pub fn search<F>(&self, space: &Mapspace, mut objective: F) -> Option<SearchResult>
+    pub fn search<F>(&self, space: &Mapspace, objective: F) -> Option<SearchResult>
     where
         F: FnMut(&Mapping) -> Option<f64>,
     {
-        let mut stats = SearchStats::default();
-        let mut best: Option<(Mapping, f64)> = None;
-        for m in self.candidates(space) {
-            stats.generated += 1;
-            match objective(&m) {
-                // NaN objectives are rejected (counted invalid): they are
-                // unordered, which would make the winner depend on
-                // evaluation order
-                Some(v) if !v.is_nan() => {
-                    stats.evaluated += 1;
-                    let better = best.as_ref().map(|(_, b)| v < *b).unwrap_or(true);
-                    if better {
-                        best = Some((m, v));
-                    }
-                }
-                _ => stats.invalid += 1,
-            }
-        }
-        best.map(|(mapping, objective)| SearchResult {
-            mapping,
-            objective,
-            stats,
-        })
+        let (best, stats) = self.walk_stream(space, &mut FnWorker(objective), |i| i);
+        finish(best, stats).0
     }
 
-    /// Sequential search through a two-stage [`CandidateEvaluator`]:
-    /// candidates failing the cheap precheck are pruned (counted in
-    /// `stats.pruned`) without running the full evaluation.
-    ///
-    /// Returns the same winner as [`search`](Mapper::search) over the
-    /// same stream whenever the precheck is consistent (only rejects
-    /// candidates the full evaluation would reject).
-    pub fn search_pruned<E: CandidateEvaluator + ?Sized>(
-        &self,
-        space: &Mapspace,
-        evaluator: &E,
-    ) -> Option<SearchResult> {
-        self.search_pruned_counted(space, evaluator).0
-    }
-
-    /// Like [`search_pruned`](Mapper::search_pruned), but the run's
+    /// The search driver: walks the candidate stream in `shards`
+    /// disjoint sub-streams ([`Mapspace::shards`]) evaluated
+    /// concurrently on the worker pool, and reduces the per-shard
+    /// winners by `(objective value, candidate position)`. The run's
     /// counters are returned even when no candidate evaluates
     /// successfully — an all-invalid stream was still walked, and
     /// throughput accounting should see that work.
-    pub fn search_pruned_counted<E: CandidateEvaluator + ?Sized>(
-        &self,
-        space: &Mapspace,
-        evaluator: &E,
-    ) -> (Option<SearchResult>, SearchStats) {
-        let mut stats = SearchStats::default();
-        let mut best: Option<(Mapping, f64)> = None;
-        // one stateful worker walks the whole stream: scratch buffers and
-        // prefix-incremental caches persist across candidates
-        let mut worker = evaluator.worker();
-        for (depth, m) in self.delta_candidates(space) {
-            stats.generated += 1;
-            if !worker.precheck(&m, depth) {
-                stats.pruned += 1;
-                continue;
-            }
-            match worker.evaluate(&m, depth) {
-                // NaN handling mirrors search(): unordered values are
-                // counted invalid so the winner is order-independent
-                Some(v) if !v.is_nan() => {
-                    stats.evaluated += 1;
-                    let better = best.as_ref().map(|(_, b)| v < *b).unwrap_or(true);
-                    if better {
-                        best = Some((m, v));
-                    }
-                }
-                _ => stats.invalid += 1,
-            }
-        }
-        let result = best.map(|(mapping, objective)| SearchResult {
-            mapping,
-            objective,
-            stats,
-        });
-        (result, stats)
-    }
-
-    /// Parallel search: distributes the candidate stream over `threads`
-    /// workers (default: all available cores) and reduces
-    /// deterministically.
     ///
-    /// Workers pull fixed-size batches off the shared stream, evaluate
-    /// through the two-stage pipeline, and keep a thread-local best keyed
-    /// by `(objective value, candidate index)`. The final reduction takes
-    /// the lexicographic minimum of those keys, which is exactly the
-    /// candidate the sequential scan would keep (first strict minimum in
-    /// stream order) — so `par_search` and
-    /// [`search_pruned`](Mapper::search_pruned) return bit-identical
-    /// `(mapping, objective)` regardless of thread count or scheduling.
-    pub fn par_search<E: CandidateEvaluator + ?Sized>(
-        &self,
-        space: &Mapspace,
-        evaluator: &E,
-        threads: Option<usize>,
-    ) -> Option<SearchResult> {
-        self.par_search_counted(space, evaluator, threads).0
-    }
-
-    /// Like [`par_search`](Mapper::par_search), but the run's counters
-    /// are returned even when no candidate evaluates successfully (see
-    /// [`search_pruned_counted`](Mapper::search_pruned_counted)).
-    pub fn par_search_counted<E: CandidateEvaluator + ?Sized>(
-        &self,
-        space: &Mapspace,
-        evaluator: &E,
-        threads: Option<usize>,
-    ) -> (Option<SearchResult>, SearchStats) {
-        let workers = threads.unwrap_or_else(rayon::current_num_threads).max(1);
-        if workers == 1 {
-            return self.search_pruned_counted(space, evaluator);
-        }
-
-        let stream = Mutex::new(self.delta_candidates(space).enumerate());
-        let generated = AtomicUsize::new(0);
-        let pruned = AtomicUsize::new(0);
-        let evaluated = AtomicUsize::new(0);
-        let invalid = AtomicUsize::new(0);
-        // best = (objective value, candidate index, mapping)
-        let best: Mutex<Option<(f64, usize, Mapping)>> = Mutex::new(None);
-
-        let beats = |v: f64, idx: usize, cur: &Option<(f64, usize, Mapping)>| match cur {
-            None => true,
-            Some((bv, bidx, _)) => v < *bv || (v == *bv && idx < *bidx),
-        };
-
-        rayon::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|_| {
-                    let mut local: Option<(f64, usize, Mapping)> = None;
-                    let mut worker = evaluator.worker();
-                    loop {
-                        let batch: Vec<(usize, (ChangeDepth, Mapping))> = {
-                            let mut it = stream.lock().expect("candidate stream poisoned");
-                            it.by_ref().take(PAR_BATCH).collect()
-                        };
-                        if batch.is_empty() {
-                            break;
-                        }
-                        generated.fetch_add(batch.len(), Ordering::Relaxed);
-                        for (pos, (idx, (depth, m))) in batch.into_iter().enumerate() {
-                            // a batch's first candidate follows one that
-                            // (usually) went to another worker: its depth
-                            // relation does not hold for THIS worker's
-                            // caches, so it must recompute from scratch
-                            let depth = if pos == 0 { ChangeDepth::Reset } else { depth };
-                            if !worker.precheck(&m, depth) {
-                                pruned.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            match worker.evaluate(&m, depth) {
-                                // NaN counted invalid, as in the
-                                // sequential paths: NaN is unordered and
-                                // would break the deterministic reduction
-                                Some(v) if !v.is_nan() => {
-                                    evaluated.fetch_add(1, Ordering::Relaxed);
-                                    if beats(v, idx, &local) {
-                                        local = Some((v, idx, m));
-                                    }
-                                }
-                                _ => {
-                                    invalid.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    }
-                    if let Some((v, idx, m)) = local {
-                        let mut global = best.lock().expect("best slot poisoned");
-                        if beats(v, idx, &global) {
-                            *global = Some((v, idx, m));
-                        }
-                    }
-                });
-            }
-        });
-
-        let stats = SearchStats {
-            generated: generated.into_inner(),
-            pruned: pruned.into_inner(),
-            evaluated: evaluated.into_inner(),
-            invalid: invalid.into_inner(),
-        };
-        let result =
-            best.into_inner()
-                .expect("best slot poisoned")
-                .map(|(objective, _, mapping)| SearchResult {
-                    mapping,
-                    objective,
-                    stats,
-                });
-        (result, stats)
-    }
-
-    /// Sharded deterministic search: partitions the enumerated candidate
-    /// stream into `shards` disjoint sub-streams ([`Mapspace::shards`]),
-    /// evaluates them concurrently on the worker pool, and reduces the
-    /// per-shard winners by `(objective value, candidate position)`.
-    ///
-    /// Winners are **bit-identical** to [`par_search`](Mapper::par_search)
-    /// / [`search_pruned`](Mapper::search_pruned) at any shard count:
-    /// shard candidates carry globally comparable [`CandidateKey`]s whose
-    /// order is exactly the unsharded stream order, so the lexicographic
-    /// minimum of `(value, key)` is the same candidate the sequential
-    /// scan keeps. A hybrid strategy shards its enumerated prefix and
-    /// runs the (inherently sequential) seeded sample tail afterwards,
-    /// deduplicated against the full prefix exactly like the unsharded
-    /// stream; a pure random strategy has no enumeration to shard and
-    /// falls back to [`par_search`](Mapper::par_search).
-    pub fn search_sharded<E: CandidateEvaluator + ?Sized>(
-        &self,
-        space: &Mapspace,
-        evaluator: &E,
-        shards: usize,
-    ) -> Option<SearchResult> {
-        self.search_sharded_counted(space, evaluator, shards).0
-    }
-
-    /// Like [`search_sharded`](Mapper::search_sharded), but the run's
-    /// counters are returned even when no candidate evaluates
-    /// successfully (see
-    /// [`search_pruned_counted`](Mapper::search_pruned_counted)).
+    /// Winners and counters are **bit-identical** at any shard count:
+    /// shard candidates carry globally comparable [`CandidateKey`]s
+    /// whose order is exactly the unsharded stream order, so the
+    /// lexicographic minimum of `(value, key)` is the first strict
+    /// minimum a sequential scan keeps. `shards <= 1` is that sequential
+    /// scan: one worker walks the whole stream, with no census and no
+    /// spawn. A hybrid strategy's seeded sample tail runs after shard
+    /// 0's share of the prefix, on shard 0's worker, deduplicated
+    /// against the full prefix exactly like the unsharded stream. A pure
+    /// random strategy is one seeded sequence with nothing to shard and
+    /// always runs sequentially.
     pub fn search_sharded_counted<E: CandidateEvaluator + ?Sized>(
         &self,
         space: &Mapspace,
         evaluator: &E,
         shards: usize,
     ) -> (Option<SearchResult>, SearchStats) {
-        match *self {
-            Mapper::Exhaustive { limit } => {
-                let (best, stats) = sharded_enumerate_search(space, evaluator, limit, shards);
-                finish_sharded(best, stats)
+        let Some(limit) = self.enumeration_limit().filter(|_| shards > 1) else {
+            let (best, stats) = self.walk_stream(space, &mut *evaluator.worker(), |i| i);
+            return finish(best, stats);
+        };
+        let mut parts: Vec<_> = (0..shards).map(|_| None).collect();
+        rayon::scope(|s| {
+            for ((k, own), part) in space
+                .shards(shards, limit)
+                .into_iter()
+                .enumerate()
+                .zip(&mut parts)
+            {
+                s.spawn(move |_| *part = Some(self.walk_shard(space, evaluator, own, k == 0)));
             }
-            Mapper::Random { .. } => self.par_search_counted(space, evaluator, None),
-            Mapper::Hybrid {
-                enumerate,
-                samples,
-                seed,
-                sampling,
-            } => {
-                let (mut best, mut stats) =
-                    sharded_enumerate_search(space, evaluator, enumerate, shards);
-                if samples > 0 {
-                    let tail = SampleTail::new(space, enumerate, samples, seed, sampling);
-                    walk_sample_tail(tail, evaluator, &mut best, &mut stats);
-                }
-                finish_sharded(best, stats)
-            }
-        }
+        });
+        merge_shard_results(parts.into_iter().map(|p| p.expect("every shard ran")))
     }
 
     /// Evaluates **one** shard of the sharded search on this process,
@@ -515,8 +323,7 @@ impl Mapper {
     /// shard's return through [`merge_shard_results`] reproduces
     /// [`search_sharded_counted`](Mapper::search_sharded_counted)
     /// bit-identically (winner, objective, and summed stats), because
-    /// both run the same [`walk_shard`] / [`walk_sample_tail`] code over
-    /// the same disjoint sub-streams.
+    /// both walk the same disjoint sub-streams through the same loop.
     ///
     /// Division of labor by strategy:
     ///
@@ -524,10 +331,9 @@ impl Mapper {
     ///   the enumerated stream.
     /// * `Hybrid` — shard `shard` of the enumerated prefix; shard 0
     ///   additionally owns the (inherently sequential) seeded sample
-    ///   tail ([`walk_sample_tail`]).
+    ///   tail.
     /// * `Random` — one seeded sequence with nothing to shard: shard 0
-    ///   walks it whole (matching the in-process fallback's winner);
-    ///   other shards return empty.
+    ///   walks it whole; other shards return empty.
     ///
     /// Panics if `shard >= shards` or `shards == 0`.
     pub fn search_shard_counted<E: CandidateEvaluator + ?Sized>(
@@ -539,55 +345,86 @@ impl Mapper {
     ) -> (Option<ShardWinner>, SearchStats) {
         assert!(shards > 0, "shard count must be positive");
         assert!(shard < shards, "shard index {shard} out of {shards}");
-        let enumerated_shard = |limit: usize| {
-            let mut own = space.shards(shards, limit).swap_remove(shard);
-            walk_shard(&mut own, evaluator)
-        };
-        match *self {
-            Mapper::Exhaustive { limit } => enumerated_shard(limit),
-            Mapper::Random { .. } => {
-                if shard != 0 {
-                    return (None, SearchStats::default());
-                }
-                // the whole seeded stream, keyed like a sample tail: the
-                // first strict minimum wins, exactly the candidate the
-                // in-process fallback keeps
-                let mut best: Option<ShardWinner> = None;
-                let mut stats = SearchStats::default();
-                let mut worker = evaluator.worker();
-                for (i, (depth, m)) in self.delta_candidates(space).enumerate() {
-                    let key = CandidateKey::sampled(i as u64);
-                    stats.generated += 1;
-                    if !worker.precheck(&m, depth) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    match worker.evaluate(&m, depth) {
-                        Some(v) if !v.is_nan() => {
-                            stats.evaluated += 1;
-                            if beats_key(v, key, &best) {
-                                best = Some((v, key, m));
-                            }
-                        }
-                        _ => stats.invalid += 1,
-                    }
-                }
-                (best, stats)
+        match self.enumeration_limit() {
+            Some(limit) => {
+                let own = space.shards(shards, limit).swap_remove(shard);
+                self.walk_shard(space, evaluator, own, shard == 0)
             }
-            Mapper::Hybrid {
-                enumerate,
-                samples,
-                seed,
-                sampling,
-            } => {
-                let (mut best, mut stats) = enumerated_shard(enumerate);
-                if samples > 0 && shard == 0 {
-                    let tail = SampleTail::new(space, enumerate, samples, seed, sampling);
-                    walk_sample_tail(tail, evaluator, &mut best, &mut stats);
-                }
-                (best, stats)
+            None if shard == 0 => {
+                // keyed like a sample tail: sampled keys order by draw
+                let sampled = |i| CandidateKey::sampled(i as u64);
+                self.walk_stream(space, &mut *evaluator.worker(), sampled)
+            }
+            None => (None, SearchStats::default()),
+        }
+    }
+
+    /// The enumerated stream's length cap, or `None` for a strategy
+    /// with no enumeration to shard.
+    fn enumeration_limit(&self) -> Option<usize> {
+        match *self {
+            Mapper::Exhaustive { limit } => Some(limit),
+            Mapper::Random { .. } => None,
+            Mapper::Hybrid { enumerate, .. } => Some(enumerate),
+        }
+    }
+
+    /// The strategy's whole candidate stream through one worker, the
+    /// `i`-th candidate keyed `key(i)`.
+    fn walk_stream<K: PartialOrd + Copy>(
+        &self,
+        space: &Mapspace,
+        worker: &mut dyn WorkerEvaluator,
+        key: impl Fn(usize) -> K,
+    ) -> (Option<(f64, K, Mapping)>, SearchStats) {
+        let mut best = None;
+        let mut stats = SearchStats::default();
+        let items = self.delta_candidates(space).enumerate();
+        let items = items.map(|(i, (depth, m))| (key(i), depth, m));
+        walk(items, worker, &mut best, &mut stats);
+        (best, stats)
+    }
+
+    /// One shard of the enumerated stream through one worker, followed —
+    /// when the shard `owns_tail` (shard 0) of a hybrid strategy — by the
+    /// seeded sample tail on the same worker. The prefix was walked in shards, so the tail
+    /// regenerates it (generation only) to rebuild the dedup set and the
+    /// cover check the unsharded stream maintains as it goes.
+    fn walk_shard<E: CandidateEvaluator + ?Sized>(
+        &self,
+        space: &Mapspace,
+        evaluator: &E,
+        mut own: MapspaceShard<'_>,
+        owns_tail: bool,
+    ) -> (Option<ShardWinner>, SearchStats) {
+        let mut best = None;
+        let mut stats = SearchStats::default();
+        let mut worker = evaluator.worker();
+        walk(
+            std::iter::from_fn(|| own.next_delta()),
+            &mut *worker,
+            &mut best,
+            &mut stats,
+        );
+        if let Mapper::Hybrid {
+            enumerate,
+            samples,
+            seed,
+            sampling,
+        } = *self
+        {
+            if owns_tail && samples > 0 {
+                let mut tail = SampleTail::new(space, enumerate, samples, seed, sampling);
+                tail.skip_prefix();
+                // sampled keys order after every enumerated key, matching
+                // the tail's stream position; draws share no prefix
+                let draws = std::iter::from_fn(|| tail.next_sample())
+                    .enumerate()
+                    .map(|(i, m)| (CandidateKey::sampled(i as u64), ChangeDepth::Reset, m));
+                walk(draws, &mut *worker, &mut best, &mut stats);
             }
         }
+        (best, stats)
     }
 }
 
@@ -608,12 +445,12 @@ pub fn merge_shard_results(
     for (winner, s) in parts {
         stats.absorb(&s);
         if let Some((v, key, m)) = winner {
-            if beats_key(v, key, &best) {
+            if beats(v, key, &best) {
                 best = Some((v, key, m));
             }
         }
     }
-    finish_sharded(best, stats)
+    finish(best, stats)
 }
 
 /// The hybrid strategy's candidate source: an enumerated prefix, then
@@ -724,18 +561,47 @@ impl<'a> SampleTail<'a> {
     }
 }
 
-/// `(value, key)` lexicographic improvement test of the sharded
-/// reduction — the exact analogue of `par_search`'s `(value, index)`
-/// rule under the globally comparable shard keys.
-fn beats_key(v: f64, key: CandidateKey, cur: &Option<(f64, CandidateKey, Mapping)>) -> bool {
+/// The one search loop: precheck → evaluate → keep the `(value, key)`
+/// minimum → count, for every `(key, depth, candidate)` of one stream in
+/// order. Keys must order like stream positions (a stream index, or a
+/// [`CandidateKey`]), so the kept candidate is the first strict minimum
+/// whatever way the stream was split.
+fn walk<K: PartialOrd + Copy>(
+    items: impl Iterator<Item = (K, ChangeDepth, Mapping)>,
+    worker: &mut dyn WorkerEvaluator,
+    best: &mut Option<(f64, K, Mapping)>,
+    stats: &mut SearchStats,
+) {
+    for (key, depth, m) in items {
+        stats.generated += 1;
+        if !worker.precheck(&m, depth) {
+            stats.pruned += 1;
+            continue;
+        }
+        match worker.evaluate(&m, depth) {
+            // NaN objectives are counted invalid: they are unordered,
+            // which would make the winner depend on evaluation order
+            Some(v) if !v.is_nan() => {
+                stats.evaluated += 1;
+                if beats(v, key, best) {
+                    *best = Some((v, key, m));
+                }
+            }
+            _ => stats.invalid += 1,
+        }
+    }
+}
+
+/// `(value, key)` lexicographic improvement test.
+fn beats<K: PartialOrd>(v: f64, key: K, cur: &Option<(f64, K, Mapping)>) -> bool {
     match cur {
         None => true,
         Some((bv, bkey, _)) => v < *bv || (v == *bv && key < *bkey),
     }
 }
 
-fn finish_sharded(
-    best: Option<(f64, CandidateKey, Mapping)>,
+fn finish<K>(
+    best: Option<(f64, K, Mapping)>,
     stats: SearchStats,
 ) -> (Option<SearchResult>, SearchStats) {
     let result = best.map(|(objective, _, mapping)| SearchResult {
@@ -746,127 +612,12 @@ fn finish_sharded(
     (result, stats)
 }
 
-/// Walks one shard's candidate sub-stream to completion, returning its
-/// local `(value, key)`-minimal winner and counters. Shared verbatim by
-/// the in-process concurrent sharded search and the per-process
-/// [`Mapper::search_shard_counted`] path, so the two cannot diverge.
-fn walk_shard<E: CandidateEvaluator + ?Sized>(
-    shard: &mut MapspaceShard<'_>,
-    evaluator: &E,
-) -> (Option<(f64, CandidateKey, Mapping)>, SearchStats) {
-    let mut local: Option<(f64, CandidateKey, Mapping)> = None;
-    let mut stats = SearchStats::default();
-    // one worker per shard: the shard is one contiguous sub-stream, so
-    // its change depths hold end to end
-    let mut worker = evaluator.worker();
-    while let Some((key, depth, m)) = shard.next_delta() {
-        stats.generated += 1;
-        if !worker.precheck(&m, depth) {
-            stats.pruned += 1;
-            continue;
-        }
-        match worker.evaluate(&m, depth) {
-            // NaN counted invalid, as in every other search path:
-            // unordered values would break the deterministic reduction
-            Some(v) if !v.is_nan() => {
-                stats.evaluated += 1;
-                if beats_key(v, key, &local) {
-                    local = Some((v, key, m));
-                }
-            }
-            _ => stats.invalid += 1,
-        }
-    }
-    (local, stats)
-}
-
-/// Walks the hybrid strategy's seeded sample tail, folding survivors of
-/// the prefix dedup filter into `best`/`stats` under sampled candidate
-/// keys. Shared by the in-process sharded search and shard 0 of the
-/// per-process path: the prefix itself was evaluated elsewhere (in
-/// shards), so it is regenerated here — generation only — to rebuild the
-/// dedup set and the cover check the unsharded stream maintains as it
-/// goes.
-fn walk_sample_tail<E: CandidateEvaluator + ?Sized>(
-    mut tail: SampleTail<'_>,
-    evaluator: &E,
-    best: &mut Option<(f64, CandidateKey, Mapping)>,
-    stats: &mut SearchStats,
-) {
-    tail.skip_prefix();
-    // the sample tail is one seeded sequence: it runs sequentially,
-    // deduplicated against the complete prefix exactly like the
-    // unsharded hybrid stream (sampled keys order after all enumerated
-    // keys, matching the tail's stream position); sampled draws share
-    // no prefix, so every one is a Reset
-    let mut worker = evaluator.worker();
-    for (i, m) in std::iter::from_fn(|| tail.next_sample()).enumerate() {
-        let key = CandidateKey::sampled(i as u64);
-        stats.generated += 1;
-        if !worker.precheck(&m, ChangeDepth::Reset) {
-            stats.pruned += 1;
-            continue;
-        }
-        match worker.evaluate(&m, ChangeDepth::Reset) {
-            Some(v) if !v.is_nan() => {
-                stats.evaluated += 1;
-                if beats_key(v, key, best) {
-                    *best = Some((v, key, m));
-                }
-            }
-            _ => stats.invalid += 1,
-        }
-    }
-}
-
-/// Evaluates every shard of the space's enumerated stream concurrently,
-/// returning the `(value, key)`-minimal winner plus summed counters.
-fn sharded_enumerate_search<E: CandidateEvaluator + ?Sized>(
-    space: &Mapspace,
-    evaluator: &E,
-    limit: usize,
-    shards: usize,
-) -> (Option<(f64, CandidateKey, Mapping)>, SearchStats) {
-    let generated = AtomicUsize::new(0);
-    let pruned = AtomicUsize::new(0);
-    let evaluated = AtomicUsize::new(0);
-    let invalid = AtomicUsize::new(0);
-    let best: Mutex<Option<(f64, CandidateKey, Mapping)>> = Mutex::new(None);
-
-    rayon::scope(|s| {
-        let (generated, pruned, evaluated, invalid, best) =
-            (&generated, &pruned, &evaluated, &invalid, &best);
-        for mut shard in space.shards(shards, limit) {
-            s.spawn(move |_| {
-                let (local, s) = walk_shard(&mut shard, evaluator);
-                generated.fetch_add(s.generated, Ordering::Relaxed);
-                pruned.fetch_add(s.pruned, Ordering::Relaxed);
-                evaluated.fetch_add(s.evaluated, Ordering::Relaxed);
-                invalid.fetch_add(s.invalid, Ordering::Relaxed);
-                if let Some((v, key, m)) = local {
-                    let mut global = best.lock().expect("best slot poisoned");
-                    if beats_key(v, key, &global) {
-                        *global = Some((v, key, m));
-                    }
-                }
-            });
-        }
-    });
-
-    let stats = SearchStats {
-        generated: generated.into_inner(),
-        pruned: pruned.into_inner(),
-        evaluated: evaluated.into_inner(),
-        invalid: invalid.into_inner(),
-    };
-    (best.into_inner().expect("best slot poisoned"), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sparseloop_arch::{ArchitectureBuilder, ComputeSpec, StorageLevel};
     use sparseloop_tensor::einsum::Einsum;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn setup() -> Mapspace {
         let e = Einsum::matmul(8, 8, 8);
@@ -884,6 +635,57 @@ mod tests {
     fn toy_objective(m: &Mapping) -> Option<f64> {
         let inner: u64 = m.nests()[1].iter().map(|l| l.bound).product();
         Some(1.0 / inner as f64)
+    }
+
+    /// Independent oracle for the driver: the strategy's stream folded
+    /// through the stateless evaluator pair, first strict minimum wins.
+    fn reference<E: CandidateEvaluator>(
+        mapper: Mapper,
+        space: &Mapspace,
+        evaluator: &E,
+    ) -> (Option<(f64, Mapping)>, SearchStats) {
+        let mut best: Option<(f64, Mapping)> = None;
+        let mut stats = SearchStats::default();
+        for m in mapper.candidates(space) {
+            stats.generated += 1;
+            if !evaluator.precheck(&m) {
+                stats.pruned += 1;
+                continue;
+            }
+            match evaluator.evaluate(&m) {
+                Some(v) if !v.is_nan() => {
+                    stats.evaluated += 1;
+                    if best.as_ref().is_none_or(|(b, _)| v < *b) {
+                        best = Some((v, m));
+                    }
+                }
+                _ => stats.invalid += 1,
+            }
+        }
+        (best, stats)
+    }
+
+    /// The driver at `shards` returns the oracle's winner (objective
+    /// bits and mapping) and counters.
+    fn assert_matches_reference<E: CandidateEvaluator>(
+        mapper: Mapper,
+        space: &Mapspace,
+        evaluator: &E,
+        shards: usize,
+    ) {
+        let (want, want_stats) = reference(mapper, space, evaluator);
+        let (got, stats) = mapper.search_sharded_counted(space, evaluator, shards);
+        let label = format!("shards={shards} {mapper:?}");
+        assert_eq!(stats, want_stats, "{label}");
+        match (got, want) {
+            (Some(g), Some((v, m))) => {
+                assert_eq!(g.objective.to_bits(), v.to_bits(), "{label}");
+                assert_eq!(g.mapping, m, "{label}");
+                assert_eq!(g.stats, want_stats, "{label}");
+            }
+            (None, None) => {}
+            other => panic!("{label}: driver and oracle disagree: {other:?}"),
+        }
     }
 
     #[test]
@@ -997,8 +799,10 @@ mod tests {
         assert_eq!(hybrid.objective, exhaustive.objective);
         assert_eq!(hybrid.stats, exhaustive.stats);
         // sharded path takes the same shortcut and stays bit-identical
-        let sharded = covered.search_sharded(&space, &EvenPruner, 3).unwrap();
-        let unsharded = covered.search_pruned(&space, &EvenPruner).unwrap();
+        let sharded = covered.search_sharded_counted(&space, &EvenPruner, 3).0;
+        let unsharded = covered.search_sharded_counted(&space, &EvenPruner, 1).0;
+        let unsharded = unsharded.unwrap();
+        let sharded = sharded.unwrap();
         assert_eq!(sharded.mapping, unsharded.mapping);
         assert_eq!(sharded.objective, unsharded.objective);
         assert_eq!(sharded.stats, unsharded.stats);
@@ -1071,7 +875,8 @@ mod tests {
     fn precheck_prunes_and_accounts() {
         let space = setup();
         let r = Mapper::Exhaustive { limit: 10_000 }
-            .search_pruned(&space, &EvenPruner)
+            .search_sharded_counted(&space, &EvenPruner, 1)
+            .0
             .unwrap();
         assert!(r.stats.pruned > 0, "some candidates must be pruned");
         assert_eq!(
@@ -1087,19 +892,61 @@ mod tests {
     }
 
     #[test]
+    fn nan_objectives_counted_invalid_and_deterministic() {
+        let space = setup();
+        // poison the optimum with NaN: it must be rejected, not win
+        let nan_obj = |m: &Mapping| {
+            let inner: u64 = m.nests()[1].iter().map(|l| l.bound).product();
+            if inner == 512 {
+                Some(f64::NAN)
+            } else {
+                Some(1.0 / inner as f64)
+            }
+        };
+        let mapper = Mapper::Exhaustive { limit: 100_000 };
+        let seq = mapper.search(&space, nan_obj).unwrap();
+        assert!(seq.stats.invalid > 0, "NaN candidates count as invalid");
+        assert!(!seq.objective.is_nan());
+        for shards in [1, 2, 3] {
+            assert_matches_reference(mapper, &space, &nan_obj, shards);
+            let got = mapper.search_sharded_counted(&space, &nan_obj, shards).0;
+            assert_eq!(got.unwrap().mapping, seq.mapping, "shards={shards}");
+        }
+    }
+
+    /// The driver's threaded walk (`shards` > 1) against its sequential
+    /// walk (one shard: no census, no spawn) on the same evaluator.
+    fn assert_par_matches_sequential<E: CandidateEvaluator>(
+        mapper: Mapper,
+        space: &Mapspace,
+        evaluator: &E,
+        shards: usize,
+    ) {
+        let seq = mapper
+            .search_sharded_counted(space, evaluator, 1)
+            .0
+            .unwrap();
+        let par = mapper
+            .search_sharded_counted(space, evaluator, shards)
+            .0
+            .unwrap();
+        let label = format!("shards={shards} {mapper:?}");
+        assert_eq!(par.objective.to_bits(), seq.objective.to_bits(), "{label}");
+        assert_eq!(par.mapping, seq.mapping, "{label}");
+        assert_eq!(par.stats, seq.stats, "{label}");
+    }
+
+    #[test]
     fn par_search_matches_sequential_exhaustive() {
         let space = setup();
         let objective = |m: &Mapping| toy_objective(m);
-        let seq = Mapper::Exhaustive { limit: 100_000 }
-            .search_pruned(&space, &objective)
-            .unwrap();
-        for threads in [2, 3, 8] {
-            let par = Mapper::Exhaustive { limit: 100_000 }
-                .par_search(&space, &objective, Some(threads))
-                .unwrap();
-            assert_eq!(par.objective, seq.objective, "threads={threads}");
-            assert_eq!(par.mapping, seq.mapping, "threads={threads}");
-            assert_eq!(par.stats, seq.stats, "threads={threads}");
+        for shards in [2, 3, 8] {
+            assert_par_matches_sequential(
+                Mapper::Exhaustive { limit: 100_000 },
+                &space,
+                &objective,
+                shards,
+            );
         }
     }
 
@@ -1119,50 +966,24 @@ mod tests {
                 sampling: SampleStrategy::Uniform,
             },
         ] {
-            let seq = mapper.search_pruned(&space, &objective).unwrap();
-            let par = mapper.par_search(&space, &objective, Some(4)).unwrap();
-            assert_eq!(par.objective, seq.objective);
-            assert_eq!(par.mapping, seq.mapping);
+            assert_par_matches_sequential(mapper, &space, &objective, 4);
         }
     }
 
     #[test]
     fn par_search_with_pruning_evaluator() {
         let space = setup();
-        let seq = Mapper::Exhaustive { limit: 50_000 }
-            .search_pruned(&space, &EvenPruner)
-            .unwrap();
-        let par = Mapper::Exhaustive { limit: 50_000 }
-            .par_search(&space, &EvenPruner, Some(4))
-            .unwrap();
-        assert_eq!(par.objective, seq.objective);
-        assert_eq!(par.mapping, seq.mapping);
-        assert_eq!(par.stats, seq.stats);
+        assert_par_matches_sequential(Mapper::Exhaustive { limit: 50_000 }, &space, &EvenPruner, 4);
     }
 
     #[test]
-    fn nan_objectives_counted_invalid_and_deterministic() {
+    fn par_search_all_invalid_returns_none() {
         let space = setup();
-        // poison the optimum with NaN: it must be rejected, not win
-        let nan_obj = |m: &Mapping| {
-            let inner: u64 = m.nests()[1].iter().map(|l| l.bound).product();
-            if inner == 512 {
-                Some(f64::NAN)
-            } else {
-                Some(1.0 / inner as f64)
-            }
-        };
-        let seq = Mapper::Exhaustive { limit: 100_000 }
-            .search(&space, nan_obj)
-            .unwrap();
-        assert!(seq.stats.invalid > 0, "NaN candidates count as invalid");
-        assert!(!seq.objective.is_nan());
-        let par = Mapper::Exhaustive { limit: 100_000 }
-            .par_search(&space, &nan_obj, Some(4))
-            .unwrap();
-        assert_eq!(par.objective, seq.objective);
-        assert_eq!(par.mapping, seq.mapping);
-        assert_eq!(par.stats, seq.stats);
+        let reject = |_: &Mapping| -> Option<f64> { None };
+        assert!(Mapper::Exhaustive { limit: 10 }
+            .search_sharded_counted(&space, &reject, 4)
+            .0
+            .is_none());
     }
 
     #[test]
@@ -1172,19 +993,8 @@ mod tests {
         // limits both above and *below* the space size: the census must
         // reproduce the exact global cutoff
         for limit in [7, 100, 100_000] {
-            let mapper = Mapper::Exhaustive { limit };
-            let (seq, seq_stats) = mapper.search_pruned_counted(&space, &objective);
-            for shards in [1, 2, 3, 7] {
-                let (got, stats) = mapper.search_sharded_counted(&space, &objective, shards);
-                match (&got, &seq) {
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.objective, b.objective, "shards={shards} limit={limit}");
-                        assert_eq!(a.mapping, b.mapping, "shards={shards} limit={limit}");
-                    }
-                    (None, None) => {}
-                    other => panic!("sharded/sequential disagree: {other:?}"),
-                }
-                assert_eq!(stats, seq_stats, "shards={shards} limit={limit}");
+            for shards in [1, 2, 3, 7, 8] {
+                assert_matches_reference(Mapper::Exhaustive { limit }, &space, &objective, shards);
             }
         }
     }
@@ -1211,13 +1021,8 @@ mod tests {
                 seed: 9,
             },
         ] {
-            let (seq, seq_stats) = mapper.search_pruned_counted(&space, &objective);
             for shards in [1, 2, 3] {
-                let (got, stats) = mapper.search_sharded_counted(&space, &objective, shards);
-                let (a, b) = (got.unwrap(), seq.clone().unwrap());
-                assert_eq!(a.objective, b.objective, "shards={shards} {mapper:?}");
-                assert_eq!(a.mapping, b.mapping, "shards={shards} {mapper:?}");
-                assert_eq!(stats, seq_stats, "shards={shards} {mapper:?}");
+                assert_matches_reference(mapper, &space, &objective, shards);
             }
         }
     }
@@ -1225,26 +1030,103 @@ mod tests {
     #[test]
     fn search_sharded_with_pruning_evaluator() {
         let space = setup();
-        let seq = Mapper::Exhaustive { limit: 50_000 }
-            .search_pruned(&space, &EvenPruner)
-            .unwrap();
-        let sharded = Mapper::Exhaustive { limit: 50_000 }
-            .search_sharded(&space, &EvenPruner, 4)
-            .unwrap();
-        assert_eq!(sharded.objective, seq.objective);
-        assert_eq!(sharded.mapping, seq.mapping);
-        assert_eq!(sharded.stats, seq.stats);
+        for mapper in [
+            Mapper::Exhaustive { limit: 50_000 },
+            Mapper::Hybrid {
+                enumerate: 40,
+                samples: 60,
+                seed: 7,
+                sampling: SampleStrategy::Uniform,
+            },
+        ] {
+            for shards in [1, 2, 3, 4] {
+                assert_matches_reference(mapper, &space, &EvenPruner, shards);
+            }
+        }
     }
 
     #[test]
     fn search_sharded_all_invalid_returns_none_with_stats() {
         let space = setup();
         let reject = |_: &Mapping| -> Option<f64> { None };
-        let (result, stats) =
-            Mapper::Exhaustive { limit: 10 }.search_sharded_counted(&space, &reject, 3);
-        assert!(result.is_none());
-        assert_eq!(stats.generated, 10);
-        assert_eq!(stats.invalid, 10);
+        for mapper in [
+            Mapper::Exhaustive { limit: 10 },
+            Mapper::Random {
+                samples: 10,
+                seed: 3,
+            },
+        ] {
+            for shards in [1, 2, 3] {
+                let (result, stats) = mapper.search_sharded_counted(&space, &reject, shards);
+                assert!(result.is_none(), "shards={shards} {mapper:?}");
+                assert_eq!(stats.generated, 10, "shards={shards} {mapper:?}");
+                assert_eq!(stats.invalid, 10, "shards={shards} {mapper:?}");
+            }
+        }
+    }
+
+    /// Counts the workers a search opens.
+    struct CountingWorkers(AtomicUsize);
+
+    impl CandidateEvaluator for CountingWorkers {
+        fn evaluate(&self, m: &Mapping) -> Option<f64> {
+            toy_objective(m)
+        }
+
+        fn worker(&self) -> Box<dyn WorkerEvaluator + '_> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Box::new(StatelessWorker(self))
+        }
+    }
+
+    #[test]
+    fn each_walk_opens_one_worker() {
+        // one worker per walked shard: an unsharded hybrid search keeps
+        // its sample tail on the prefix's worker, a sharded one puts it
+        // on shard 0's, and a random search never fans out
+        let space = setup();
+        let hybrid = Mapper::Hybrid {
+            enumerate: 40,
+            samples: 60,
+            seed: 7,
+            sampling: SampleStrategy::Uniform,
+        };
+        let random = Mapper::Random {
+            samples: 200,
+            seed: 9,
+        };
+        for (mapper, shards, workers) in [(hybrid, 1, 1), (hybrid, 3, 3), (random, 3, 1)] {
+            let counter = CountingWorkers(AtomicUsize::new(0));
+            let (result, stats) = mapper.search_sharded_counted(&space, &counter, shards);
+            assert!(result.is_some());
+            assert!(stats.generated > 40, "{mapper:?}: the sample tail ran");
+            assert_eq!(
+                counter.0.into_inner(),
+                workers,
+                "workers opened at {shards} shards by {mapper:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn random_stream_belongs_to_shard_zero() {
+        // one seeded sequence, nothing to shard: shard 0 walks it whole,
+        // every other shard is empty
+        let space = setup();
+        let objective = |m: &Mapping| toy_objective(m);
+        let mapper = Mapper::Random {
+            samples: 50,
+            seed: 4,
+        };
+        let (whole, whole_stats) = mapper.search_sharded_counted(&space, &objective, 1);
+        let (first, first_stats) = mapper.search_shard_counted(&space, &objective, 0, 3);
+        assert_eq!(first_stats, whole_stats);
+        assert_eq!(first.unwrap().2, whole.unwrap().mapping);
+        for shard in [1, 2] {
+            let (rest, stats) = mapper.search_shard_counted(&space, &objective, shard, 3);
+            assert!(rest.is_none());
+            assert_eq!(stats, SearchStats::default());
+        }
     }
 
     #[test]
@@ -1323,12 +1205,12 @@ mod tests {
     #[test]
     fn per_shard_merge_with_pruning_evaluator() {
         let space = setup();
-        let whole = Mapper::Exhaustive { limit: 50_000 }
-            .search_sharded(&space, &EvenPruner, 4)
+        let mapper = Mapper::Exhaustive { limit: 50_000 };
+        let whole = mapper
+            .search_sharded_counted(&space, &EvenPruner, 4)
+            .0
             .unwrap();
-        let parts = (0..4).map(|k| {
-            Mapper::Exhaustive { limit: 50_000 }.search_shard_counted(&space, &EvenPruner, k, 4)
-        });
+        let parts = (0..4).map(|k| mapper.search_shard_counted(&space, &EvenPruner, k, 4));
         let merged = merge_shard_results(parts).0.unwrap();
         assert_eq!(merged.objective, whole.objective);
         assert_eq!(merged.mapping, whole.mapping);
@@ -1385,14 +1267,5 @@ mod tests {
         assert_eq!(a.objective.to_bits(), b.objective.to_bits());
         assert_eq!(a.mapping, b.mapping);
         assert_eq!(stats, whole_stats);
-    }
-
-    #[test]
-    fn par_search_all_invalid_returns_none() {
-        let space = setup();
-        let reject = |_: &Mapping| -> Option<f64> { None };
-        assert!(Mapper::Exhaustive { limit: 10 }
-            .par_search(&space, &reject, Some(4))
-            .is_none());
     }
 }

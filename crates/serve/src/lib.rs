@@ -48,7 +48,7 @@
 //! speak a dependency-free length-prefixed frame protocol over
 //! stdin/stdout ([`protocol`]): the parent dispatches spec text plus a
 //! shard assignment, workers stream heartbeats and shard winners back,
-//! and the parent merges exactly like in-process `search_sharded` —
+//! and the parent merges exactly like the in-process sharded search —
 //! bit-identical results under *any* kill schedule. Worker death
 //! (stream EOF or heartbeat silence) triggers re-dispatch of the
 //! orphaned shard with exponential backoff; deterministic failures are

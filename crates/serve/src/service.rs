@@ -29,8 +29,8 @@ pub struct ServeConfig {
     /// beyond it (backpressure).
     pub queue_capacity: usize,
     /// Shard count for search jobs
-    /// ([`EvalSession::search_batch_sharded`]); results are bit-identical
-    /// at any value.
+    /// ([`EvalSession::search_batch_sharded_with`]); results are
+    /// bit-identical at any value.
     pub shards: usize,
     /// Recycle the shared session once its intern maps hold at least
     /// this many slots (density models + format slots). `None`: never
@@ -1505,9 +1505,8 @@ mod tests {
         else {
             unreachable!()
         };
-        let (mapping, eval, stats) = model
-            .search_parallel_with_stats(&space, mapper, objective, Some(2))
-            .unwrap();
+        let (winner, stats) = model.search_sharded_counted(&space, mapper, objective, 1);
+        let (mapping, eval) = winner.unwrap();
         assert_eq!(outcome.mapping, mapping);
         assert_eq!(outcome.eval.edp, eval.edp);
         assert_eq!(outcome.eval.cycles, eval.cycles);
@@ -2183,7 +2182,7 @@ mod tests {
             EvalService::start_with_fleet(ServeConfig::default().with_workers(2), pool.clone());
         let want = {
             let scenario = sparseloop_spec::compile_str(&text).unwrap().into_scenario();
-            scenario_reply(scenario.run_sharded(&EvalSession::new(), shards))
+            scenario_reply(scenario.run(&EvalSession::new(), Some(shards)))
         };
         for round in 0..3 {
             let got = service

@@ -8,7 +8,7 @@
 //! does. Because the per-shard walk is the *same code path*
 //! (`Model::search_shard_counted`) on both sides of the process
 //! boundary, the merged reply is bit-identical to
-//! [`Scenario::run_sharded`] — and stays bit-identical under any
+//! [`Scenario::run`] — and stays bit-identical under any
 //! worker-failure schedule, because a lost shard is simply recomputed.
 //!
 //! Supervision policy:
@@ -29,7 +29,7 @@
 //!   the whole request; expiry is [`HostError::DeadlineExceeded`].
 //! * **Graceful degradation behind a circuit breaker** — if workers
 //!   cannot spawn at all (bad binary path, fork limits), the request
-//!   runs in-process through [`Scenario::run_sharded`] instead of
+//!   runs in-process through [`Scenario::run`] instead of
 //!   failing; counted in [`HostStats::degraded`]. Consecutive spawn
 //!   failures or exhausted-retry worker losses trip a per-host
 //!   [`CircuitBreaker`]: while it is open, requests short-circuit to
@@ -603,7 +603,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
         // each request rediscovers through spawn attempts and backoff
         if !self.breaker.allow() {
             self.stats.degraded += 1;
-            let outcome = scenario.run_sharded(&self.session, n);
+            let outcome = scenario.run(&self.session, Some(n));
             return Ok(scenario_reply(outcome));
         }
         if self.breaker.state() == BreakerState::HalfOpen {
@@ -619,7 +619,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                     self.stats.breaker_trips += 1;
                 }
                 self.stats.degraded += 1;
-                let outcome = scenario.run_sharded(&self.session, n);
+                let outcome = scenario.run(&self.session, Some(n));
                 return Ok(scenario_reply(outcome));
             }
         }
@@ -1398,7 +1398,7 @@ mod tests {
 
     fn reference_reply(text: &str, shards: usize) -> ScenarioReply {
         let scenario = sparseloop_spec::compile_str(text).unwrap().into_scenario();
-        scenario_reply(scenario.run_sharded(&EvalSession::new(), shards))
+        scenario_reply(scenario.run(&EvalSession::new(), Some(shards)))
     }
 
     fn assert_bit_identical(got: &ScenarioReply, want: &ScenarioReply, tag: &str) {

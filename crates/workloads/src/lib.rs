@@ -8,7 +8,7 @@
 //! (Figs. 1/17). This crate provides those layer shapes as Einsums with
 //! per-layer density presets.
 //!
-//! **Substitution note (DESIGN.md §3):** pruned-checkpoint and activation
+//! **Substitution note:** pruned-checkpoint and activation
 //! sparsity data are not available offline; per-layer densities are
 //! drawn from published sparsity tables (ReLU activation density falling
 //! with depth, pruned-weight densities per pruning ratio) and are plainly

@@ -32,19 +32,18 @@ fn main() {
     assert!(!edps.is_empty(), "mapspace should contain valid mappings");
 
     // the production path: streaming candidates through the capacity
-    // precheck, fanned out over all cores, deterministically reduced
-    let (best, eval, stats) = model
-        .search_parallel_with_stats(
-            &space,
-            Mapper::Exhaustive { limit: 3000 },
-            Objective::Edp,
-            None,
-        )
-        .expect("search succeeds");
+    // precheck, split into 2 shards, deterministically reduced
+    let (winner, stats) = model.search_sharded_counted(
+        &space,
+        Mapper::Exhaustive { limit: 3000 },
+        Objective::Edp,
+        2,
+    );
+    let (best, eval) = winner.expect("search succeeds");
     let (seq_best, seq_eval) = model
         .search(&space, Mapper::Exhaustive { limit: 3000 }, Objective::Edp)
         .expect("search succeeds");
-    assert_eq!(best, seq_best, "parallel and sequential winners agree");
+    assert_eq!(best, seq_best, "sharded and sequential winners agree");
     assert_eq!(eval.edp, seq_eval.edp);
     println!("candidates generated : {}", stats.generated);
     println!("capacity-prechecked  : {} pruned", stats.pruned);

@@ -38,10 +38,10 @@ fn multi_layer_jobs() -> Vec<(Layer, EvalJob)> {
 #[test]
 fn search_batch_matches_per_layer_search_parallel_bit_identically() {
     let jobs: Vec<EvalJob> = multi_layer_jobs().into_iter().map(|(_, j)| j).collect();
-    // reference: standalone per-layer parallel searches
-    for threads in [2, 4] {
+    // reference: standalone per-layer sequential searches
+    for shards in [2, 4] {
         let session = EvalSession::new();
-        let batch = session.search_batch(&jobs, Some(threads));
+        let batch = session.search_batch(&jobs, Some(shards));
         for (job, outcome) in jobs.iter().zip(&batch) {
             let model = Model::new(job.workload.clone(), job.arch.clone(), job.safs.clone());
             let JobPlan::Search {
@@ -52,15 +52,14 @@ fn search_batch_matches_per_layer_search_parallel_bit_identically() {
             else {
                 unreachable!()
             };
-            let reference =
-                model.search_parallel_with_stats(space, *mapper, *objective, Some(threads));
+            let (reference, stats) = model.search_sharded_counted(space, *mapper, *objective, 1);
             match (outcome, reference) {
-                (Ok(got), Some((mapping, eval, stats))) => {
-                    assert_eq!(got.mapping, mapping, "threads={threads}");
-                    assert_eq!(got.eval.edp, eval.edp, "threads={threads}");
-                    assert_eq!(got.eval.cycles, eval.cycles, "threads={threads}");
-                    assert_eq!(got.eval.energy_pj, eval.energy_pj, "threads={threads}");
-                    assert_eq!(got.stats, stats, "threads={threads}");
+                (Ok(got), Some((mapping, eval))) => {
+                    assert_eq!(got.mapping, mapping, "shards={shards}");
+                    assert_eq!(got.eval.edp, eval.edp, "shards={shards}");
+                    assert_eq!(got.eval.cycles, eval.cycles, "shards={shards}");
+                    assert_eq!(got.eval.energy_pj, eval.energy_pj, "shards={shards}");
+                    assert_eq!(got.stats, stats, "shards={shards}");
                 }
                 (Err(_), None) => {}
                 other => panic!("batch/per-layer disagree on validity: {other:?}"),
@@ -84,7 +83,7 @@ fn session_shares_format_analyses_across_layers() {
         else {
             unreachable!()
         };
-        model.search_parallel_with_stats(space, *mapper, *objective, Some(2));
+        model.search_sharded_counted(space, *mapper, *objective, 2);
         standalone_misses += model.format_cache_stats().misses;
     }
     // session: layers 0 and 3 are statistically identical, and every
