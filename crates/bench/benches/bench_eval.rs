@@ -13,7 +13,7 @@
 //!   [`EvalScratch`] arena (`Model::evaluate_metric_with`): the
 //!   allocation-free hot path the mapper workers run (prefix caching
 //!   adds on top of this inside a search; it needs a candidate *stream*
-//!   and is measured by `bench_mapper` / `BENCH_mapper.json`);
+//!   and is measured by `bench_mapper` and slbench's `search_cold`);
 //! * `precheck` / `precheck_scratch` — the capacity pre-pass both ways.
 
 use criterion::{criterion_group, criterion_main, Criterion};

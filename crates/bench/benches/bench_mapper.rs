@@ -43,8 +43,7 @@ fn bench_mapper(c: &mut Criterion) {
 
     // capacity-constrained space: most candidates have tiles that cannot
     // fit, which is where the precheck pays off — exactly the regime real
-    // accelerator buffers put the mapper in (the shared scenario also
-    // backs the BENCH_mapper.json record, so the numbers line up)
+    // accelerator buffers put the mapper in
     let (model_big, space_big, mapper) = sparseloop_bench::tight_search_scenario();
 
     // baseline: full pipeline on every candidate (no precheck)

@@ -293,32 +293,6 @@ impl EvalSession {
         self.search_batch_sharded_with(jobs, shards.unwrap_or(1), None)
     }
 
-    /// Like [`search_batch`](EvalSession::search_batch), but every
-    /// candidate runs the full allocating pipeline — scratch arenas and
-    /// prefix-incremental caching disabled (see
-    /// [`Model::evaluator_from_scratch`]). Bit-identical outcomes by
-    /// contract; this reference mode exists for parity tests and the
-    /// before/after throughput rows in `BENCH_mapper.json`.
-    pub fn search_batch_from_scratch(
-        &self,
-        jobs: &[EvalJob],
-        shards: Option<usize>,
-    ) -> Vec<Result<JobOutcome, JobError>> {
-        let shards = shards.unwrap_or(1);
-        self.run_batch(
-            jobs,
-            &|model, space, mapper, objective| {
-                model.search_with(
-                    space,
-                    mapper,
-                    &model.evaluator_from_scratch(objective),
-                    shards,
-                )
-            },
-            None,
-        )
-    }
-
     /// [`search_batch`](EvalSession::search_batch) at `shards` shards,
     /// with a cancellation probe checked at each job seam — the batch's
     /// cancellation checkpoints. A probe returning `true` makes every
@@ -443,6 +417,33 @@ mod tests {
     use sparseloop_density::DensityModelSpec;
     use sparseloop_format::TensorFormat;
     use sparseloop_tensor::einsum::{Einsum, TensorId};
+
+    impl EvalSession {
+        /// Like [`search_batch`](EvalSession::search_batch), but every
+        /// candidate runs the full allocating pipeline — scratch arenas
+        /// and prefix-incremental caching disabled (see
+        /// [`Model::evaluator_from_scratch`]): the reference the
+        /// incremental batch must match bit for bit.
+        fn search_batch_from_scratch(
+            &self,
+            jobs: &[EvalJob],
+            shards: Option<usize>,
+        ) -> Vec<Result<JobOutcome, JobError>> {
+            let shards = shards.unwrap_or(1);
+            self.run_batch(
+                jobs,
+                &|model, space, mapper, objective| {
+                    model.search_with(
+                        space,
+                        mapper,
+                        &model.evaluator_from_scratch(objective),
+                        shards,
+                    )
+                },
+                None,
+            )
+        }
+    }
 
     fn arch() -> Architecture {
         ArchitectureBuilder::new("t")
