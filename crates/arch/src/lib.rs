@@ -9,10 +9,10 @@
 //! spatial instance count, and a technology class the energy backend maps
 //! to per-action energies.
 //!
-//! Specifications are plain serde-derive data structures, so the YAML
-//! interface the paper's artifact uses can be layered on without touching
-//! this crate (the current build uses inert offline serde stubs). The
-//! programmatic interface is the builder:
+//! Specifications are plain data structures; the YAML interface the
+//! paper's artifact uses lives in the `sparseloop-spec` front-end, which
+//! parses into and emits from these types. The programmatic interface is
+//! the builder:
 //!
 //! ```
 //! use sparseloop_arch::{ArchitectureBuilder, ComponentClass, ComputeSpec, StorageLevel};

@@ -1,16 +1,14 @@
 //! Architecture data structures, builder, and validation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a storage level within an [`Architecture`] (0 = outermost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LevelId(pub usize);
 
 /// Technology class of a storage component; the energy backend maps each
 /// class (plus attributes) to per-action energies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ComponentClass {
     /// Off-chip DRAM: unbounded capacity, expensive accesses.
     Dram,
@@ -22,29 +20,23 @@ pub enum ComponentClass {
 }
 
 /// One storage level of the hierarchy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageLevel {
     /// Human-readable name (e.g. `"BackingStorage"`, `"Buffer"`).
     pub name: String,
     /// Technology class for energy estimation.
-    #[serde(default)]
     pub class: ComponentClass,
     /// Data capacity in words; `None` = unbounded (typical for DRAM).
-    #[serde(default)]
     pub capacity_words: Option<u64>,
     /// Word width in bits.
-    #[serde(default = "default_word_bits")]
     pub word_bits: u32,
     /// Read+write bandwidth in words per cycle *per instance*;
     /// `None` = unbounded.
-    #[serde(default)]
     pub bandwidth_words_per_cycle: Option<f64>,
     /// Number of spatial instances of this level.
-    #[serde(default = "default_instances")]
     pub instances: u64,
     /// Optional dedicated metadata capacity in bits (on top of
     /// `capacity_words`); `None` means metadata shares the data capacity.
-    #[serde(default)]
     pub metadata_capacity_bits: Option<u64>,
 }
 
@@ -109,15 +101,13 @@ impl StorageLevel {
 }
 
 /// The compute (innermost) level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeSpec {
     /// Name, e.g. `"MAC"`.
     pub name: String,
     /// Number of parallel compute units.
-    #[serde(default = "default_instances")]
     pub instances: u64,
     /// Operand width in bits.
-    #[serde(default = "default_word_bits")]
     pub datawidth: u32,
 }
 
@@ -172,7 +162,7 @@ impl fmt::Display for ArchitectureError {
 impl std::error::Error for ArchitectureError {}
 
 /// A complete accelerator architecture: storage hierarchy plus compute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Architecture {
     /// Design name.
     pub name: String,
@@ -405,9 +395,8 @@ mod tests {
 
     #[test]
     fn clone_roundtrip() {
-        // serde derives are inert offline stubs; structural equality over
-        // a clone stands in for the YAML roundtrip until the real serde
-        // stack is wired in.
+        // the YAML roundtrip is covered by sparseloop-spec's tests; here
+        // a clone must compare structurally equal.
         let a = two_level();
         let b = a.clone();
         assert_eq!(a, b);

@@ -14,14 +14,12 @@
 //! leader-follower or double-sided intersections; at compute
 //! ([`ComputeSaf`]) it acts on operand zero checks.
 
-use serde::{Deserialize, Serialize};
 use sparseloop_format::TensorFormat;
 use sparseloop_tensor::einsum::TensorId;
 
 /// Whether an elimination saves energy only (gate) or energy and cycles
 /// (skip).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActionOpt {
     /// Idle through the cycle: saves energy, not time.
     Gate,
@@ -30,7 +28,7 @@ pub enum ActionOpt {
 }
 
 /// A representation format applied to one tensor at one storage level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FormatSaf {
     /// Storage level index (0 = outermost).
     pub level: usize,
@@ -48,7 +46,7 @@ pub struct FormatSaf {
 /// A double-sided intersection `A ↔ B` is expressed as the pair
 /// `{target: A, leaders: [B]}` and `{target: B, leaders: [A]}`
 /// (paper §5.3.4: `B ↔ A = B ← A + A ← B`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntersectionSaf {
     /// Storage level whose accesses are gated/skipped.
     pub level: usize,
@@ -65,14 +63,14 @@ pub struct IntersectionSaf {
 /// Gating/skipping applied directly at the compute units: leftover
 /// ineffectual computes (operands delivered but at least one is zero) are
 /// gated or skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComputeSaf {
     /// Gate or skip the leftover ineffectual computes.
     pub action: ActionOpt,
 }
 
 /// The full SAF specification of a design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SafSpec {
     /// Per-(level, tensor) representation formats; tensors without an
     /// entry at a level are stored uncompressed there.

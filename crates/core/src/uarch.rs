@@ -13,12 +13,11 @@
 //!   multiplied by the fine-grained action counts.
 
 use crate::sparse::SparseTraffic;
-use serde::{Deserialize, Serialize};
 use sparseloop_arch::Architecture;
 use sparseloop_energy::EnergyTable;
 
 /// How capacity validity treats statistical occupancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CapacityMode {
     /// Tiles must fit in expectation (the paper's default: mappings are
     /// sized for the average case).

@@ -1,7 +1,6 @@
-//! The [`DensityModel`] trait and serde-facing model specification.
+//! The [`DensityModel`] trait and the declarative model specification.
 
 use crate::key::DensityKey;
-use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -115,11 +114,11 @@ pub trait DensityModelExt: DensityModel {
 
 impl<T: DensityModel + ?Sized> DensityModelExt for T {}
 
-/// Serializable specification of a density model, instantiated against a
+/// Declarative specification of a density model, instantiated against a
 /// concrete tensor shape. This mirrors the YAML workload inputs in the
-/// paper's Fig. 6 (`density: 0.25, distribution: uniform`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "distribution", rename_all = "snake_case")]
+/// paper's Fig. 6 (`density: 0.25, distribution: uniform`), which the
+/// `sparseloop-spec` front-end parses into and emits from this type.
+#[derive(Debug, Clone, PartialEq)]
 pub enum DensityModelSpec {
     /// Fully dense tensor (density 1.0); modeled as uniform.
     Dense,

@@ -1,6 +1,5 @@
 //! Per-action energy tables for storage and compute components.
 
-use serde::{Deserialize, Serialize};
 use sparseloop_arch::{ComponentClass, ComputeSpec, StorageLevel};
 
 /// Fraction of a full access's energy consumed by a *gated* action.
@@ -20,7 +19,7 @@ const SRAM_REF_BYTES: f64 = 100.0 * 1024.0;
 const DRAM_PJ: f64 = 200.0;
 
 /// Per-action energies (picojoules) for one storage level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActionEnergy {
     /// Energy of one data-word read.
     pub read: f64,
@@ -43,7 +42,7 @@ impl ActionEnergy {
 }
 
 /// Per-action energies (picojoules) for the compute level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeEnergy {
     /// One effectual MAC.
     pub mac: f64,
@@ -66,7 +65,7 @@ pub struct ComputeEnergy {
 ///     .with_class(ComponentClass::RegFile).with_capacity(16));
 /// assert!(dram.read > 100.0 * rf.read); // DRAM ≫ register file
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyTable {
     /// Scaling applied to every energy (1.0 = 45 nm reference ratios).
     pub technology_scale: f64,

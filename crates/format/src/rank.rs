@@ -1,7 +1,5 @@
 //! Per-rank (per-dimension) representation formats.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of bits needed to index `n` distinct coordinates.
 pub(crate) fn coord_bits_for(n: u64) -> u32 {
     if n <= 1 {
@@ -16,8 +14,7 @@ pub(crate) fn coord_bits_for(n: u64) -> u32 {
 /// Each variant defines how one fibertree rank encodes which of its
 /// coordinates are non-empty, and therefore how much metadata the rank
 /// carries and whether empty positions are pruned from lower ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RankFormat {
     /// `U` — all coordinates stored explicitly (zeros included); no
     /// metadata, no pruning.

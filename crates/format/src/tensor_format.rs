@@ -9,13 +9,12 @@
 //! capacity validity check.
 
 use crate::rank::RankFormat;
-use serde::{Deserialize, Serialize};
 use sparseloop_density::DensityModel;
 use std::fmt;
 
 /// One level of a hierarchical format: a per-rank format applied to one
 /// or more flattened tensor ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FormatLevel {
     /// The per-rank format for this fibertree level.
     pub format: RankFormat,
@@ -75,7 +74,7 @@ impl FormatOverhead {
 /// assert_eq!(TensorFormat::coo(2).to_string(), "CP^2");
 /// assert_eq!(TensorFormat::csf(3).to_string(), "CP-CP-CP");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TensorFormat {
     levels: Vec<FormatLevel>,
 }

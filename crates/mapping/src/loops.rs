@@ -1,13 +1,12 @@
 //! Loop nests: the mapping data structure and its validation.
 
-use serde::{Deserialize, Serialize};
 use sparseloop_arch::Architecture;
 use sparseloop_tensor::einsum::{DimId, Einsum, TensorId};
 use std::fmt;
 use std::sync::Arc;
 
 /// Whether a loop iterates in time or across spatial instances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoopKind {
     /// `for` — consecutive time steps.
     Temporal,
@@ -16,7 +15,7 @@ pub enum LoopKind {
 }
 
 /// One loop of the nest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Loop {
     /// The iteration dimension this loop tiles.
     pub dim: DimId,
@@ -146,7 +145,7 @@ impl std::error::Error for MappingError {}
 /// the parallel search's serialized stream section).
 ///
 /// [`Mapspace`]: crate::Mapspace
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping {
     nests: Vec<Vec<Loop>>,
     keep: Arc<Vec<Vec<bool>>>,

@@ -10,7 +10,6 @@
 
 use crate::loops::{Loop, Mapping};
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
 use sparseloop_arch::Architecture;
 use sparseloop_tensor::einsum::{DimId, Einsum, TensorId};
 use std::sync::Arc;
@@ -271,7 +270,7 @@ impl FactorizationStream {
 
 /// One loop *slot* of a mapspace: a level plus position where a dimension
 /// may receive a tiling factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     level: usize,
     dim: DimId,
@@ -354,7 +353,7 @@ fn change_depth(slots: &[Slot], prev: &[u64], cur: &[u64]) -> ChangeDepth {
 }
 
 /// A constrained space of mappings for one workload on one architecture.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mapspace {
     num_levels: usize,
     num_tensors: usize,

@@ -3,7 +3,7 @@
 //!
 //! The multi-process serving front ships search-shard winners between a
 //! parent supervisor and its worker processes over a length-prefixed
-//! frame protocol. The workspace's `serde` is a no-op marker stub, so
+//! frame protocol. The workspace has no serialization dependency, so
 //! the wire format is written by hand: a little-endian, self-describing
 //! byte stream with explicit length prefixes and no alignment
 //! requirements. [`WireWriter`] appends primitives to a growable
@@ -47,6 +47,11 @@ pub enum WireError {
     },
     /// A string payload was not valid UTF-8.
     BadUtf8,
+    /// Decoded parts of one value contradict each other.
+    Inconsistent {
+        /// What was being decoded.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -58,6 +63,7 @@ impl fmt::Display for WireError {
                 write!(f, "oversized wire length {len} in {what}")
             }
             WireError::BadUtf8 => write!(f, "wire string is not valid UTF-8"),
+            WireError::Inconsistent { what } => write!(f, "inconsistent wire value in {what}"),
         }
     }
 }
@@ -183,6 +189,17 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
     }
 
+    /// Reads an element count for a sequence that follows; each element
+    /// takes at least one byte, so a count above the bytes left is a
+    /// truncation (and never drives a huge pre-allocation).
+    pub fn get_count(&mut self, what: &'static str) -> Result<usize, WireError> {
+        let n = self.get_len(what)?;
+        if n > self.remaining() {
+            return Err(WireError::Truncated { what });
+        }
+        Ok(n)
+    }
+
     /// Reads a `u64` length prefix, sanity-bounded.
     pub fn get_len(&mut self, what: &'static str) -> Result<usize, WireError> {
         let len = self.get_u64(what)?;
@@ -242,10 +259,10 @@ pub fn encode_mapping(w: &mut WireWriter, mapping: &Mapping) {
 
 /// Decodes a mapping encoded by [`encode_mapping`].
 pub fn decode_mapping(r: &mut WireReader<'_>) -> Result<Mapping, WireError> {
-    let levels = r.get_len("mapping.nests")?;
+    let levels = r.get_count("mapping.nests")?;
     let mut nests = Vec::with_capacity(levels);
     for _ in 0..levels {
-        let loops = r.get_len("mapping.nest")?;
+        let loops = r.get_count("mapping.nest")?;
         let mut nest = Vec::with_capacity(loops);
         for _ in 0..loops {
             let dim = DimId(r.get_len("loop.dim")?);
@@ -264,10 +281,15 @@ pub fn decode_mapping(r: &mut WireReader<'_>) -> Result<Mapping, WireError> {
         }
         nests.push(nest);
     }
-    let rows = r.get_len("mapping.keep")?;
+    let rows = r.get_count("mapping.keep")?;
+    if rows != levels {
+        return Err(WireError::Inconsistent {
+            what: "mapping.keep",
+        });
+    }
     let mut keep = Vec::with_capacity(rows);
     for _ in 0..rows {
-        let cols = r.get_len("mapping.keep_row")?;
+        let cols = r.get_count("mapping.keep_row")?;
         let mut row = Vec::with_capacity(cols);
         for _ in 0..cols {
             row.push(r.get_bool("mapping.keep_bit")?);

@@ -309,14 +309,9 @@ where
                         }
                         Frame::TaskDone { id, results }
                     }
-                    Ok(Err(message)) => Frame::TaskFailed {
-                        id,
-                        deterministic: true,
-                        message,
-                    },
+                    Ok(Err(message)) => Frame::TaskFailed { id, message },
                     Err(p) => Frame::TaskFailed {
                         id,
-                        deterministic: true,
                         message: panic_message(p),
                     },
                 };
@@ -448,21 +443,43 @@ pub trait WorkerSpawner {
     ) -> io::Result<Box<dyn WorkerHandle>>;
 }
 
+/// Forwards a worker's output frames onto `events` from a thread of its
+/// own, until the stream ends. The worker's first frame must be a
+/// [`Frame::Hello`] at this build's [`PROTOCOL_VERSION`]: a worker that
+/// opens with anything else is reported as exited, with the reason,
+/// and nothing more of its output is read.
 fn forward_events<R: Read + Send + 'static>(
     mut reader: R,
     slot: u32,
     epoch: u64,
     events: mpsc::Sender<WorkerEvent>,
 ) {
-    std::thread::spawn(move || loop {
-        let kind = match read_frame(&mut reader) {
-            Ok(frame) => EventKind::Frame(frame),
-            Err(ProtocolError::Eof) => EventKind::Exited(None),
-            Err(e) => EventKind::Exited(Some(e.to_string())),
-        };
-        let done = matches!(kind, EventKind::Exited(_));
-        if events.send(WorkerEvent { slot, epoch, kind }).is_err() || done {
-            return;
+    std::thread::spawn(move || {
+        let mut greeted = false;
+        loop {
+            let kind = match read_frame(&mut reader) {
+                Ok(frame) if greeted => EventKind::Frame(frame),
+                Ok(
+                    hello @ Frame::Hello {
+                        version: PROTOCOL_VERSION,
+                    },
+                ) => {
+                    greeted = true;
+                    EventKind::Frame(hello)
+                }
+                Ok(Frame::Hello { version }) => EventKind::Exited(Some(format!(
+                    "worker speaks protocol v{version}, parent v{PROTOCOL_VERSION}"
+                ))),
+                Ok(_) => {
+                    EventKind::Exited(Some("worker sent a frame before its Hello".to_string()))
+                }
+                Err(ProtocolError::Eof) => EventKind::Exited(None),
+                Err(e) => EventKind::Exited(Some(e.to_string())),
+            };
+            let done = matches!(kind, EventKind::Exited(_));
+            if events.send(WorkerEvent { slot, epoch, kind }).is_err() || done {
+                return;
+            }
         }
     });
 }
@@ -676,11 +693,7 @@ mod tests {
         let _ = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         handle.send(&task(3, 0, BAD_SPEC)).unwrap();
         match rx.recv_timeout(Duration::from_secs(5)).unwrap().kind {
-            EventKind::Frame(Frame::TaskFailed {
-                id: 3,
-                deterministic: true,
-                ..
-            }) => {}
+            EventKind::Frame(Frame::TaskFailed { id: 3, .. }) => {}
             other => panic!("expected deterministic failure, got {other:?}"),
         }
         handle.kill();
@@ -791,5 +804,58 @@ mod tests {
             other => panic!("frame between TaskDone and the pong fence: {other:?}"),
         }
         handle.kill();
+    }
+
+    /// Runs `forward_events` over `frames` written back to back and
+    /// collects every event it sends until it hangs up.
+    fn forwarded(frames: &[Frame]) -> Vec<EventKind> {
+        let mut bytes = Vec::new();
+        for f in frames {
+            write_frame(&mut bytes, f).unwrap();
+        }
+        let (tx, rx) = mpsc::channel();
+        forward_events(io::Cursor::new(bytes), 0, 1, tx);
+        let mut kinds = Vec::new();
+        while let Ok(ev) = rx.recv_timeout(Duration::from_secs(5)) {
+            kinds.push(ev.kind);
+        }
+        kinds
+    }
+
+    #[test]
+    fn parent_refuses_a_worker_without_a_matching_hello() {
+        let done = Frame::TaskDone {
+            id: 4,
+            results: vec![ExpResult::Skipped],
+        };
+        let stale = PROTOCOL_VERSION - 1;
+        match forwarded(&[Frame::Hello { version: stale }, done.clone()]).as_slice() {
+            [EventKind::Exited(Some(why))] => {
+                assert!(
+                    why.contains(&format!("v{stale}"))
+                        && why.contains(&format!("v{PROTOCOL_VERSION}")),
+                    "message must name both versions: {why}"
+                );
+            }
+            other => panic!("expected one refusal, got {other:?}"),
+        }
+        match forwarded(std::slice::from_ref(&done)).as_slice() {
+            [EventKind::Exited(Some(_))] => {}
+            other => panic!("expected a refusal without Hello, got {other:?}"),
+        }
+
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        let stream = [hello, Frame::Heartbeat { id: 4, seq: 1 }, done];
+        let kinds = forwarded(&stream);
+        assert_eq!(kinds.len(), stream.len() + 1, "{kinds:?}");
+        for (kind, sent) in kinds.iter().zip(&stream) {
+            match kind {
+                EventKind::Frame(got) => assert_eq!(got, sent),
+                other => panic!("expected {sent:?}, got {other:?}"),
+            }
+        }
+        assert!(matches!(kinds.last(), Some(EventKind::Exited(None))));
     }
 }

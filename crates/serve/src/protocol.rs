@@ -31,30 +31,14 @@ use sparseloop_mapping::{CandidateKey, Mapping, SearchStats, WireError, WireRead
 use std::fmt;
 use std::io::{Read, Write};
 
-/// Protocol revision.
+/// Protocol revision, announced in the worker's [`Frame::Hello`].
 ///
-/// Version history:
-/// - v1: Hello/Task/Heartbeat/TaskDone/TaskFailed/Shutdown.
-/// - v2: [`Frame::Task`] gains a trailing `want_stats` flag and workers
-///   may reply with a [`Frame::Stats`] phase-timing frame before
-///   `TaskDone`. Both directions stay compatible with v1 peers: a v1
-///   worker ignores the trailing Task byte (payload decoding tolerates
-///   trailing bytes) and never sees `want_stats` honored; a v1 parent
-///   never sets `want_stats`, so a v2 worker never sends the `Stats`
-///   frame it could not decode.
-/// - v2 (health frames): [`Frame::Ping`] / [`Frame::Pong`] let a pool
-///   supervisor probe idle workers between tasks. New tags, not new
-///   fields, so the version number is unchanged; only pool-managed
-///   parents send `Ping`, and a worker that answered `Hello` with v2+
-///   is guaranteed to answer `Pong`.
-/// - v3: [`Frame::Task`] and [`Frame::Stats`] gain a trailing trace
-///   context (`trace_request`, `trace_parent`) so worker-side phase
-///   timings anchor under the originating service request's dispatch
-///   span. Same trailing-bytes trick as the v1→v2 bump: a v2 decoder
-///   stops after `want_stats` (Task) or `evaluated` (Stats) and ignores
-///   the extra 16 bytes; a v3 decoder reads zeros (= untraced) from a
-///   v2 peer's shorter payload.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// A parent and its workers are always one build, so there is exactly
+/// one layout per frame and [`decode_payload`] accepts nothing else: a
+/// payload that ends early or carries bytes past its last field is an
+/// error. The parent refuses a worker whose first frame is not a
+/// `Hello` with this version (see [`crate::proc`]).
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Frame magic: "SLF1" little-endian.
 pub const FRAME_MAGIC: u32 = 0x3146_4C53;
@@ -110,17 +94,14 @@ pub enum Frame {
         /// The scenario as spec text (compiled worker-side).
         spec: String,
         /// Ask the worker for a [`Frame::Stats`] phase-timing frame
-        /// before its `TaskDone`. Encoded as a trailing byte so v1
-        /// workers (which ignore trailing payload bytes) still decode
-        /// the task; absent on the wire means `false`.
+        /// before its `TaskDone`.
         want_stats: bool,
-        /// Originating service request id (v3 trailing field; 0 =
-        /// untraced / pre-v3 peer). Echoed into the worker's
-        /// [`Frame::Stats`] so cross-process spans join one request
-        /// tree.
+        /// Originating service request id (0 = untraced). Echoed into
+        /// the worker's [`Frame::Stats`] so cross-process spans join
+        /// one request tree.
         trace_request: u64,
-        /// Span id of the dispatch span this task runs under (v3
-        /// trailing field; 0 = root). Worker phase spans parent here.
+        /// Span id of the dispatch span this task runs under (0 =
+        /// root). Worker phase spans parent here.
         trace_parent: u64,
     },
     /// Worker → parent: liveness signal while a task computes.
@@ -138,22 +119,19 @@ pub enum Frame {
         /// scenario's experiment list.
         results: Vec<ExpResult>,
     },
-    /// Worker → parent: the task failed *deterministically* (spec
-    /// compile error, evaluation panic) — re-running it would fail the
-    /// same way, so the supervisor must not retry.
+    /// Worker → parent: the task failed (spec compile error, evaluation
+    /// panic). Every such failure is deterministic — re-running the task
+    /// would fail the same way — so the supervisor never retries it; a
+    /// worker that dies instead sends nothing and is retried as a death.
     TaskFailed {
         /// The failed task.
         id: u64,
-        /// Whether a retry is pointless (always `true` from this
-        /// worker; the field exists so the protocol can express
-        /// transient failures).
-        deterministic: bool,
         /// Human-readable cause.
         message: String,
     },
     /// Worker → parent: phase timings for a task, sent immediately
     /// before the corresponding [`Frame::TaskDone`] — and only when the
-    /// task asked for it via `want_stats` (v2+). Durations are in the
+    /// task asked for it via `want_stats`. Durations are in the
     /// worker's own clock domain, so only their magnitudes are
     /// meaningful to the parent.
     Stats {
@@ -169,11 +147,11 @@ pub enum Frame {
         generated: u64,
         /// Candidates fully evaluated across the task's experiments.
         evaluated: u64,
-        /// Originating service request id, echoed from the task's
-        /// trailing trace context (v3; 0 = untraced).
+        /// Originating service request id, echoed from the task (0 =
+        /// untraced).
         trace_request: u64,
         /// Dispatch span id the phase spans parent under, echoed from
-        /// the task (v3; 0 = root).
+        /// the task (0 = root).
         trace_parent: u64,
     },
     /// Parent → worker: exit cleanly.
@@ -213,6 +191,8 @@ pub enum ProtocolError {
     UnknownTag(u8),
     /// The payload body failed to decode.
     Wire(WireError),
+    /// The payload held this many bytes past the end of its frame.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for ProtocolError {
@@ -230,6 +210,7 @@ impl fmt::Display for ProtocolError {
             ProtocolError::TooLarge(n) => write!(f, "frame length {n} exceeds limit"),
             ProtocolError::UnknownTag(t) => write!(f, "unknown frame tag {t}"),
             ProtocolError::Wire(e) => write!(f, "frame body: {e}"),
+            ProtocolError::TrailingBytes(n) => write!(f, "{n} bytes past the end of the frame"),
         }
     }
 }
@@ -323,10 +304,7 @@ pub fn encode_payload(frame: &Frame) -> Vec<u8> {
             w.put_u32(*shards);
             w.put_u32(*heartbeat_ms);
             w.put_str(spec);
-            // v2 trailing field: v1 decoders stop at the spec and ignore
-            // this byte, so the frame stays backward compatible.
             w.put_bool(*want_stats);
-            // v3 trailing trace context: v2 decoders stop at want_stats.
             w.put_u64(*trace_request);
             w.put_u64(*trace_parent);
         }
@@ -343,14 +321,9 @@ pub fn encode_payload(frame: &Frame) -> Vec<u8> {
                 encode_exp_result(&mut w, r);
             }
         }
-        Frame::TaskFailed {
-            id,
-            deterministic,
-            message,
-        } => {
+        Frame::TaskFailed { id, message } => {
             w.put_u8(5);
             w.put_u64(*id);
-            w.put_bool(*deterministic);
             w.put_str(message);
         }
         Frame::Stats {
@@ -370,7 +343,6 @@ pub fn encode_payload(frame: &Frame) -> Vec<u8> {
             w.put_u64(*search_nanos);
             w.put_u64(*generated);
             w.put_u64(*evaluated);
-            // v3 trailing trace context: v2 decoders stop at evaluated.
             w.put_u64(*trace_request);
             w.put_u64(*trace_parent);
         }
@@ -387,7 +359,8 @@ pub fn encode_payload(frame: &Frame) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a frame payload (tag + body) produced by [`encode_payload`].
+/// Decodes a frame payload (tag + body) produced by [`encode_payload`];
+/// the payload must hold exactly one frame, nothing more.
 pub fn decode_payload(bytes: &[u8]) -> Result<Frame, ProtocolError> {
     let mut r = WireReader::new(bytes);
     let frame = match r.get_u8("frame.tag")? {
@@ -400,25 +373,9 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Frame, ProtocolError> {
             shards: r.get_u32("task.shards")?,
             heartbeat_ms: r.get_u32("task.heartbeat_ms")?,
             spec: r.get_str("task.spec")?,
-            // A v1 peer's Task ends at the spec; treat the missing
-            // trailing flag as `false`.
-            want_stats: if r.is_done() {
-                false
-            } else {
-                r.get_bool("task.want_stats")?
-            },
-            // A v2 peer's Task ends at want_stats; missing trace
-            // context means "untraced".
-            trace_request: if r.is_done() {
-                0
-            } else {
-                r.get_u64("task.trace_request")?
-            },
-            trace_parent: if r.is_done() {
-                0
-            } else {
-                r.get_u64("task.trace_parent")?
-            },
+            want_stats: r.get_bool("task.want_stats")?,
+            trace_request: r.get_u64("task.trace_request")?,
+            trace_parent: r.get_u64("task.trace_parent")?,
         },
         3 => Frame::Heartbeat {
             id: r.get_u64("hb.id")?,
@@ -426,7 +383,7 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Frame, ProtocolError> {
         },
         4 => {
             let id = r.get_u64("done.id")?;
-            let n = r.get_len("done.count")?;
+            let n = r.get_count("done.count")?;
             let mut results = Vec::with_capacity(n);
             for _ in 0..n {
                 results.push(decode_exp_result(&mut r)?);
@@ -435,7 +392,6 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Frame, ProtocolError> {
         }
         5 => Frame::TaskFailed {
             id: r.get_u64("failed.id")?,
-            deterministic: r.get_bool("failed.deterministic")?,
             message: r.get_str("failed.message")?,
         },
         6 => Frame::Shutdown,
@@ -446,17 +402,8 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Frame, ProtocolError> {
             search_nanos: r.get_u64("stats.search_nanos")?,
             generated: r.get_u64("stats.generated")?,
             evaluated: r.get_u64("stats.evaluated")?,
-            // v2 peers end the frame at `evaluated`.
-            trace_request: if r.is_done() {
-                0
-            } else {
-                r.get_u64("stats.trace_request")?
-            },
-            trace_parent: if r.is_done() {
-                0
-            } else {
-                r.get_u64("stats.trace_parent")?
-            },
+            trace_request: r.get_u64("stats.trace_request")?,
+            trace_parent: r.get_u64("stats.trace_parent")?,
         },
         8 => Frame::Ping {
             seq: r.get_u64("ping.seq")?,
@@ -466,6 +413,9 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Frame, ProtocolError> {
         },
         tag => return Err(ProtocolError::UnknownTag(tag)),
     };
+    if !r.is_done() {
+        return Err(ProtocolError::TrailingBytes(r.remaining()));
+    }
     Ok(frame)
 }
 
@@ -591,7 +541,6 @@ mod tests {
             },
             Frame::TaskFailed {
                 id: 42,
-                deterministic: true,
                 message: "spec:2:3: unknown key".into(),
             },
             Frame::Shutdown,
@@ -615,33 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_task_without_trailing_flag_still_decodes() {
-        // Hand-encode a Task exactly as a v1 parent would: no trailing
-        // want_stats byte after the spec string.
-        let mut w = WireWriter::new();
-        w.put_u8(2);
-        w.put_u64(9);
-        w.put_u32(0);
-        w.put_u32(2);
-        w.put_u32(15);
-        w.put_str("scenario:\n  name: old\n");
-        let frame = decode_payload(&w.into_bytes()).unwrap();
-        assert_eq!(
-            frame,
-            Frame::Task {
-                id: 9,
-                shard: 0,
-                shards: 2,
-                heartbeat_ms: 15,
-                spec: "scenario:\n  name: old\n".into(),
-                want_stats: false,
-                trace_request: 0,
-                trace_parent: 0,
-            }
-        );
-    }
-
-    #[test]
     fn v2_task_round_trips_want_stats() {
         for want_stats in [false, true] {
             let frame = Frame::Task {
@@ -657,110 +579,6 @@ mod tests {
             let got = decode_payload(&encode_payload(&frame)).unwrap();
             assert_eq!(got, frame);
         }
-    }
-
-    #[test]
-    fn v2_task_without_trace_context_decodes_as_untraced() {
-        // Hand-encode a Task exactly as a v2 parent would: want_stats
-        // present, no trailing trace context.
-        let mut w = WireWriter::new();
-        w.put_u8(2);
-        w.put_u64(9);
-        w.put_u32(1);
-        w.put_u32(4);
-        w.put_u32(25);
-        w.put_str("scenario:\n  name: v2\n");
-        w.put_bool(true);
-        let frame = decode_payload(&w.into_bytes()).unwrap();
-        assert_eq!(
-            frame,
-            Frame::Task {
-                id: 9,
-                shard: 1,
-                shards: 4,
-                heartbeat_ms: 25,
-                spec: "scenario:\n  name: v2\n".into(),
-                want_stats: true,
-                trace_request: 0,
-                trace_parent: 0,
-            }
-        );
-    }
-
-    #[test]
-    fn v2_stats_without_trace_context_decodes_as_untraced() {
-        let mut w = WireWriter::new();
-        w.put_u8(7);
-        w.put_u64(5);
-        w.put_u32(2);
-        w.put_u64(10);
-        w.put_u64(20);
-        w.put_u64(30);
-        w.put_u64(40);
-        let frame = decode_payload(&w.into_bytes()).unwrap();
-        assert_eq!(
-            frame,
-            Frame::Stats {
-                id: 5,
-                shard: 2,
-                compile_nanos: 10,
-                search_nanos: 20,
-                generated: 30,
-                evaluated: 40,
-                trace_request: 0,
-                trace_parent: 0,
-            }
-        );
-    }
-
-    #[test]
-    fn v2_decoders_tolerate_v3_trailing_trace_context() {
-        // Replay the *old* (v2) decoding logic over v3-encoded bytes:
-        // it stops before the trailing trace context and must still
-        // recover every v2 field — the same guarantee the v1→v2 bump
-        // relied on, extended one version forward.
-        let task = Frame::Task {
-            id: 77,
-            shard: 3,
-            shards: 8,
-            heartbeat_ms: 40,
-            spec: "scenario:\n  name: fwd\n".into(),
-            want_stats: true,
-            trace_request: 123,
-            trace_parent: 456,
-        };
-        let bytes = encode_payload(&task);
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_u8("frame.tag").unwrap(), 2);
-        assert_eq!(r.get_u64("task.id").unwrap(), 77);
-        assert_eq!(r.get_u32("task.shard").unwrap(), 3);
-        assert_eq!(r.get_u32("task.shards").unwrap(), 8);
-        assert_eq!(r.get_u32("task.heartbeat_ms").unwrap(), 40);
-        assert_eq!(r.get_str("task.spec").unwrap(), "scenario:\n  name: fwd\n");
-        assert!(r.get_bool("task.want_stats").unwrap());
-        // A v2 decoder stops here; 16 trailing bytes remain unread.
-        assert!(!r.is_done(), "v3 trace context rides behind want_stats");
-
-        let stats = Frame::Stats {
-            id: 77,
-            shard: 3,
-            compile_nanos: 1,
-            search_nanos: 2,
-            generated: 3,
-            evaluated: 4,
-            trace_request: 123,
-            trace_parent: 456,
-        };
-        let bytes = encode_payload(&stats);
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_u8("frame.tag").unwrap(), 7);
-        assert_eq!(r.get_u64("stats.id").unwrap(), 77);
-        assert_eq!(r.get_u32("stats.shard").unwrap(), 3);
-        assert_eq!(r.get_u64("stats.compile_nanos").unwrap(), 1);
-        assert_eq!(r.get_u64("stats.search_nanos").unwrap(), 2);
-        assert_eq!(r.get_u64("stats.generated").unwrap(), 3);
-        assert_eq!(r.get_u64("stats.evaluated").unwrap(), 4);
-        assert!(!r.is_done(), "v3 trace context rides behind evaluated");
     }
 
     #[test]
@@ -818,8 +636,8 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn winner_results_cross_bit_identically() {
+    /// A `TaskDone` carrying a real winning mapping.
+    fn winner_frame() -> Frame {
         use sparseloop_arch::{ArchitectureBuilder, ComputeSpec, StorageLevel};
         use sparseloop_tensor::einsum::Einsum;
         let e = Einsum::matmul(4, 4, 4);
@@ -832,7 +650,7 @@ mod tests {
         let mapping = sparseloop_mapping::Mapspace::all_temporal(&e, &a)
             .enumerate(1)
             .remove(0);
-        let frame = Frame::TaskDone {
+        Frame::TaskDone {
             id: 9,
             results: vec![ExpResult::Winner {
                 value: f64::from_bits(0x3FF0_0000_0000_0001),
@@ -845,7 +663,12 @@ mod tests {
                 },
                 mapping,
             }],
-        };
+        }
+    }
+
+    #[test]
+    fn winner_results_cross_bit_identically() {
+        let frame = winner_frame();
         let mut buf = Vec::new();
         write_frame(&mut buf, &frame).unwrap();
         let got = read_frame(&mut std::io::Cursor::new(buf)).unwrap();
@@ -859,6 +682,57 @@ mod tests {
                 assert_eq!(va.to_bits(), vb.to_bits());
             } else {
                 panic!("expected winners");
+            }
+        }
+    }
+
+    #[test]
+    fn decoder_is_exact_and_never_panics() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let decodes_without_panic = |bytes: &[u8]| {
+            let outcome = std::panic::catch_unwind(|| decode_payload(bytes).is_ok());
+            assert!(outcome.is_ok(), "decoder panicked on {bytes:?}");
+        };
+        let mut frames = sample_frames();
+        frames.push(winner_frame());
+        let payloads: Vec<Vec<u8>> = frames.iter().map(encode_payload).collect();
+        for (frame, payload) in frames.iter().zip(&payloads) {
+            assert_eq!(&decode_payload(payload).unwrap(), frame);
+            for cut in 0..payload.len() {
+                assert!(
+                    decode_payload(&payload[..cut]).is_err(),
+                    "{frame:?}: a {cut}-byte prefix decoded"
+                );
+            }
+            let mut longer = payload.clone();
+            longer.push(0);
+            assert!(
+                matches!(
+                    decode_payload(&longer),
+                    Err(ProtocolError::TrailingBytes(1))
+                ),
+                "{frame:?}: a trailing byte was accepted"
+            );
+        }
+
+        let mut rng = StdRng::seed_from_u64(0x5EED_F8A3);
+        for _ in 0..10_000 {
+            // mostly known tags, so the bodies get decoded too
+            let len = rng.gen_range(1..96usize);
+            let mut bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..256u32) as u8).collect();
+            bytes[0] = rng.gen_range(0..12u32) as u8;
+            decodes_without_panic(&bytes);
+        }
+        // every byte of every valid payload nudged by ±1 (off-by-one
+        // counts and lengths) and by one random amount
+        for payload in &payloads {
+            for at in 0..payload.len() {
+                for delta in [1, 255, rng.gen_range(1..256u32) as u8] {
+                    let mut bytes = payload.clone();
+                    bytes[at] = bytes[at].wrapping_add(delta);
+                    decodes_without_panic(&bytes);
+                }
             }
         }
     }

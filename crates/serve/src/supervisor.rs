@@ -23,8 +23,8 @@
 //!   [`HostError::WorkerLost`].
 //! * **No retry of deterministic failures** — a spec that does not
 //!   compile ([`HostError::InvalidSpec`]) or a task the worker reports
-//!   as deterministically failed ([`HostError::TaskFailed`]) fails the
-//!   request immediately; re-running it would fail identically.
+//!   failed ([`HostError::TaskFailed`]) fails the request immediately;
+//!   re-running it would fail identically.
 //! * **Per-request deadline** — [`HostConfig::request_deadline`] bounds
 //!   the whole request; expiry is [`HostError::DeadlineExceeded`].
 //! * **Graceful degradation behind a circuit breaker** — if workers
@@ -775,51 +775,20 @@ impl<S: WorkerSpawner> ShardHost<S> {
                                 } if id == task_id => {
                                     self.slots[slot].as_mut().expect("epoch-checked").busy_nanos =
                                         compile_nanos.saturating_add(search_nanos);
-                                    // v3 workers echo the trace context
-                                    // the task carried; a v2 worker's
-                                    // zeros fall back to this request.
-                                    let rid = if trace_request != 0 {
-                                        trace_request
-                                    } else {
-                                        trace.map_or(0, |(r, _)| r)
-                                    };
                                     self.observe_worker_stats(
-                                        rid,
+                                        trace_request,
                                         trace_parent,
                                         shard,
                                         (compile_nanos, search_nanos),
                                         (generated, evaluated),
                                     );
                                 }
-                                Frame::TaskFailed {
-                                    id,
-                                    deterministic,
-                                    message,
-                                } if id == task_id => {
-                                    if deterministic {
-                                        return Err(HostError::TaskFailed { message });
-                                    }
-                                    self.drop_slot(slot);
-                                    if !is_hedge && shard_results[shard].is_none() {
-                                        self.retire_attempt(
-                                            shard,
-                                            &mut attempts,
-                                            message,
-                                            deadline,
-                                        )?;
-                                        self.dispatch_shard(
-                                            shard,
-                                            task_id,
-                                            text,
-                                            &mut attempts,
-                                            deadline,
-                                            trace,
-                                        )?;
-                                    }
-                                    continue;
+                                Frame::TaskFailed { id, message } if id == task_id => {
+                                    return Err(HostError::TaskFailed { message });
                                 }
-                                // Hello, Heartbeat, frames for old tasks:
-                                // liveness only
+                                // Hello (version-checked by the event
+                                // forwarder), Heartbeat, frames for old
+                                // tasks: liveness only
                                 _ => {}
                             }
                             if kill_due {

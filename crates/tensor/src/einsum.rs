@@ -10,19 +10,18 @@
 //! terms, the same way Timeloop does.
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of an iteration dimension within an [`Einsum`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DimId(pub usize);
 
 /// Index of a tensor within an [`Einsum`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TensorId(pub usize);
 
 /// A named iteration dimension with its bound.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dim {
     /// Human-readable dimension name (e.g. `"m"`, `"k"`, `"p"`).
     pub name: String,
@@ -31,7 +30,7 @@ pub struct Dim {
 }
 
 /// Whether a tensor is read (operand) or written (result).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TensorKind {
     /// Read-only operand tensor.
     Input,
@@ -40,7 +39,7 @@ pub enum TensorKind {
 }
 
 /// One term of a linear rank projection: `coef * dim`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProjectionTerm {
     /// The contributing iteration dimension.
     pub dim: DimId,
@@ -51,7 +50,7 @@ pub struct ProjectionTerm {
 /// A tensor rank's coordinate as a sum of projection terms.
 ///
 /// Rank coordinate = `Σ term.coef * iteration_value(term.dim)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankProjection {
     /// Terms summed to produce the rank coordinate.
     pub terms: Vec<ProjectionTerm>,
@@ -115,7 +114,7 @@ impl RankProjection {
 
 /// A tensor participating in an Einsum: name, kind, and per-rank
 /// projections from the iteration space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TensorSpec {
     /// Tensor name (e.g. `"A"`, `"Weights"`).
     pub name: String,
@@ -144,7 +143,7 @@ impl TensorSpec {
 /// assert_eq!(e.tensor(z).kind, TensorKind::Output);
 /// assert_eq!(e.tensor_shape(z), vec![4, 8]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Einsum {
     name: String,
     dims: Vec<Dim>,

@@ -11,10 +11,9 @@
 
 use crate::point::Point;
 use crate::sparse::SparseTensor;
-use serde::{Deserialize, Serialize};
 
 /// Payload of a fiber element: either a sub-fiber or a leaf value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// An intermediate rank's payload: a fiber of the next-lower rank.
     Fiber(Fiber),
@@ -24,7 +23,7 @@ pub enum Payload {
 
 /// One fiber: the non-empty coordinates of a single row/column/... at some
 /// rank, with their payloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fiber {
     /// The dense extent of this fiber (how many coordinates it *could*
     /// hold). Needed by format models (e.g. bitmask length).
@@ -97,7 +96,7 @@ impl Fiber {
 /// assert_eq!(ft.nnz(), 3);
 /// assert_eq!(ft.fibers_at_rank(1).len(), 2); // two non-empty rows
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FiberTree {
     rank_names: Vec<String>,
     root: Fiber,

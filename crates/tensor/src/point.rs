@@ -4,7 +4,6 @@
 //! [`Shape`] bounds that space. Both are thin wrappers over `Vec<u64>` that
 //! keep rank-count invariants explicit at API boundaries.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single coordinate value along one rank.
@@ -19,7 +18,7 @@ pub type Coord = u64;
 /// assert_eq!(s.volume(), 32);
 /// assert_eq!(s.rank(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<u64>);
 
 impl Shape {
@@ -132,7 +131,7 @@ impl fmt::Display for Shape {
 /// assert_eq!(s.linearize(&p), 11);
 /// assert_eq!(s.delinearize(11), p);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Point(Vec<Coord>);
 
 impl Point {

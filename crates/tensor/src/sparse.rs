@@ -8,7 +8,6 @@
 //! n:m, and banded.
 
 use crate::point::{Point, Shape};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A sparse tensor holding its actual nonzero values.
@@ -28,7 +27,7 @@ use std::collections::HashMap;
 /// assert_eq!(t.get(&Point::new(vec![1, 1])), None);
 /// assert!((t.density() - 0.25).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseTensor {
     shape: Shape,
     /// Sorted linearized indices of nonzeros.
