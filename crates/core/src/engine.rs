@@ -3,7 +3,7 @@
 
 use crate::dataflow::{self, DenseTraffic};
 use crate::saf::SafSpec;
-use crate::scratch::{compose, Depth, EvalScratch, LevelCheck, PooledScratch, PrecheckScratch};
+use crate::scratch::{compose, Depth, EvalScratch, LevelCheck, PrecheckScratch, SCRATCH_POOL};
 use crate::sparse::{self, SparseTraffic};
 use crate::uarch::{self, CapacityMode, UarchReport};
 use crate::workload::Workload;
@@ -635,7 +635,8 @@ impl Model {
 ///
 /// The stateless `precheck` / `evaluate` pair runs the full pipeline per
 /// call; the [`worker`](CandidateEvaluator::worker) override hands each
-/// search worker a [`ModelWorker`] with a pooled [`EvalScratch`] arena —
+/// search walk a [`ModelWorker`] holding one [`EvalScratch`] arena,
+/// checked out of the process-wide pool for the walk's lifetime —
 /// allocation-free, prefix-incremental, and bit-identical by contract
 /// (property-tested in `tests/prop_model.rs`).
 #[derive(Debug, Clone, Copy)]
@@ -660,7 +661,7 @@ impl CandidateEvaluator for ModelEvaluator<'_> {
         Box::new(ModelWorker {
             model: self.model,
             objective: self.objective,
-            scratch: PooledScratch::acquire(),
+            scratch: SCRATCH_POOL.checkout(),
             depth_pre: None,
             depth_eval: None,
             just_prechecked: false,
@@ -668,7 +669,7 @@ impl CandidateEvaluator for ModelEvaluator<'_> {
     }
 }
 
-/// The per-worker incremental evaluator behind [`ModelEvaluator`]: one
+/// The per-walk incremental evaluator behind [`ModelEvaluator`]: one
 /// pooled [`EvalScratch`] arena plus the composed divergence of that
 /// arena's caches from the candidate stream.
 ///
@@ -682,7 +683,7 @@ impl CandidateEvaluator for ModelEvaluator<'_> {
 struct ModelWorker<'a> {
     model: &'a Model,
     objective: Objective,
-    scratch: PooledScratch,
+    scratch: EvalScratch,
     /// Divergence of the precheck cache from the current candidate.
     depth_pre: Depth,
     /// Divergence of the dense-traffic cache from the current candidate.
@@ -690,6 +691,12 @@ struct ModelWorker<'a> {
     /// Whether the immediately preceding call was `precheck` (whose
     /// depth composition already covered the current candidate).
     just_prechecked: bool,
+}
+
+impl Drop for ModelWorker<'_> {
+    fn drop(&mut self) {
+        SCRATCH_POOL.checkin(std::mem::take(&mut self.scratch));
+    }
 }
 
 impl WorkerEvaluator for ModelWorker<'_> {

@@ -6,9 +6,11 @@
 //! allocated fresh vectors, hash maps and strings for every candidate.
 //! [`EvalScratch`] bundles every buffer those stages need — per-level
 //! capacity checks, the dense traffic table, sparse trackers, the uarch
-//! report — so a worker thread allocates once and reuses the arena for
-//! every candidate it evaluates (and, via the per-thread pool, across
-//! consecutive searches and serving requests on the same worker).
+//! report — so a search walk allocates once and reuses the arena for
+//! every candidate it evaluates. Walks check their arena out of one
+//! process-wide pool and return it when they end, so grown buffers also
+//! carry over to later searches and serving requests, whichever thread
+//! runs them.
 //!
 //! On top of plain buffer reuse, the precheck and dataflow stages are
 //! *prefix-incremental*: the enumeration streams report each candidate's
@@ -36,8 +38,7 @@
 use crate::dataflow::DenseScratch;
 use crate::sparse::SparseScratch;
 use crate::uarch::UarchReport;
-use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Cached capacity verdict of one storage level (see
 /// [`Model::precheck`](crate::Model::precheck)): whether the level's
@@ -103,60 +104,44 @@ pub(crate) fn compose(a: Depth, b: Depth) -> Depth {
     }
 }
 
-/// Per-thread free list of evaluation arenas.
+/// Most arenas a [`ScratchPool`] keeps parked between walks: it bounds
+/// the idle arenas left by the widest burst of concurrent walks, not how
+/// many walks may run.
+const POOL_CAP: usize = 16;
+
+/// A free list of evaluation arenas.
 ///
-/// Search workers run on the persistent `rayon` pool (and the serving
-/// layer's long-lived worker threads), so parking a finished worker's
-/// arena in a thread-local lets the *next* search or request on the same
-/// OS thread reuse the grown buffers — worker-held scratch across
-/// requests with no API plumbing. Only buffers are reused; every cached
-/// value is invalidated by the acquiring worker (its depth state starts
-/// at "unknown", forcing a full recompute on first use).
-const POOL_CAP: usize = 4;
+/// Each search walk checks one arena out for its lifetime and checks it
+/// back in when it ends, so the *next* walk — another search, another
+/// serving request, on any thread — reuses the grown buffers. Only
+/// buffers are reused; every cached value is invalidated by the
+/// acquiring worker (its depth state starts at "unknown", forcing a full
+/// recompute on first use).
+#[derive(Debug, Default)]
+pub(crate) struct ScratchPool(Mutex<Vec<EvalScratch>>);
 
-thread_local! {
-    static SCRATCH_POOL: RefCell<Vec<EvalScratch>> = const { RefCell::new(Vec::new()) };
-}
+/// The process-wide pool every `ModelEvaluator` worker draws from.
+pub(crate) static SCRATCH_POOL: ScratchPool = ScratchPool(Mutex::new(Vec::new()));
 
-/// An [`EvalScratch`] checked out of the thread-local pool; returns its
-/// buffers to the pool on drop.
-#[derive(Debug)]
-pub(crate) struct PooledScratch(Option<EvalScratch>);
-
-impl PooledScratch {
-    /// Checks an arena out of this thread's pool (or creates one).
-    pub(crate) fn acquire() -> Self {
-        let scratch = SCRATCH_POOL
-            .with(|pool| pool.borrow_mut().pop())
-            .unwrap_or_default();
-        PooledScratch(Some(scratch))
+impl ScratchPool {
+    /// Checks an arena out of the pool (or creates one).
+    pub(crate) fn checkout(&self) -> EvalScratch {
+        self.parked().pop().unwrap_or_default()
     }
-}
 
-impl Deref for PooledScratch {
-    type Target = EvalScratch;
-
-    fn deref(&self) -> &EvalScratch {
-        self.0.as_ref().expect("scratch present until drop")
-    }
-}
-
-impl DerefMut for PooledScratch {
-    fn deref_mut(&mut self) -> &mut EvalScratch {
-        self.0.as_mut().expect("scratch present until drop")
-    }
-}
-
-impl Drop for PooledScratch {
-    fn drop(&mut self) {
-        if let Some(scratch) = self.0.take() {
-            SCRATCH_POOL.with(|pool| {
-                let mut pool = pool.borrow_mut();
-                if pool.len() < POOL_CAP {
-                    pool.push(scratch);
-                }
-            });
+    /// Parks `scratch` for the next walk (dropped when the pool is full).
+    /// Never panics, so a worker's `Drop` may call it while unwinding.
+    pub(crate) fn checkin(&self, scratch: EvalScratch) {
+        let mut parked = self.parked();
+        if parked.len() < POOL_CAP {
+            parked.push(scratch);
         }
+    }
+
+    fn parked(&self) -> MutexGuard<'_, Vec<EvalScratch>> {
+        // a lone push or pop leaves the list valid even if its holder
+        // panicked, so a poisoned lock is safe to recover
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -174,15 +159,19 @@ mod tests {
     }
 
     #[test]
-    fn pool_recycles_arenas_per_thread() {
-        // grow a buffer, drop the handle, re-acquire: the buffer's
-        // capacity survives the round trip
-        {
-            let mut s = PooledScratch::acquire();
-            s.validate_buf.reserve(1024);
-            debug_assert!(s.validate_buf.capacity() >= 1024);
-        }
-        let s = PooledScratch::acquire();
+    fn pool_recycles_arenas_across_threads() {
+        // an arena grown and checked in on one thread comes back, buffer
+        // capacity intact, to a walk on another: reuse follows the pool,
+        // not the thread
+        let pool = ScratchPool::default();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut grown = pool.checkout();
+                grown.validate_buf.reserve(1024);
+                pool.checkin(grown);
+            });
+        });
+        let s = pool.checkout();
         assert!(s.validate_buf.capacity() >= 1024, "arena was not pooled");
     }
 }

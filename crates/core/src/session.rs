@@ -22,9 +22,12 @@
 //! bit-identical winners and [`SearchStats`] to running
 //! [`Model::search_sharded_counted`] per layer; only the number of
 //! underlying analyses shrinks (observable via
-//! [`EvalSession::format_stats`]). Batch jobs and search shards run on
-//! the persistent `rayon` worker pool, so a batch of many small
-//! mapspaces does not pay a thread spawn/join round trip per layer.
+//! [`EvalSession::format_stats`]). A batch runs its jobs on up to one
+//! scoped thread per core (the caller included), each pulling the next
+//! job until none is left, so a batch of many small mapspaces pays one
+//! spawn per thread, not one per layer. A search job sharded `n` ways
+//! adds `n - 1` threads of its own, so a batch occupies at most
+//! `min(cores, jobs) × n` threads.
 
 use crate::engine::{EvalError, Evaluation, Model, Objective};
 use crate::saf::SafSpec;
@@ -35,7 +38,9 @@ use sparseloop_density::{DensityKey, DensityModel, MemoStats, Memoized};
 use sparseloop_format::TensorFormat;
 use sparseloop_mapping::{Mapper, Mapping, Mapspace, SearchStats};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// How one [`EvalJob`] picks its mapping.
 #[derive(Debug, Clone)]
@@ -273,7 +278,7 @@ impl EvalSession {
     /// Evaluates a whole batch — a multi-layer workload, a design sweep,
     /// or any mix — through the shared caches.
     ///
-    /// Jobs run concurrently on the persistent worker pool (so a batch
+    /// Jobs run concurrently on up to one thread per core (so a batch
     /// of fixed-mapping evaluations parallelizes too), and each search
     /// job runs the one search driver, [`Model::search_sharded_counted`],
     /// at `shards` shards; `None` gives each search one consumer — a
@@ -366,20 +371,35 @@ impl EvalSession {
                 }
             }
         };
-        if jobs.len() <= 1 {
-            return jobs.iter().map(run).collect();
-        }
-        let mut results: Vec<Option<Result<JobOutcome, JobError>>> =
-            jobs.iter().map(|_| None).collect();
-        rayon::scope(|s| {
-            let run = &run;
-            for (slot, job) in results.iter_mut().zip(jobs) {
-                s.spawn(move |_| *slot = Some(run(job)));
+        // min(cores, jobs) workers, the caller included, each pulling the
+        // next job index until the batch runs dry
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let next = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<_>> = jobs.iter().map(|_| OnceLock::new()).collect();
+        let drain = || loop {
+            // Relaxed: the counter only hands out indices; results are
+            // published through the OnceLocks and the scope's joins
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else { break };
+            // each index is pulled once, so its slot is still empty
+            let _ = slots[i].set(run(job));
+        };
+        std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..threads.min(jobs.len()))
+                .map(|_| s.spawn(drain))
+                .collect();
+            drain();
+            // join explicitly: the scope's implicit join would replace a
+            // job's panic payload with a generic message
+            for helper in helpers {
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload));
             }
         });
-        results
+        slots
             .into_iter()
-            .map(|r| r.expect("every batch job ran"))
+            .map(|slot| slot.into_inner().expect("every batch job ran"))
             .collect()
     }
 

@@ -34,6 +34,7 @@ use crate::mapspace::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
+use std::panic::resume_unwind;
 
 /// Statistics from one mapper run.
 ///
@@ -90,10 +91,10 @@ pub trait CandidateEvaluator: Sync {
     /// Full evaluation: the metric to minimize, or `None` when invalid.
     fn evaluate(&self, mapping: &Mapping) -> Option<f64>;
 
-    /// A per-worker stateful evaluator. The search loops create one
-    /// worker per thread (or shard) and feed it the candidate stream in
-    /// order together with each candidate's [`ChangeDepth`], so an
-    /// implementation can keep reusable scratch buffers and
+    /// A per-walk stateful evaluator. The search driver creates one
+    /// worker per walk (the whole stream, or one shard of it) and feeds
+    /// it that walk's candidates in order, each with its [`ChangeDepth`],
+    /// so an implementation can keep reusable scratch buffers and
     /// prefix-incremental caches across candidates — results must be
     /// bit-identical to the stateless [`precheck`] / [`evaluate`] pair.
     ///
@@ -275,7 +276,8 @@ impl Mapper {
 
     /// The search driver: walks the candidate stream in `shards`
     /// disjoint sub-streams ([`Mapspace::shards`]) evaluated
-    /// concurrently on the worker pool, and reduces the per-shard
+    /// concurrently — shard 0 on the calling thread, every other shard
+    /// on a scoped thread of its own — and reduces the per-shard
     /// winners by `(objective value, candidate position)`. The run's
     /// counters are returned even when no candidate evaluates
     /// successfully — an all-invalid stream was still walked, and
@@ -292,6 +294,9 @@ impl Mapper {
     /// against the full prefix exactly like the unsharded stream. A pure
     /// random strategy is one seeded sequence with nothing to shard and
     /// always runs sequentially.
+    ///
+    /// A panicking walk re-raises its own payload on the caller, after
+    /// every other shard has finished.
     pub fn search_sharded_counted<E: CandidateEvaluator + ?Sized>(
         &self,
         space: &Mapspace,
@@ -302,18 +307,20 @@ impl Mapper {
             let (best, stats) = self.walk_stream(space, &mut *evaluator.worker(), |i| i);
             return finish(best, stats);
         };
-        let mut parts: Vec<_> = (0..shards).map(|_| None).collect();
-        rayon::scope(|s| {
-            for ((k, own), part) in space
-                .shards(shards, limit)
+        let mut own = space.shards(shards, limit).into_iter();
+        let first = own.next().expect("at least two shards");
+        std::thread::scope(|s| {
+            let rest: Vec<_> = own
+                .map(|shard| s.spawn(move || self.walk_shard(space, evaluator, shard, false)))
+                .collect();
+            let first = self.walk_shard(space, evaluator, first, true);
+            // join explicitly: the scope's implicit join would replace a
+            // shard's panic payload with a generic message
+            let rest = rest
                 .into_iter()
-                .enumerate()
-                .zip(&mut parts)
-            {
-                s.spawn(move |_| *part = Some(self.walk_shard(space, evaluator, own, k == 0)));
-            }
-        });
-        merge_shard_results(parts.into_iter().map(|p| p.expect("every shard ran")))
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)));
+            merge_shard_results(std::iter::once(first).chain(rest))
+        })
     }
 
     /// Evaluates **one** shard of the sharded search on this process,
@@ -1106,6 +1113,32 @@ mod tests {
                 "workers opened at {shards} shards by {mapper:?}"
             );
         }
+    }
+
+    #[test]
+    fn shard_panic_keeps_its_payload() {
+        // a walk on a spawned shard thread panics: the caller sees that
+        // walk's own payload, not the scope's generic rethrow
+        let space = setup();
+        let mapper = Mapper::Exhaustive { limit: 100_000 };
+        let (_, _, target) = space.shards(3, 100_000)[2]
+            .next_delta()
+            .expect("shard 2 owns a candidate");
+        let objective = |m: &Mapping| {
+            if *m == target {
+                panic!("boom in shard");
+            }
+            toy_objective(m)
+        };
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mapper.search_sharded_counted(&space, &objective, 3)
+        }))
+        .expect_err("the shard's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("boom in shard"));
     }
 
     #[test]

@@ -30,7 +30,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Shard count for search jobs
     /// ([`EvalSession::search_batch_sharded_with`]); results are
-    /// bit-identical at any value.
+    /// bit-identical at any value. Each queue worker's batch runs on up
+    /// to one thread per core and every search in it on `shards`
+    /// threads, so a value above 1 multiplies the service's threads.
     pub shards: usize,
     /// Recycle the shared session once its intern maps hold at least
     /// this many slots (density models + format slots). `None`: never

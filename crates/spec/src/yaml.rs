@@ -984,4 +984,58 @@ mod tests {
     fn error_on_empty_document() {
         assert!(parse_document("# nothing\n\n").is_err());
     }
+
+    #[test]
+    fn parser_never_panics_on_mutated_corpus() {
+        // seeded byte-level insert/delete/replace mutations of every
+        // example spec: each mutant parses or fails with a ParseError
+        // positioned inside the source, and never panics
+        const ALPHABET: &[u8] = b" \n\t#:-,[]{}\"'\\|>&*!%@`a1.\xff";
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .expect("example spec corpus")
+            .map(|entry| entry.expect("corpus entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "yaml"))
+            .collect();
+        paths.sort();
+        assert!(!paths.is_empty(), "no specs under {}", dir.display());
+        // splitmix64: a fixed seed gives the same mutants on every run
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
+        };
+        for path in &paths {
+            let original = std::fs::read(path).expect("readable spec");
+            for _ in 0..60 {
+                let mut bytes = original.clone();
+                for _ in 0..1 + next(8) {
+                    let at = next(bytes.len() + 1);
+                    let byte = ALPHABET[next(ALPHABET.len())];
+                    match next(3) {
+                        0 => bytes.insert(at, byte),
+                        1 if at < bytes.len() => drop(bytes.remove(at)),
+                        _ if at < bytes.len() => bytes[at] = byte,
+                        _ => bytes.push(byte),
+                    }
+                }
+                let source = String::from_utf8_lossy(&bytes);
+                let outcome = std::panic::catch_unwind(|| parse_document(&source));
+                let Ok(result) = outcome else {
+                    panic!("{} mutant panicked the parser:\n{source}", path.display());
+                };
+                if let Err(e) = result {
+                    let lines = source.lines().count() + 1;
+                    assert!(
+                        e.span.line >= 1 && e.span.line <= lines && e.span.col >= 1,
+                        "{} mutant: unpositioned error {e}",
+                        path.display()
+                    );
+                }
+            }
+        }
+    }
 }
