@@ -20,8 +20,8 @@ fn main() {
     // a FRESH session per scenario: each cell starts from cold caches,
     // so its timing does not depend on registry order (caches still
     // share across the scenario's own layers/candidates — that is the
-    // per-scenario metric; scenario_smoke demonstrates the
-    // one-shared-session mode).
+    // per-scenario metric; the smoke bin's scenario phase demonstrates
+    // the one-shared-session mode).
     // Sessions drop right after their run; only the counters are kept.
     let mut cache_totals = (0u64, 0u64);
     let outcomes: Vec<ScenarioOutcome> = registry

@@ -74,40 +74,6 @@ pub fn cphc(computes: f64, seconds: f64) -> f64 {
     computes / (seconds.max(1e-12) * NOMINAL_HOST_HZ)
 }
 
-/// Locates the `sparseloop-shard-worker` executable for the harness
-/// binaries that spawn real worker processes: `SPARSELOOP_WORKER_BIN`
-/// if set, otherwise the sibling of the current executable (cargo
-/// places every workspace binary in the same profile directory).
-/// `None` when neither exists — callers decide whether that skips the
-/// phase or fails the run.
-pub fn shard_worker_bin() -> Option<std::path::PathBuf> {
-    if let Ok(path) = std::env::var("SPARSELOOP_WORKER_BIN") {
-        return Some(std::path::PathBuf::from(path));
-    }
-    let sibling = std::env::current_exe()
-        .ok()?
-        .parent()?
-        .join("sparseloop-shard-worker");
-    sibling.exists().then_some(sibling)
-}
-
-/// Candidates drawn from the mapspace streams across a batch of job
-/// results — fruitless searches included (their streams were walked
-/// too), failed fixed-mapping evaluations excluded (nothing streamed).
-/// Feeds `serve_smoke`'s mappings/s column.
-pub fn results_generated(
-    results: &[Result<sparseloop_core::JobOutcome, sparseloop_core::JobError>],
-) -> usize {
-    results
-        .iter()
-        .map(|r| match r {
-            Ok(o) => o.stats.generated,
-            Err(sparseloop_core::JobError::NoValidCandidate { stats }) => stats.generated,
-            Err(sparseloop_core::JobError::Eval(_)) | Err(sparseloop_core::JobError::Canceled) => 0,
-        })
-        .sum()
-}
-
 /// Concrete random tensors matching a layer's statistical density specs
 /// (inputs drawn uniformly at the spec's nominal density, outputs
 /// empty), for driving the per-element reference simulator against the
@@ -156,29 +122,9 @@ pub fn tight_search_scenario() -> (Model, Mapspace, Mapper) {
     (model, space, Mapper::Exhaustive { limit: 4000 })
 }
 
-/// Parses `--metrics-snapshot <path>` out of the process arguments —
-/// the shared flag the serving harness binaries use to dump their final
-/// metrics snapshot as Prometheus-style text. `None` when absent; a
-/// missing path value fails the run (a silent no-op would be worse).
-pub fn metrics_snapshot_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--metrics-snapshot" {
-            match args.next() {
-                Some(path) => return Some(std::path::PathBuf::from(path)),
-                None => {
-                    eprintln!("--metrics-snapshot requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Writes a metrics snapshot as Prometheus-style text, failing the run
-/// on I/O errors (harness binaries treat an unwritable snapshot as a
-/// broken contract, not a warning).
+/// Writes a metrics snapshot as Prometheus-style text
+/// (`sparseloop stats --metrics-snapshot`), failing the run on I/O
+/// errors: an unwritable snapshot is a broken contract, not a warning.
 pub fn write_metrics_snapshot(path: &std::path::Path, snap: &sparseloop_obs::MetricsSnapshot) {
     if let Err(e) = std::fs::write(path, snap.render_text()) {
         eprintln!("failed to write metrics snapshot {}: {e}", path.display());

@@ -3,8 +3,8 @@
 //! `CARGO_BIN_EXE_*`, so cargo builds it before these tests run) is
 //! spawned under a [`ShardHost`] and must produce merged winners
 //! bit-identical to in-process `Scenario::run` — with and without
-//! injected faults. The full failure matrix lives in the `fault_smoke`
-//! binary; these tests keep the process boundary itself under tier-1
+//! injected faults. The full failure matrix is the `smoke` binary's
+//! `fault` phase; these tests keep the process boundary itself under tier-1
 //! coverage.
 
 use sparseloop_core::EvalSession;
@@ -12,8 +12,9 @@ use sparseloop_designs::{Experiment, Scenario};
 use sparseloop_mapping::Mapspace;
 use sparseloop_obs::ObsHub;
 use sparseloop_serve::{
-    scenario_reply, DiePoint, FaultPlan, FleetPool, FleetPoolConfig, HostConfig, HostError,
-    HostStats, ProcessSpawner, ScenarioReply, ShardHost, WorkerFault,
+    fleet_metrics_drift, reply_drift, scenario_reply, DiePoint, FaultPlan, FleetPool,
+    FleetPoolConfig, HostConfig, HostError, HostStats, ProcessSpawner, ScenarioReply, ShardHost,
+    WorkerFault,
 };
 use std::time::Duration;
 
@@ -39,29 +40,7 @@ fn reference_reply(text: &str, shards: usize) -> ScenarioReply {
 }
 
 fn assert_bit_identical(got: &ScenarioReply, want: &ScenarioReply, tag: &str) {
-    assert_eq!(got.labels, want.labels, "{tag}");
-    assert_eq!(got.results.len(), want.results.len(), "{tag}");
-    for ((label, got), want) in got.labels.iter().zip(&got.results).zip(&want.results) {
-        match (got, want) {
-            (Ok(g), Ok(w)) => {
-                assert_eq!(g.mapping, w.mapping, "{tag}/{label}");
-                assert_eq!(g.eval.edp.to_bits(), w.eval.edp.to_bits(), "{tag}/{label}");
-                assert_eq!(
-                    g.eval.cycles.to_bits(),
-                    w.eval.cycles.to_bits(),
-                    "{tag}/{label}"
-                );
-                assert_eq!(
-                    g.eval.energy_pj.to_bits(),
-                    w.eval.energy_pj.to_bits(),
-                    "{tag}/{label}"
-                );
-                assert_eq!(g.stats, w.stats, "{tag}/{label}");
-            }
-            (Err(g), Err(w)) => assert_eq!(g, w, "{tag}/{label}"),
-            (g, w) => panic!("{tag}/{label}: outcome kind mismatch: {g:?} vs {w:?}"),
-        }
-    }
+    assert_eq!(reply_drift(want, got), None, "{tag}");
 }
 
 fn config(shards: usize) -> HostConfig {
@@ -78,73 +57,16 @@ fn config(shards: usize) -> HostConfig {
 /// summed stats; `breaker_code` additionally pins the breaker-state
 /// gauge when the caller knows it (single host).
 fn assert_metrics_reconcile(stats: &HostStats, breaker_code: Option<u64>, hub: &ObsHub, tag: &str) {
-    type Check<'a> = (&'a str, &'a [(&'a str, &'a str)], u64);
     let snap = hub.snapshot();
-    let counter =
-        |name: &str, labels: &[(&str, &str)]| snap.value(name, labels).unwrap_or(0) as u64;
-    let checks: [Check; 14] = [
-        ("sparseloop_fleet_requests_total", &[], stats.requests),
-        ("sparseloop_fleet_spawns_total", &[], stats.spawns),
-        ("sparseloop_fleet_restarts_total", &[], stats.restarts),
-        (
-            "sparseloop_fleet_redispatches_total",
-            &[],
-            stats.redispatches,
-        ),
-        (
-            "sparseloop_fleet_deaths_total",
-            &[("cause", "eof")],
-            stats.deaths_eof,
-        ),
-        (
-            "sparseloop_fleet_deaths_total",
-            &[("cause", "heartbeat_timeout")],
-            stats.deaths_heartbeat_timeout,
-        ),
-        (
-            "sparseloop_fleet_kills_injected_total",
-            &[],
-            stats.kills_injected,
-        ),
-        ("sparseloop_fleet_degraded_total", &[], stats.degraded),
-        ("sparseloop_fleet_frames_total", &[], stats.frames_received),
-        (
-            "sparseloop_fleet_deadline_exceeded_total",
-            &[],
-            stats.deadline_exceeded,
-        ),
-        (
-            "sparseloop_fleet_breaker_trips_total",
-            &[],
-            stats.breaker_trips,
-        ),
-        (
-            "sparseloop_fleet_breaker_probes_total",
-            &[],
-            stats.breaker_probes,
-        ),
-        (
-            "sparseloop_fleet_hedges_total",
-            &[("kind", "dispatched")],
-            stats.hedges_dispatched,
-        ),
-        (
-            "sparseloop_fleet_hedges_total",
-            &[("kind", "wins")],
-            stats.hedge_wins,
-        ),
-    ];
-    for (name, labels, want) in checks {
-        assert_eq!(
-            counter(name, labels),
-            want,
-            "{tag}: {name}{labels:?} drifted from HostStats"
-        );
-    }
+    assert_eq!(
+        fleet_metrics_drift(&snap, stats),
+        Vec::<String>::new(),
+        "{tag}"
+    );
     if let Some(code) = breaker_code {
         assert_eq!(
-            counter("sparseloop_fleet_breaker_state", &[]),
-            code,
+            snap.value("sparseloop_fleet_breaker_state", &[]),
+            Some(i128::from(code)),
             "{tag}: breaker gauge drifted from breaker_state()"
         );
     }

@@ -13,8 +13,9 @@
 //! Adding an experiment is three steps: write a builder function
 //! returning a [`Scenario`], register it in
 //! [`ScenarioRegistry::standard`], and (optionally) give it a binary
-//! that post-processes the [`ScenarioOutcome`]. The `scenario_smoke`
-//! binary and the CI smoke step pick up new scenarios automatically.
+//! that post-processes the [`ScenarioOutcome`]. The `smoke` binary's
+//! `scenario`, `spec` and `serve` phases pick up new scenarios
+//! automatically.
 
 use crate::common::{conv_mapspace, matmul_mapping_2level, matmul_mapping_3level, DesignPoint};
 use crate::{dstc, eyeriss, eyeriss_v2, fig1, fig17, scnn, stc};

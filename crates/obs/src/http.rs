@@ -403,6 +403,66 @@ mod tests {
     }
 
     #[test]
+    fn mutated_request_heads_never_kill_the_server() {
+        // a panic in handle_connection would end the accept loop, so a
+        // fresh GET /healthz after every malformed head must still be
+        // answered 200
+        let hub = ObsHub::new();
+        let server = ObsServer::start(loopback(), hub.clone(), ObsServerHooks::for_hub(&hub))
+            .expect("bind loopback");
+        let addr = server.local_addr();
+        let mut heads: Vec<Vec<u8>> = vec![
+            b"\xff\xfe\xc3( /\x80metrics HTTP/1.1\r\n\r\n".to_vec(),
+            b"GET /metrics HTTP/1.1".to_vec(),
+            [b"GET /".as_slice(), &[b'a'; 3 * MAX_REQUEST_BYTES]].concat(),
+            b"\r\n\r\n".to_vec(),
+            format!("GET /traces/{} HTTP/1.1\r\n\r\n", "9".repeat(4096)).into_bytes(),
+            Vec::new(),
+        ];
+        // seeded insert/delete/replace mutants of a valid head
+        // (splitmix64: the same mutants on every run)
+        const ALPHABET: &[u8] = b" \r\n\t/:%?#G9\x00\xff\xc3";
+        let valid = b"GET /traces/42 HTTP/1.1\r\nHost: x\r\n\r\n";
+        let mut state = 0x0b5_u64;
+        let mut next = |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
+        };
+        for _ in 0..40 {
+            let mut head = valid.to_vec();
+            for _ in 0..1 + next(8) {
+                let at = next(head.len() + 1);
+                let byte = ALPHABET[next(ALPHABET.len())];
+                match next(3) {
+                    0 => head.insert(at, byte),
+                    1 if at < head.len() => drop(head.remove(at)),
+                    _ if at < head.len() => head[at] = byte,
+                    _ => head.push(byte),
+                }
+            }
+            heads.push(head);
+        }
+        for head in &heads {
+            // the server may answer and close before reading everything,
+            // so the malformed side of the exchange ignores I/O errors
+            if let Ok(mut stream) = TcpStream::connect(addr) {
+                let _ = stream.write_all(head);
+                let _ = stream.shutdown(std::net::Shutdown::Write);
+                let _ = stream.read_to_end(&mut Vec::new());
+            }
+            let shown = String::from_utf8_lossy(&head[..head.len().min(80)]);
+            let reply = http_get(addr, "/healthz");
+            assert!(
+                matches!(reply, Ok((200, _))),
+                "server stopped answering after {shown:?}: {reply:?}"
+            );
+        }
+    }
+
+    #[test]
     fn non_get_is_rejected() {
         let hub = ObsHub::new();
         let server = ObsServer::start(loopback(), hub.clone(), ObsServerHooks::for_hub(&hub))

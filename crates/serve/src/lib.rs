@@ -123,7 +123,9 @@ pub use proc::{run_worker, worker_main, ProcessSpawner, ThreadSpawner, WorkerSpa
 pub use protocol::{Frame, ProtocolError, PROTOCOL_VERSION};
 pub use queue::{Admission, BoundedQueue, Priority, PushError};
 pub use service::{
-    scenario_reply, CancelToken, EvalService, ScenarioReply, ServeConfig, ServeError, ServeReply,
-    ServeRequest, ServiceStats, SpecDiagnostic, SubmitError, Ticket,
+    reply_drift, scenario_reply, CancelToken, EvalService, ScenarioReply, ServeConfig, ServeError,
+    ServeReply, ServeRequest, ServiceStats, SpecDiagnostic, SubmitError, Ticket,
 };
-pub use supervisor::{HealthReport, HedgeConfig, HostConfig, HostError, HostStats, ShardHost};
+pub use supervisor::{
+    fleet_metrics_drift, HealthReport, HedgeConfig, HostConfig, HostError, HostStats, ShardHost,
+};

@@ -276,22 +276,7 @@ impl FleetPool {
         let hosts = self.inner.hosts.lock().unwrap_or_else(|e| e.into_inner());
         let mut total = HostStats::default();
         for pooled in hosts.iter().flatten() {
-            let s = pooled.host.stats();
-            total.requests += s.requests;
-            total.spawns += s.spawns;
-            total.restarts += s.restarts;
-            total.redispatches += s.redispatches;
-            total.deaths_eof += s.deaths_eof;
-            total.deaths_heartbeat_timeout += s.deaths_heartbeat_timeout;
-            total.kills_injected += s.kills_injected;
-            total.degraded += s.degraded;
-            total.frames_received += s.frames_received;
-            total.backoff_nanos_total += s.backoff_nanos_total;
-            total.deadline_exceeded += s.deadline_exceeded;
-            total.breaker_trips += s.breaker_trips;
-            total.breaker_probes += s.breaker_probes;
-            total.hedges_dispatched += s.hedges_dispatched;
-            total.hedge_wins += s.hedge_wins;
+            total.absorb(&pooled.host.stats());
         }
         total
     }

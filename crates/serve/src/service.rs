@@ -908,6 +908,34 @@ pub fn scenario_reply(outcome: sparseloop_designs::ScenarioOutcome) -> ScenarioR
     }
 }
 
+/// Compares two scenario replies for bit-identity: name, labels,
+/// required flags, then every result by
+/// [`sparseloop_spec::result_drift`] (wall time excluded). Returns a
+/// description of the first drift, `None` when identical.
+pub fn reply_drift(reference: &ScenarioReply, candidate: &ScenarioReply) -> Option<String> {
+    if reference.name != candidate.name {
+        return Some(format!(
+            "scenario name differs: {:?} vs {:?}",
+            reference.name, candidate.name
+        ));
+    }
+    if (&reference.labels, &reference.required) != (&candidate.labels, &candidate.required)
+        || reference.results.len() != candidate.results.len()
+    {
+        return Some(format!(
+            "experiments differ: {:?} {:?} vs {:?} {:?}",
+            reference.labels, reference.required, candidate.labels, candidate.required
+        ));
+    }
+    reference
+        .labels
+        .iter()
+        .zip(reference.results.iter().zip(&candidate.results))
+        .find_map(|(label, (r, c))| {
+            sparseloop_spec::result_drift(r, c).map(|why| format!("{label}: {why}"))
+        })
+}
+
 /// True when a tripped token's deadline has passed — used to classify
 /// cancellation as [`RequestOutcome::DeadlineExceeded`] rather than an
 /// explicit abandon. A token canceled explicitly *and* past its deadline
@@ -1527,16 +1555,7 @@ mod tests {
         let direct = ScenarioRegistry::standard()
             .expect("fig1_format_tradeoff")
             .run(&EvalSession::new(), Some(2));
-        assert_eq!(reply.results.len(), direct.results.len());
-        for ((label, served), direct) in
-            reply.labels.iter().zip(&reply.results).zip(&direct.results)
-        {
-            let (served, direct) = (served.as_ref().unwrap(), direct.as_ref().unwrap());
-            assert_eq!(served.mapping, direct.mapping, "{label}");
-            assert_eq!(served.eval.edp, direct.eval.edp, "{label}");
-            assert_eq!(served.eval.cycles, direct.eval.cycles, "{label}");
-            assert_eq!(served.eval.energy_pj, direct.eval.energy_pj, "{label}");
-        }
+        assert_eq!(reply_drift(&scenario_reply(direct), &reply), None);
         service.shutdown();
     }
 
@@ -1552,29 +1571,7 @@ mod tests {
         let reply = ticket.wait().unwrap().into_scenario();
         assert_eq!(reply.name, "fig13_dstc_validation");
         let direct = scenario.run(&EvalSession::new(), Some(2));
-        assert_eq!(reply.results.len(), direct.results.len());
-        for ((label, served), direct) in
-            reply.labels.iter().zip(&reply.results).zip(&direct.results)
-        {
-            let (served, direct) = (served.as_ref().unwrap(), direct.as_ref().unwrap());
-            assert_eq!(served.mapping, direct.mapping, "{label}");
-            assert_eq!(
-                served.eval.edp.to_bits(),
-                direct.eval.edp.to_bits(),
-                "{label}"
-            );
-            assert_eq!(
-                served.eval.cycles.to_bits(),
-                direct.eval.cycles.to_bits(),
-                "{label}"
-            );
-            assert_eq!(
-                served.eval.energy_pj.to_bits(),
-                direct.eval.energy_pj.to_bits(),
-                "{label}"
-            );
-            assert_eq!(served.stats, direct.stats, "{label}");
-        }
+        assert_eq!(reply_drift(&scenario_reply(direct), &reply), None);
         service.shutdown();
     }
 
@@ -2193,17 +2190,7 @@ mod tests {
                 .wait()
                 .unwrap()
                 .into_scenario();
-            assert_eq!(got.labels, want.labels, "round {round}");
-            for ((label, got), want) in got.labels.iter().zip(&got.results).zip(&want.results) {
-                let (got, want) = (got.as_ref().unwrap(), want.as_ref().unwrap());
-                assert_eq!(got.mapping, want.mapping, "round {round}/{label}");
-                assert_eq!(
-                    got.eval.edp.to_bits(),
-                    want.eval.edp.to_bits(),
-                    "round {round}/{label}"
-                );
-                assert_eq!(got.stats, want.stats, "round {round}/{label}");
-            }
+            assert_eq!(reply_drift(&want, &got), None, "round {round}");
         }
         let stats = service.shutdown();
         assert_eq!(stats.completed, 3);

@@ -61,7 +61,7 @@ use crate::service::{scenario_reply, ScenarioReply, SpecDiagnostic};
 use sparseloop_core::{EvalSession, JobError, JobOutcome, JobPlan};
 use sparseloop_designs::{Scenario, ScenarioOutcome};
 use sparseloop_mapping::{merge_shard_results, SearchStats};
-use sparseloop_obs::{ObsHub, SpanKind, TraceContext, LATENCY_BUCKETS_NANOS};
+use sparseloop_obs::{MetricsSnapshot, ObsHub, SpanKind, TraceContext, LATENCY_BUCKETS_NANOS};
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -306,6 +306,81 @@ pub struct HostStats {
     pub hedges_dispatched: u64,
     /// Shards whose accepted result came from a hedge worker.
     pub hedge_wins: u64,
+}
+
+impl HostStats {
+    /// Adds every counter of `other` into `self` (the fleet-wide sum
+    /// over hosts or requests).
+    pub fn absorb(&mut self, other: &HostStats) {
+        for counter in &FLEET_COUNTERS {
+            *(counter.field)(self) += counter.read(other);
+        }
+    }
+}
+
+/// One [`HostStats`] counter and the `sparseloop_fleet_*` series a
+/// host publishes it as.
+struct FleetCounter {
+    /// Series name.
+    name: &'static str,
+    /// Series labels.
+    labels: &'static [(&'static str, &'static str)],
+    /// The field the series counts.
+    field: fn(&mut HostStats) -> &mut u64,
+}
+
+impl FleetCounter {
+    /// The field's value in `stats`.
+    fn read(&self, stats: &HostStats) -> u64 {
+        let mut copy = *stats;
+        *(self.field)(&mut copy)
+    }
+}
+
+/// One [`FLEET_COUNTERS`] row per `field => series, [labels];`.
+macro_rules! fleet_counters {
+    ($($field:ident => $name:literal, [$($label:expr),*];)*) => {
+        [$(FleetCounter { name: $name, labels: &[$($label),*], field: |s| &mut s.$field }),*]
+    };
+}
+
+/// Every [`HostStats`] field as its metric series — the one place that
+/// pairs the two. Publishing, [`HostStats::absorb`] and
+/// [`fleet_metrics_drift`] all walk this table, so a new field is one
+/// new row.
+const FLEET_COUNTERS: [FleetCounter; 15] = fleet_counters! {
+    requests => "sparseloop_fleet_requests_total", [];
+    spawns => "sparseloop_fleet_spawns_total", [];
+    restarts => "sparseloop_fleet_restarts_total", [];
+    redispatches => "sparseloop_fleet_redispatches_total", [];
+    deaths_eof => "sparseloop_fleet_deaths_total", [("cause", "eof")];
+    deaths_heartbeat_timeout => "sparseloop_fleet_deaths_total", [("cause", "heartbeat_timeout")];
+    kills_injected => "sparseloop_fleet_kills_injected_total", [];
+    degraded => "sparseloop_fleet_degraded_total", [];
+    frames_received => "sparseloop_fleet_frames_total", [];
+    backoff_nanos_total => "sparseloop_fleet_backoff_nanos_total", [];
+    deadline_exceeded => "sparseloop_fleet_deadline_exceeded_total", [];
+    breaker_trips => "sparseloop_fleet_breaker_trips_total", [];
+    breaker_probes => "sparseloop_fleet_breaker_probes_total", [];
+    hedges_dispatched => "sparseloop_fleet_hedges_total", [("kind", "dispatched")];
+    hedge_wins => "sparseloop_fleet_hedges_total", [("kind", "wins")];
+};
+
+/// The fleet series in `snap` that disagree with `stats`, one line
+/// each; empty when every `sparseloop_fleet_*` counter reads exactly
+/// its [`HostStats`] field. A missing series is drift: a publishing host registers every
+/// row, zeros included. Pass the sum over every host that published
+/// into the hub ([`HostStats::absorb`]).
+pub fn fleet_metrics_drift(snap: &MetricsSnapshot, stats: &HostStats) -> Vec<String> {
+    FLEET_COUNTERS
+        .iter()
+        .filter_map(|c| {
+            let want = c.read(stats);
+            let got = snap.value(c.name, c.labels);
+            (got != Some(i128::from(want)))
+                .then(|| format!("{}{:?} = {got:?}, host stats say {want}", c.name, c.labels))
+        })
+        .collect()
 }
 
 /// What one [`ShardHost::health_check`] sweep did.
@@ -1153,102 +1228,13 @@ impl<S: WorkerSpawner> ShardHost<S> {
         let Some(obs) = &mut self.obs else { return };
         let prev = obs.published;
         let reg = obs.hub.registry();
-        let publish = |name: &str, labels: &[(&str, &str)], new: u64, old: u64| {
-            let counter = reg.counter(name, labels);
+        for c in &FLEET_COUNTERS {
+            let (new, old) = (c.read(&now), c.read(&prev));
+            let counter = reg.counter(c.name, c.labels);
             if new > old {
                 counter.add(new - old);
             }
-        };
-        publish(
-            "sparseloop_fleet_requests_total",
-            &[],
-            now.requests,
-            prev.requests,
-        );
-        publish(
-            "sparseloop_fleet_spawns_total",
-            &[],
-            now.spawns,
-            prev.spawns,
-        );
-        publish(
-            "sparseloop_fleet_restarts_total",
-            &[],
-            now.restarts,
-            prev.restarts,
-        );
-        publish(
-            "sparseloop_fleet_redispatches_total",
-            &[],
-            now.redispatches,
-            prev.redispatches,
-        );
-        publish(
-            "sparseloop_fleet_deaths_total",
-            &[("cause", "eof")],
-            now.deaths_eof,
-            prev.deaths_eof,
-        );
-        publish(
-            "sparseloop_fleet_deaths_total",
-            &[("cause", "heartbeat_timeout")],
-            now.deaths_heartbeat_timeout,
-            prev.deaths_heartbeat_timeout,
-        );
-        publish(
-            "sparseloop_fleet_kills_injected_total",
-            &[],
-            now.kills_injected,
-            prev.kills_injected,
-        );
-        publish(
-            "sparseloop_fleet_degraded_total",
-            &[],
-            now.degraded,
-            prev.degraded,
-        );
-        publish(
-            "sparseloop_fleet_frames_total",
-            &[],
-            now.frames_received,
-            prev.frames_received,
-        );
-        publish(
-            "sparseloop_fleet_backoff_nanos_total",
-            &[],
-            now.backoff_nanos_total,
-            prev.backoff_nanos_total,
-        );
-        publish(
-            "sparseloop_fleet_deadline_exceeded_total",
-            &[],
-            now.deadline_exceeded,
-            prev.deadline_exceeded,
-        );
-        publish(
-            "sparseloop_fleet_breaker_trips_total",
-            &[],
-            now.breaker_trips,
-            prev.breaker_trips,
-        );
-        publish(
-            "sparseloop_fleet_breaker_probes_total",
-            &[],
-            now.breaker_probes,
-            prev.breaker_probes,
-        );
-        publish(
-            "sparseloop_fleet_hedges_total",
-            &[("kind", "dispatched")],
-            now.hedges_dispatched,
-            prev.hedges_dispatched,
-        );
-        publish(
-            "sparseloop_fleet_hedges_total",
-            &[("kind", "wins")],
-            now.hedge_wins,
-            prev.hedge_wins,
-        );
+        }
         reg.gauge("sparseloop_fleet_breaker_state", &[])
             .set_u64(breaker_code);
         obs.published = now;
@@ -1371,29 +1357,7 @@ mod tests {
     }
 
     fn assert_bit_identical(got: &ScenarioReply, want: &ScenarioReply, tag: &str) {
-        assert_eq!(got.labels, want.labels, "{tag}");
-        assert_eq!(got.results.len(), want.results.len(), "{tag}");
-        for ((label, got), want) in got.labels.iter().zip(&got.results).zip(&want.results) {
-            match (got, want) {
-                (Ok(g), Ok(w)) => {
-                    assert_eq!(g.mapping, w.mapping, "{tag}/{label}");
-                    assert_eq!(g.eval.edp.to_bits(), w.eval.edp.to_bits(), "{tag}/{label}");
-                    assert_eq!(
-                        g.eval.cycles.to_bits(),
-                        w.eval.cycles.to_bits(),
-                        "{tag}/{label}"
-                    );
-                    assert_eq!(
-                        g.eval.energy_pj.to_bits(),
-                        w.eval.energy_pj.to_bits(),
-                        "{tag}/{label}"
-                    );
-                    assert_eq!(g.stats, w.stats, "{tag}/{label}");
-                }
-                (Err(g), Err(w)) => assert_eq!(g, w, "{tag}/{label}"),
-                (g, w) => panic!("{tag}/{label}: outcome kind mismatch: {g:?} vs {w:?}"),
-            }
-        }
+        assert_eq!(crate::service::reply_drift(want, got), None, "{tag}");
     }
 
     fn fast_config(shards: usize) -> HostConfig {
@@ -1572,91 +1536,37 @@ mod tests {
         }
     }
 
+    #[test]
+    fn fleet_counters_cover_every_host_stats_field_once() {
+        let mut stats = HostStats::default();
+        for (i, c) in FLEET_COUNTERS.iter().enumerate() {
+            *(c.field)(&mut stats) = i as u64 + 1;
+        }
+        // distinct read-backs: no two rows alias one field
+        for (i, c) in FLEET_COUNTERS.iter().enumerate() {
+            assert_eq!(c.read(&stats), i as u64 + 1, "{}{:?}", c.name, c.labels);
+        }
+        // no field left at zero: every field has a row
+        assert!(!format!("{stats:?}").contains(": 0"), "{stats:?}");
+        let mut doubled = stats;
+        doubled.absorb(&stats);
+        assert!(FLEET_COUNTERS
+            .iter()
+            .all(|c| c.read(&doubled) == 2 * c.read(&stats)));
+    }
+
     /// Every fleet counter in the registry must equal its [`HostStats`]
     /// field after a request — the published deltas reconcile exactly.
     fn assert_metrics_match_stats(host: &ShardHost<impl WorkerSpawner>, tag: &str) {
-        let stats = host.stats();
         let snap = host.hub().expect("observed host").snapshot();
-        let field = |name: &str, labels: &[(&str, &str)]| {
-            snap.value(name, labels)
-                .unwrap_or_else(|| panic!("{tag}: metric {name} missing"))
-        };
         assert_eq!(
-            field("sparseloop_fleet_requests_total", &[]),
-            i128::from(stats.requests),
-            "{tag}: requests"
+            fleet_metrics_drift(&snap, &host.stats()),
+            Vec::<String>::new(),
+            "{tag}"
         );
         assert_eq!(
-            field("sparseloop_fleet_spawns_total", &[]),
-            i128::from(stats.spawns),
-            "{tag}: spawns"
-        );
-        assert_eq!(
-            field("sparseloop_fleet_restarts_total", &[]),
-            i128::from(stats.restarts),
-            "{tag}: restarts"
-        );
-        assert_eq!(
-            field("sparseloop_fleet_deaths_total", &[("cause", "eof")]),
-            i128::from(stats.deaths_eof),
-            "{tag}: deaths_eof"
-        );
-        assert_eq!(
-            field(
-                "sparseloop_fleet_deaths_total",
-                &[("cause", "heartbeat_timeout")]
-            ),
-            i128::from(stats.deaths_heartbeat_timeout),
-            "{tag}: deaths_heartbeat_timeout"
-        );
-        assert_eq!(
-            field("sparseloop_fleet_kills_injected_total", &[]),
-            i128::from(stats.kills_injected),
-            "{tag}: kills_injected"
-        );
-        assert_eq!(
-            field("sparseloop_fleet_degraded_total", &[]),
-            i128::from(stats.degraded),
-            "{tag}: degraded"
-        );
-        assert_eq!(
-            field("sparseloop_fleet_frames_total", &[]),
-            i128::from(stats.frames_received),
-            "{tag}: frames"
-        );
-        assert_eq!(
-            field("sparseloop_fleet_backoff_nanos_total", &[]),
-            i128::from(stats.backoff_nanos_total),
-            "{tag}: backoff"
-        );
-        assert_eq!(
-            field("sparseloop_fleet_deadline_exceeded_total", &[]),
-            i128::from(stats.deadline_exceeded),
-            "{tag}: deadline_exceeded"
-        );
-        assert_eq!(
-            field("sparseloop_fleet_breaker_trips_total", &[]),
-            i128::from(stats.breaker_trips),
-            "{tag}: breaker_trips"
-        );
-        assert_eq!(
-            field("sparseloop_fleet_breaker_probes_total", &[]),
-            i128::from(stats.breaker_probes),
-            "{tag}: breaker_probes"
-        );
-        assert_eq!(
-            field("sparseloop_fleet_hedges_total", &[("kind", "dispatched")]),
-            i128::from(stats.hedges_dispatched),
-            "{tag}: hedges_dispatched"
-        );
-        assert_eq!(
-            field("sparseloop_fleet_hedges_total", &[("kind", "wins")]),
-            i128::from(stats.hedge_wins),
-            "{tag}: hedge_wins"
-        );
-        assert_eq!(
-            field("sparseloop_fleet_breaker_state", &[]),
-            i128::from(host.breaker_state().code()),
+            snap.value("sparseloop_fleet_breaker_state", &[]),
+            Some(i128::from(host.breaker_state().code())),
             "{tag}: breaker_state gauge"
         );
     }

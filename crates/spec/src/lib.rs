@@ -103,14 +103,16 @@ pub use compile::{compile_str, CompiledScenario};
 pub use emit::{emit_experiments, emit_scenario};
 pub use error::SpecError;
 
+use sparseloop_core::{JobError, JobOutcome};
 use sparseloop_designs::{Scenario, ScenarioOutcome, ScenarioRegistry};
 use std::path::Path;
 
-/// Compares two scenario outcomes for bit-identity (labels, winning
-/// mappings, evaluation metrics *by float bits*, search counters; wall
-/// time excluded). Returns a description of the first drift, `None` when
-/// identical — the contract the spec round-trip tests and smoke binaries
-/// enforce between a scenario and its emit→parse→compile twin.
+/// Compares two scenario outcomes for bit-identity: experiment labels
+/// and required flags, then every result by [`result_drift`] (wall time
+/// excluded). Returns a description of the first drift, `None` when
+/// identical — the contract the spec round-trip tests, the smoke gate and
+/// the benchmark enforce between a scenario and any other way of running
+/// it.
 pub fn outcome_drift(reference: &ScenarioOutcome, candidate: &ScenarioOutcome) -> Option<String> {
     if reference.experiments.len() != candidate.experiments.len() {
         return Some(format!(
@@ -134,54 +136,59 @@ pub fn outcome_drift(reference: &ScenarioOutcome, candidate: &ScenarioOutcome) -
         if re.required != ce.required {
             return Some(format!("{}: required flag differs", re.label));
         }
-        match (&reference.results[i], &candidate.results[i]) {
-            (Ok(r), Ok(c)) => {
-                if r.mapping != c.mapping {
-                    return Some(format!("{}: winning mapping differs", re.label));
-                }
-                if r.eval.cycles.to_bits() != c.eval.cycles.to_bits()
-                    || r.eval.energy_pj.to_bits() != c.eval.energy_pj.to_bits()
-                    || r.eval.edp.to_bits() != c.eval.edp.to_bits()
-                    || r.eval.utilization.to_bits() != c.eval.utilization.to_bits()
-                {
-                    return Some(format!(
-                        "{}: evaluation differs: (edp {}, cycles {}, pJ {}) vs ({}, {}, {})",
-                        re.label,
-                        r.eval.edp,
-                        r.eval.cycles,
-                        r.eval.energy_pj,
-                        c.eval.edp,
-                        c.eval.cycles,
-                        c.eval.energy_pj
-                    ));
-                }
-                if r.stats != c.stats {
-                    return Some(format!(
-                        "{}: search stats differ: {:?} vs {:?}",
-                        re.label, r.stats, c.stats
-                    ));
-                }
-            }
-            (Err(r), Err(c)) => {
-                if r != c {
-                    return Some(format!("{}: error differs: {r} vs {c}", re.label));
-                }
-            }
-            (Ok(_), Err(c)) => {
-                return Some(format!(
-                    "{}: reference succeeded, candidate failed: {c}",
-                    re.label
-                ))
-            }
-            (Err(r), Ok(_)) => {
-                return Some(format!(
-                    "{}: reference failed ({r}), candidate succeeded",
-                    re.label
-                ))
-            }
+        if let Some(why) = result_drift(&reference.results[i], &candidate.results[i]) {
+            return Some(format!("{}: {why}", re.label));
         }
     }
     None
+}
+
+/// The one definition of "the same answer" for one experiment: the
+/// winning mapping, every evaluation metric *by float bits* (so −0.0 and
+/// +0.0 differ and a NaN equals only its own bits), the search counters,
+/// and — for failures — the whole [`JobError`], including the counters a
+/// fruitless search carries. Returns a description of the drift, `None`
+/// when identical.
+///
+/// [`JobError`]: sparseloop_core::JobError
+pub fn result_drift(
+    reference: &Result<JobOutcome, JobError>,
+    candidate: &Result<JobOutcome, JobError>,
+) -> Option<String> {
+    match (reference, candidate) {
+        (Ok(r), Ok(c)) => {
+            if r.mapping != c.mapping {
+                return Some("winning mapping differs".into());
+            }
+            let bits = |e: &sparseloop_core::Evaluation| {
+                [e.cycles, e.energy_pj, e.edp, e.utilization].map(f64::to_bits)
+            };
+            if bits(&r.eval) != bits(&c.eval) {
+                return Some(format!(
+                    "evaluation differs: (edp {}, cycles {}, pJ {}, util {}) vs ({}, {}, {}, {})",
+                    r.eval.edp,
+                    r.eval.cycles,
+                    r.eval.energy_pj,
+                    r.eval.utilization,
+                    c.eval.edp,
+                    c.eval.cycles,
+                    c.eval.energy_pj,
+                    c.eval.utilization
+                ));
+            }
+            if r.stats != c.stats {
+                return Some(format!(
+                    "search stats differ: {:?} vs {:?}",
+                    r.stats, c.stats
+                ));
+            }
+            None
+        }
+        (Err(r), Err(c)) if r == c => None,
+        (Err(r), Err(c)) => Some(format!("error differs: {r:?} vs {c:?}")),
+        (Ok(_), Err(c)) => Some(format!("reference succeeded, candidate failed: {c}")),
+        (Err(r), Ok(_)) => Some(format!("reference failed ({r}), candidate succeeded")),
+    }
 }
 
 /// Parses and compiles a spec file into a registry [`Scenario`].
@@ -266,6 +273,75 @@ impl SpecRegistryExt for ScenarioRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparseloop_core::EvalSession;
+    use sparseloop_designs::Experiment;
+    use sparseloop_mapping::{Mapspace, SearchStats};
+
+    /// A real fixed-mapping outcome to perturb.
+    fn outcome() -> JobOutcome {
+        let layer = sparseloop_workloads::spmspm(4, 4, 4, 0.5, 0.5);
+        let dp = sparseloop_designs::fig1::bitmask_design(&layer.einsum);
+        let m = Mapspace::all_temporal(&layer.einsum, &dp.arch)
+            .enumerate(1)
+            .remove(0);
+        let scenario = Scenario::new("drift", "drift fixture", move || {
+            vec![Experiment::fixed("x", dp.clone(), layer.clone(), m.clone())]
+        });
+        let mut out = scenario.run(&EvalSession::new(), None);
+        out.results.remove(0).expect("fixed mapping evaluates")
+    }
+
+    #[test]
+    fn result_drift_is_bit_exact_on_every_field() {
+        let reference = outcome();
+        let same = |c: &JobOutcome| result_drift(&Ok(reference.clone()), &Ok(c.clone()));
+        assert_eq!(same(&reference), None);
+
+        let mut c = reference.clone();
+        c.eval.utilization = f64::from_bits(c.eval.utilization.to_bits() ^ 1);
+        assert!(same(&c).is_some(), "a utilization-only drift is a drift");
+
+        let (mut r, mut c) = (reference.clone(), reference.clone());
+        (r.eval.edp, c.eval.edp) = (0.0, -0.0);
+        assert!(
+            result_drift(&Ok(r), &Ok(c)).is_some(),
+            "-0.0 and +0.0 EDP differ by bits"
+        );
+
+        let mut nan = reference.clone();
+        nan.eval.edp = f64::NAN;
+        assert_eq!(
+            result_drift(&Ok(nan.clone()), &Ok(nan)),
+            None,
+            "a NaN equals its bits"
+        );
+
+        let mut c = reference.clone();
+        c.stats.pruned += 1;
+        assert!(same(&c).is_some(), "search counters are part of the answer");
+    }
+
+    #[test]
+    fn result_drift_compares_whole_errors() {
+        let fruitless = |evaluated| {
+            Err(JobError::NoValidCandidate {
+                stats: SearchStats {
+                    generated: 10,
+                    evaluated,
+                    ..SearchStats::default()
+                },
+            })
+        };
+        assert_eq!(result_drift(&fruitless(3), &fruitless(3)), None);
+        // the Display text omits `evaluated`; the comparison must not
+        assert_eq!(
+            format!("{}", fruitless(3).unwrap_err()),
+            format!("{}", fruitless(4).unwrap_err())
+        );
+        assert!(result_drift(&fruitless(3), &fruitless(4)).is_some());
+        assert!(result_drift(&Ok(outcome()), &fruitless(3)).is_some());
+        assert!(result_drift(&fruitless(3), &Ok(outcome())).is_some());
+    }
 
     #[test]
     fn load_file_names_the_file_on_errors() {

@@ -3,8 +3,8 @@
 //!
 //! Structural equality is asserted for the *whole* registry (cheap — no
 //! evaluation); outcome bit-identity is asserted here for fast
-//! scenarios, and for every scenario by the release-mode
-//! `scenario_smoke` CI gate (same [`outcome_drift`] comparator).
+//! scenarios, and for every scenario by the release-mode `smoke` CI
+//! gate's `scenario` phase (same [`outcome_drift`] comparator).
 
 use sparseloop_core::EvalSession;
 use sparseloop_designs::scenario::MappingPolicy;

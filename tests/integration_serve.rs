@@ -12,7 +12,8 @@ use sparseloop_workloads::spmspm;
 
 /// Debug-mode scenario subset: small enough to keep `cargo test` fast,
 /// covering fixed mappings (fig1, table7) and hybrid searches (table6).
-/// The full registry is parity-checked in release by `serve_smoke`.
+/// The full registry is parity-checked in release by the `smoke` bin's
+/// `serve` phase.
 const SCENARIOS: [&str; 3] = [
     "fig1_format_tradeoff",
     "table6_validation_summary",
