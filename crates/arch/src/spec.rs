@@ -92,12 +92,6 @@ impl StorageLevel {
         self.instances = n;
         self
     }
-
-    /// Builder-style: sets a dedicated metadata capacity in bits.
-    pub fn with_metadata_capacity(mut self, bits: u64) -> Self {
-        self.metadata_capacity_bits = Some(bits);
-        self
-    }
 }
 
 /// The compute (innermost) level.

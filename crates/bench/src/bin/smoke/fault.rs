@@ -21,6 +21,7 @@
 //! nest across the process boundary.
 
 use sparseloop_bench::{header, row, timed};
+use sparseloop_core::EvalSession;
 use sparseloop_obs::{ObsHub, SpanKind};
 use sparseloop_serve::{
     fleet_metrics_drift, reply_drift, DiePoint, FaultPlan, HedgeConfig, HostStats, ProcessSpawner,
@@ -148,6 +149,7 @@ pub fn run(failures: &mut Vec<String>) {
     };
     let text = super::smoke_spec();
     let references = [2, 3].map(|shards| super::reference(&text, shards));
+    let (scenario, session) = (super::compile(&text), EvalSession::new());
     let hub = ObsHub::new();
     let mut totals = HostStats::default();
     println!("{} schedules against {}", cases().len(), worker.display());
@@ -171,7 +173,7 @@ pub fn run(failures: &mut Vec<String>) {
                 .with_hedging(HedgeConfig::default());
         }
         let mut host = ShardHost::new_observed(config, ProcessSpawner::new(&worker), hub.clone());
-        let (outcome, wall_s) = timed(|| host.run_spec(&text));
+        let (outcome, wall_s) = timed(|| host.run(&scenario, &text, &session, None));
         let stats = host.stats();
         drop(host);
         totals.absorb(&stats);

@@ -102,12 +102,17 @@ fn smoke_spec() -> String {
     sparseloop_spec::emit_scenario(&smoke_scenario())
 }
 
+/// `text` compiled once, as the service compiles a spec request before
+/// it reaches the fleet.
+fn compile(text: &str) -> Scenario {
+    sparseloop_spec::compile_str(text)
+        .expect("smoke spec compiles")
+        .into_scenario()
+}
+
 /// The determinism reference: `text` run in process at `shards`.
 fn reference(text: &str, shards: usize) -> ScenarioReply {
-    let scenario = sparseloop_spec::compile_str(text)
-        .expect("smoke spec compiles")
-        .into_scenario();
-    scenario_reply(scenario.run(&EvalSession::new(), Some(shards)))
+    scenario_reply(compile(text).run(&EvalSession::new(), Some(shards)))
 }
 
 /// Fleet supervision tuned for the smoke: fast heartbeats and backoff.

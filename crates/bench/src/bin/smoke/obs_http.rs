@@ -13,6 +13,7 @@
 //!   and the hub's fleet series reconcile with pool plus drill host.
 
 use sparseloop_bench::{header, row};
+use sparseloop_core::EvalSession;
 use sparseloop_obs::http::http_get;
 use sparseloop_obs::ObsHub;
 use sparseloop_serve::proc::{WorkerEvent, WorkerHandle};
@@ -162,6 +163,7 @@ fn breaker_drill(
 ) -> sparseloop_serve::HostStats {
     use BreakerState::{Closed, Open};
     let want = super::reference(text, SHARDS);
+    let (scenario, session) = (super::compile(text), EvalSession::new());
     let mut host = ShardHost::new_observed(
         HostConfig::default()
             .with_shards(SHARDS)
@@ -186,7 +188,7 @@ fn breaker_drill(
         if step.ends_with("probe") {
             std::thread::sleep(Duration::from_millis(60));
         }
-        match host.run_spec(text) {
+        match host.run(&scenario, text, &session, None) {
             Ok(reply) => failures.extend(
                 reply_drift(&want, &reply)
                     .map(|why| format!("breaker {step}: reply differs: {why}")),

@@ -308,7 +308,14 @@ fn stats(args: &[String]) -> ExitCode {
         ThreadSpawner,
         hub.clone(),
     );
-    if let Err(e) = host.run_spec(&text) {
+    let scenario = match sparseloop_spec::compile_str(&text) {
+        Ok(compiled) => compiled.into_scenario(),
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let Err(e) = host.run(&scenario, &text, &EvalSession::new(), None) {
         eprintln!("stats: fleet request failed: {e}");
         return ExitCode::FAILURE;
     }

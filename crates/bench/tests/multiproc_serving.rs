@@ -39,6 +39,19 @@ fn reference_reply(text: &str, shards: usize) -> ScenarioReply {
     scenario_reply(scenario.run(&EvalSession::new(), Some(shards)))
 }
 
+/// `text` through `host` the way the service sends it: compiled once by
+/// the caller, replied on the caller's session.
+fn run(host: &mut ShardHost<ProcessSpawner>, text: &str) -> Result<ScenarioReply, HostError> {
+    let scenario = sparseloop_spec::compile_str(text).unwrap().into_scenario();
+    host.run(&scenario, text, &EvalSession::new(), None)
+}
+
+/// [`run`] through a pooled fleet.
+fn run_pooled(pool: &FleetPool, text: &str) -> Result<ScenarioReply, HostError> {
+    let scenario = sparseloop_spec::compile_str(text).unwrap().into_scenario();
+    pool.run(&scenario, text, &EvalSession::new(), None)
+}
+
 fn assert_bit_identical(got: &ScenarioReply, want: &ScenarioReply, tag: &str) {
     assert_eq!(reply_drift(want, got), None, "{tag}");
 }
@@ -78,7 +91,7 @@ fn real_processes_match_in_process_run() {
     for shards in [1usize, 2] {
         let want = reference_reply(&text, shards);
         let mut host = ShardHost::new(config(shards), ProcessSpawner::new(WORKER_BIN));
-        let got = host.run_spec(&text).expect("fleet serves the request");
+        let got = run(&mut host, &text).expect("fleet serves the request");
         assert_bit_identical(&got, &want, &format!("shards={shards}"));
         let stats = host.stats();
         assert_eq!(stats.spawns, shards as u64, "one process per shard");
@@ -98,7 +111,7 @@ fn sigkilled_process_is_survived_bit_identically() {
         ProcessSpawner::new(WORKER_BIN),
         hub.clone(),
     );
-    let got = host.run_spec(&text).expect("fleet survives the kill");
+    let got = run(&mut host, &text).expect("fleet survives the kill");
     assert_bit_identical(&got, &want, "kill@0");
     let stats = host.stats();
     assert_eq!(stats.kills_injected, 1);
@@ -123,7 +136,7 @@ fn process_dying_before_its_result_is_survived() {
         ProcessSpawner::new(WORKER_BIN),
         hub.clone(),
     );
-    let got = host.run_spec(&text).expect("fleet survives the death");
+    let got = run(&mut host, &text).expect("fleet survives the death");
     assert_bit_identical(&got, &want, "die-before-result");
     let stats = host.stats();
     assert!(stats.restarts >= 1);
@@ -150,7 +163,7 @@ fn stalled_process_is_timed_out_and_metrics_reconcile() {
         ProcessSpawner::new(WORKER_BIN),
         hub.clone(),
     );
-    let got = host.run_spec(&text).expect("fleet survives the stall");
+    let got = run(&mut host, &text).expect("fleet survives the stall");
     assert_bit_identical(&got, &want, "stall");
     let stats = host.stats();
     assert!(
@@ -181,7 +194,7 @@ fn corrupted_result_is_survived_and_metrics_reconcile() {
         ProcessSpawner::new(WORKER_BIN),
         hub.clone(),
     );
-    let got = host.run_spec(&text).expect("fleet survives the corruption");
+    let got = run(&mut host, &text).expect("fleet survives the corruption");
     assert_bit_identical(&got, &want, "corrupt");
     assert!(
         host.stats().restarts >= 1,
@@ -210,7 +223,7 @@ fn deadline_expiry_reconciles_error_with_metrics() {
         ProcessSpawner::new(WORKER_BIN),
         hub.clone(),
     );
-    match host.run_spec(&text) {
+    match run(&mut host, &text) {
         Err(HostError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
@@ -233,7 +246,7 @@ fn fleet_serves_consecutive_requests_across_one_session() {
     let want = reference_reply(&text, 2);
     let mut host = ShardHost::new(config(2), ProcessSpawner::new(WORKER_BIN));
     for round in 0..3 {
-        let got = host.run_spec(&text).expect("fleet serves the request");
+        let got = run(&mut host, &text).expect("fleet serves the request");
         assert_bit_identical(&got, &want, &format!("round={round}"));
     }
     let stats = host.stats();
@@ -254,7 +267,7 @@ fn pooled_process_fleets_reuse_prewarmed_workers() {
         hub.clone(),
     );
     for round in 0..3 {
-        let got = pool.run_spec(&text).expect("pooled fleet serves");
+        let got = run_pooled(&pool, &text).expect("pooled fleet serves");
         assert_bit_identical(&got, &want, &format!("pool round={round}"));
     }
     let stats = pool.stats();
@@ -292,7 +305,7 @@ fn sigkill_mid_pool_is_survived_bit_identically() {
     // first request rides through the SIGKILL; the second exercises the
     // healed fleet — both must merge bit-identical winners
     for round in 0..2 {
-        let got = pool.run_spec(&text).expect("pooled fleet survives");
+        let got = run_pooled(&pool, &text).expect("pooled fleet survives");
         assert_bit_identical(&got, &want, &format!("pool-kill round={round}"));
     }
     let host = pool.host_stats();

@@ -91,8 +91,8 @@ impl DenseTraffic {
 /// flattened-loop buffer and the per-level tile-bound rows alive across
 /// candidates so the hot path allocates nothing, and — because
 /// consecutive enumerated candidates share outer-loop prefixes — lets
-/// [`analyze_into`] recompute only the storage boundaries below the
-/// first changed loop.
+/// the incremental analysis recompute only the storage boundaries below
+/// the first changed loop.
 #[derive(Debug, Default)]
 pub struct DenseScratch {
     traffic: DenseTraffic,
@@ -124,7 +124,7 @@ impl DenseScratch {
         DenseScratch::default()
     }
 
-    /// The traffic of the most recent [`analyze_into`] call.
+    /// The traffic of the most recent analysis into this scratch.
     pub fn traffic(&self) -> &DenseTraffic {
         &self.traffic
     }
@@ -201,18 +201,6 @@ pub fn analyze(einsum: &Einsum, mapping: &Mapping) -> DenseTraffic {
     let mut scratch = DenseScratch::default();
     analyze_into(einsum, mapping, None, &mut scratch);
     scratch.traffic
-}
-
-/// Like [`analyze`], but reusing `scratch`'s buffers (no per-call heap
-/// allocation once warm). The result lives in
-/// [`DenseScratch::traffic`]; it is bit-identical to [`analyze`]'s.
-pub fn analyze_with<'a>(
-    einsum: &Einsum,
-    mapping: &Mapping,
-    scratch: &'a mut DenseScratch,
-) -> &'a DenseTraffic {
-    analyze_into(einsum, mapping, None, scratch);
-    &scratch.traffic
 }
 
 /// The dense analysis, written into `scratch`.

@@ -175,12 +175,6 @@ impl Model {
         self.format_cache.stats()
     }
 
-    /// Builder-style: overrides the energy table.
-    pub fn with_energy_table(mut self, energy: EnergyTable) -> Self {
-        self.energy = energy;
-        self
-    }
-
     /// Builder-style: switches to worst-case capacity checking.
     pub fn with_worst_case_capacity(mut self) -> Self {
         self.capacity_mode = CapacityMode::WorstCase;
@@ -576,19 +570,8 @@ impl Model {
         objective: Objective,
         shards: usize,
     ) -> (Option<(Mapping, Evaluation)>, SearchStats) {
-        self.search_with(space, mapper, &self.evaluator(objective), shards)
-    }
-
-    /// The search driver through any evaluator of this model, with the
-    /// winner re-evaluated into its full [`Evaluation`].
-    pub(crate) fn search_with<E: CandidateEvaluator>(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        evaluator: &E,
-        shards: usize,
-    ) -> (Option<(Mapping, Evaluation)>, SearchStats) {
-        let (result, stats) = mapper.search_sharded_counted(space, evaluator, shards);
+        let (result, stats) =
+            mapper.search_sharded_counted(space, &self.evaluator(objective), shards);
         let outcome = result.map(|r| {
             let eval = self
                 .evaluate(&r.mapping)
@@ -602,9 +585,8 @@ impl Model {
     /// worker half of a multi-process search), returning the raw local
     /// winner — `(objective bits, globally comparable candidate key,
     /// mapping)` — plus counters, with *no* winner re-evaluation.
-    /// Merging every shard's return through
-    /// [`sparseloop_mapping::merge_shard_results`] and re-evaluating the
-    /// merged winner (what a supervising parent does) reproduces
+    /// Every shard's return, fed to the batch driver as
+    /// [`ReturnedShards`](crate::ReturnedShards), reproduces
     /// [`search_sharded_counted`](Model::search_sharded_counted)
     /// bit-identically.
     pub fn search_shard_counted(
@@ -635,7 +617,7 @@ impl Model {
 ///
 /// The stateless `precheck` / `evaluate` pair runs the full pipeline per
 /// call; the [`worker`](CandidateEvaluator::worker) override hands each
-/// search walk a [`ModelWorker`] holding one [`EvalScratch`] arena,
+/// search walk a worker holding one [`EvalScratch`] arena,
 /// checked out of the process-wide pool for the walk's lifetime —
 /// allocation-free, prefix-incremental, and bit-identical by contract
 /// (property-tested in `tests/prop_model.rs`).

@@ -69,7 +69,10 @@ pub use dataflow::{DenseScratch, DenseTraffic, TensorLevelTraffic};
 pub use engine::{EvalError, Evaluation, FromScratchEvaluator, Model, ModelEvaluator, Objective};
 pub use saf::{ActionOpt, ComputeSaf, FormatSaf, IntersectionSaf, SafSpec};
 pub use scratch::EvalScratch;
-pub use session::{EvalJob, EvalSession, JobError, JobOutcome, JobPlan, SessionStats};
+pub use session::{
+    EvalJob, EvalSession, JobError, JobOutcome, JobPlan, LocalShards, ReturnedShards, SessionStats,
+    ShardExecutor,
+};
 pub use sparse::{ActionBreakdown, SparseCompute, SparseScratch, SparseTensorLevel, SparseTraffic};
 pub use uarch::{level_fits, LevelCost, UarchReport};
 pub use workload::Workload;

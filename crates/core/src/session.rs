@@ -28,6 +28,13 @@
 //! spawn per thread, not one per layer. A search job sharded `n` ways
 //! adds `n - 1` threads of its own, so a batch occupies at most
 //! `min(cores, jobs) × n` threads.
+//!
+//! There is one batch driver, [`EvalSession::run_batch`], and its one
+//! seam is the [`ShardExecutor`] that walks a search job's shards:
+//! [`LocalShards`] on scoped threads, [`ReturnedShards`] from worker
+//! processes. Merging, winner re-evaluation, fixed-mapping evaluation,
+//! cancellation and [`JobOutcome`] assembly happen in the driver only,
+//! so sequential, threaded and multi-process runs reply identically.
 
 use crate::engine::{EvalError, Evaluation, Model, Objective};
 use crate::saf::SafSpec;
@@ -36,7 +43,9 @@ use crate::workload::Workload;
 use sparseloop_arch::Architecture;
 use sparseloop_density::{DensityKey, DensityModel, MemoStats, Memoized};
 use sparseloop_format::TensorFormat;
-use sparseloop_mapping::{Mapper, Mapping, Mapspace, SearchStats};
+use sparseloop_mapping::{
+    merge_shard_results, Mapper, Mapping, Mapspace, SearchStats, ShardWinner,
+};
 use std::collections::HashMap;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -119,6 +128,66 @@ impl std::fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
+
+/// Where a batch's search jobs walk their shards — the one seam of the
+/// batch driver ([`EvalSession::run_batch`]). An executor only walks:
+/// merging, winner re-evaluation, fixed-mapping evaluation,
+/// cancellation and outcome assembly stay in the driver, so every
+/// execution mode returns the same replies.
+pub trait ShardExecutor: Sync {
+    /// Every shard's raw `(local winner, counters)` for search job
+    /// `job` (its index in the batch), whose model is `model`.
+    fn walk(
+        &self,
+        job: usize,
+        model: &Model,
+        space: &Mapspace,
+        mapper: Mapper,
+        objective: Objective,
+    ) -> Vec<(Option<ShardWinner>, SearchStats)>;
+}
+
+/// The in-process executor: each search walks its stream in this many
+/// shards on scoped threads ([`Mapper::search_shards`], one census per
+/// search); `<= 1` is one sequential walk.
+#[derive(Debug, Clone, Copy)]
+pub struct LocalShards(pub usize);
+
+impl ShardExecutor for LocalShards {
+    fn walk(
+        &self,
+        _job: usize,
+        model: &Model,
+        space: &Mapspace,
+        mapper: Mapper,
+        objective: Objective,
+    ) -> Vec<(Option<ShardWinner>, SearchStats)> {
+        mapper.search_shards(space, &model.evaluator(objective), self.0)
+    }
+}
+
+/// Shards already walked elsewhere — by worker processes, each running
+/// [`Model::search_shard_counted`]: `self.0[k][i]` is shard `k`'s raw
+/// result for job `i`. A shard with no entry for a job contributes
+/// nothing.
+#[derive(Debug, Clone)]
+pub struct ReturnedShards(pub Vec<Vec<(Option<ShardWinner>, SearchStats)>>);
+
+impl ShardExecutor for ReturnedShards {
+    fn walk(
+        &self,
+        job: usize,
+        _model: &Model,
+        _space: &Mapspace,
+        _mapper: Mapper,
+        _objective: Objective,
+    ) -> Vec<(Option<ShardWinner>, SearchStats)> {
+        self.0
+            .iter()
+            .map(|shard| shard.get(job).cloned().unwrap_or_default())
+            .collect()
+    }
+}
 
 /// Session-wide cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -276,100 +345,80 @@ impl EvalSession {
     }
 
     /// Evaluates a whole batch — a multi-layer workload, a design sweep,
-    /// or any mix — through the shared caches.
-    ///
-    /// Jobs run concurrently on up to one thread per core (so a batch
-    /// of fixed-mapping evaluations parallelizes too), and each search
-    /// job runs the one search driver, [`Model::search_sharded_counted`],
-    /// at `shards` shards; `None` gives each search one consumer — a
-    /// sequential walk with true `ChangeDepth`s end to end.
-    /// Results are per-job and index-aligned with `jobs`: each job's
-    /// winner, objective and [`SearchStats`] are bit-identical to
-    /// evaluating it through a standalone model at any shard count,
-    /// whatever the interleaving (caching is observable only in
-    /// [`SessionStats`]). A job returns a [`JobError`] when its fixed
-    /// mapping fails to evaluate (the [`EvalError`] is preserved) or its
-    /// mapspace holds no valid candidate.
+    /// or any mix — through the shared caches, each search job walked
+    /// in process at `shards` shards ([`LocalShards`]); `None` gives
+    /// each search one consumer — a sequential walk with true
+    /// `ChangeDepth`s end to end. See [`run_batch`](EvalSession::run_batch).
     pub fn search_batch(
         &self,
         jobs: &[EvalJob],
         shards: Option<usize>,
     ) -> Vec<Result<JobOutcome, JobError>> {
-        self.search_batch_sharded_with(jobs, shards.unwrap_or(1), None)
+        self.run_batch(jobs, &LocalShards(shards.unwrap_or(1)), None)
     }
 
-    /// [`search_batch`](EvalSession::search_batch) at `shards` shards,
-    /// with a cancellation probe checked at each job seam — the batch's
-    /// cancellation checkpoints. A probe returning `true` makes every
-    /// not-yet-started job resolve to [`JobError::Canceled`] instead of
-    /// running; jobs already past their checkpoint run to completion (a
-    /// checkpoint is a *retirement seam*, not a preemption point), so
-    /// results that do complete stay bit-identical to an uncanceled run.
-    /// This is the serving layer's search mode.
-    pub fn search_batch_sharded_with(
+    /// The batch driver. Jobs run concurrently on up to one thread per
+    /// core (so a batch of fixed-mapping evaluations parallelizes too).
+    /// A fixed job evaluates its mapping; a search job gets every
+    /// shard's raw walk from `executor`, merges them with
+    /// [`merge_shard_results`] and re-evaluates the winner — here and
+    /// nowhere else, whichever executor walked the shards.
+    ///
+    /// Results are per-job and index-aligned with `jobs`: each job's
+    /// winner, objective and [`SearchStats`] are bit-identical to
+    /// evaluating it through a standalone model at any shard count,
+    /// whatever the interleaving (caching is observable only in
+    /// [`SessionStats`]). A job returns a [`JobError`] when its mapping
+    /// fails to evaluate (the [`EvalError`] is preserved) or its
+    /// mapspace holds no valid candidate.
+    ///
+    /// The optional `cancel` probe is checked at each job seam — the
+    /// batch's cancellation checkpoints. A probe returning `true` makes
+    /// every not-yet-started job resolve to [`JobError::Canceled`]
+    /// instead of running; jobs already past their checkpoint run to
+    /// completion (a checkpoint is a *retirement seam*, not a preemption
+    /// point), so results that do complete stay bit-identical to an
+    /// uncanceled run. This is the serving layer's search mode.
+    pub fn run_batch(
         &self,
         jobs: &[EvalJob],
-        shards: usize,
+        executor: &dyn ShardExecutor,
         cancel: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> Vec<Result<JobOutcome, JobError>> {
-        self.run_batch(
-            jobs,
-            &|model, space, mapper, objective| {
-                model.search_sharded_counted(space, mapper, objective, shards)
-            },
-            cancel,
-        )
-    }
-
-    /// Shared batch driver: evaluates fixed-mapping jobs directly and
-    /// delegates search jobs to `search`, checking the optional
-    /// cancellation probe once per job, immediately before it starts.
-    #[allow(clippy::type_complexity)]
-    fn run_batch(
-        &self,
-        jobs: &[EvalJob],
-        search: &(dyn Fn(
-            &Model,
-            &Mapspace,
-            Mapper,
-            Objective,
-        ) -> (Option<(Mapping, Evaluation)>, SearchStats)
-              + Sync),
-        cancel: Option<&(dyn Fn() -> bool + Sync)>,
-    ) -> Vec<Result<JobOutcome, JobError>> {
-        let run = |job: &EvalJob| -> Result<JobOutcome, JobError> {
+        let run = |i: usize, job: &EvalJob| -> Result<JobOutcome, JobError> {
             if cancel.map(|probe| probe()).unwrap_or(false) {
                 return Err(JobError::Canceled);
             }
             let model = self.model(job.workload.clone(), job.arch.clone(), job.safs.clone());
-            match &job.plan {
-                JobPlan::Fixed(mapping) => model
-                    .evaluate(mapping)
-                    .map(|eval| JobOutcome {
-                        mapping: mapping.clone(),
-                        eval,
-                        stats: SearchStats {
-                            generated: 1,
-                            evaluated: 1,
-                            ..SearchStats::default()
-                        },
-                    })
-                    .map_err(JobError::Eval),
+            let (mapping, stats) = match &job.plan {
+                JobPlan::Fixed(mapping) => {
+                    let stats = SearchStats {
+                        generated: 1,
+                        evaluated: 1,
+                        ..SearchStats::default()
+                    };
+                    (mapping.clone(), stats)
+                }
                 JobPlan::Search {
                     space,
                     mapper,
                     objective,
                 } => {
-                    let (outcome, stats) = search(&model, space, *mapper, *objective);
-                    outcome
-                        .map(|(mapping, eval)| JobOutcome {
-                            mapping,
-                            eval,
-                            stats,
-                        })
-                        .ok_or(JobError::NoValidCandidate { stats })
+                    let parts = executor.walk(i, &model, space, *mapper, *objective);
+                    match merge_shard_results(parts) {
+                        (Some(winner), stats) => (winner.mapping, stats),
+                        (None, stats) => return Err(JobError::NoValidCandidate { stats }),
+                    }
                 }
-            }
+            };
+            model
+                .evaluate(&mapping)
+                .map(|eval| JobOutcome {
+                    mapping,
+                    eval,
+                    stats,
+                })
+                .map_err(JobError::Eval)
         };
         // min(cores, jobs) workers, the caller included, each pulling the
         // next job index until the batch runs dry
@@ -382,7 +431,7 @@ impl EvalSession {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(job) = jobs.get(i) else { break };
             // each index is pulled once, so its slot is still empty
-            let _ = slots[i].set(run(job));
+            let _ = slots[i].set(run(i, job));
         };
         std::thread::scope(|s| {
             let helpers: Vec<_> = (1..threads.min(jobs.len()))
@@ -438,30 +487,22 @@ mod tests {
     use sparseloop_format::TensorFormat;
     use sparseloop_tensor::einsum::{Einsum, TensorId};
 
-    impl EvalSession {
-        /// Like [`search_batch`](EvalSession::search_batch), but every
-        /// candidate runs the full allocating pipeline — scratch arenas
-        /// and prefix-incremental caching disabled (see
-        /// [`Model::evaluator_from_scratch`]): the reference the
-        /// incremental batch must match bit for bit.
-        fn search_batch_from_scratch(
+    /// Like [`LocalShards`], but every candidate runs the full
+    /// allocating pipeline — scratch arenas and prefix-incremental
+    /// caching disabled (see [`Model::evaluator_from_scratch`]): the
+    /// reference the incremental batch must match bit for bit.
+    struct FromScratchShards(usize);
+
+    impl ShardExecutor for FromScratchShards {
+        fn walk(
             &self,
-            jobs: &[EvalJob],
-            shards: Option<usize>,
-        ) -> Vec<Result<JobOutcome, JobError>> {
-            let shards = shards.unwrap_or(1);
-            self.run_batch(
-                jobs,
-                &|model, space, mapper, objective| {
-                    model.search_with(
-                        space,
-                        mapper,
-                        &model.evaluator_from_scratch(objective),
-                        shards,
-                    )
-                },
-                None,
-            )
+            _job: usize,
+            model: &Model,
+            space: &Mapspace,
+            mapper: Mapper,
+            objective: Objective,
+        ) -> Vec<(Option<ShardWinner>, SearchStats)> {
+            mapper.search_shards(space, &model.evaluator_from_scratch(objective), self.0)
         }
     }
 
@@ -605,7 +646,8 @@ mod tests {
         let jobs = [job(0.25), job(0.5)];
         let reference = EvalSession::new().search_batch(&jobs, None);
         for shards in [None, Some(3)] {
-            let from_scratch = EvalSession::new().search_batch_from_scratch(&jobs, shards);
+            let executor = FromScratchShards(shards.unwrap_or(1));
+            let from_scratch = EvalSession::new().run_batch(&jobs, &executor, None);
             for (a, b) in from_scratch.iter().zip(&reference) {
                 let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
                 assert_eq!(a.mapping, b.mapping, "shards={shards:?}");
@@ -623,11 +665,11 @@ mod tests {
     fn canceled_probe_skips_jobs_at_the_checkpoint() {
         let jobs = [job(0.25), job(0.5)];
         let session = EvalSession::new();
-        let results = session.search_batch_sharded_with(&jobs, 2, Some(&|| true));
+        let results = session.run_batch(&jobs, &LocalShards(2), Some(&|| true));
         assert!(results.iter().all(|r| matches!(r, Err(JobError::Canceled))));
         // an unfired probe changes nothing: bit-identical to no probe
         let plain = session.search_batch(&jobs, Some(2));
-        let probed = session.search_batch_sharded_with(&jobs, 2, Some(&|| false));
+        let probed = session.run_batch(&jobs, &LocalShards(2), Some(&|| false));
         for (a, b) in probed.iter().zip(&plain) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(a.mapping, b.mapping);
@@ -638,26 +680,97 @@ mod tests {
 
     #[test]
     fn shard_worker_halves_reassemble_the_model_search() {
-        // Model::search_shard_counted over every shard index, merged and
-        // re-evaluated by the caller, equals Model::search_sharded_counted
+        // Model::search_shard_counted over every shard index, fed to the
+        // driver as returned shards, equals the in-process batch: the
+        // driver merges, re-evaluates and evaluates fixed jobs itself
         let (workload, safs) = layer(0.25);
-        let arch = arch();
-        let space = Mapspace::all_temporal(workload.einsum(), &arch);
-        let mapper = Mapper::Exhaustive { limit: 500 };
+        let fixed = EvalJob {
+            plan: JobPlan::Fixed(
+                sparseloop_mapping::MappingBuilder::new(2, 3)
+                    .temporal(0, sparseloop_tensor::einsum::DimId(0), 16)
+                    .temporal(1, sparseloop_tensor::einsum::DimId(1), 16)
+                    .temporal(1, sparseloop_tensor::einsum::DimId(2), 16)
+                    .build(),
+            ),
+            ..job(0.25)
+        };
+        // a one-word buffer holds no tile: every candidate is invalid
+        let tiny = ArchitectureBuilder::new("tiny")
+            .level(StorageLevel::new("DRAM").with_class(ComponentClass::Dram))
+            .level(StorageLevel::new("Buf").with_capacity(1))
+            .compute(ComputeSpec::new("MAC", 4))
+            .build()
+            .unwrap();
+        let invalid = EvalJob {
+            plan: JobPlan::Search {
+                space: Mapspace::all_temporal(workload.einsum(), &tiny),
+                mapper: Mapper::Exhaustive { limit: 500 },
+                objective: Objective::Edp,
+            },
+            workload,
+            arch: tiny,
+            safs,
+        };
+        let jobs = [fixed, job(0.25), invalid];
         let session = EvalSession::new();
-        let model = session.model(workload, arch, safs);
-        let (whole, whole_stats) = model.search_sharded_counted(&space, mapper, Objective::Edp, 3);
-        let parts =
-            (0..3).map(|k| model.search_shard_counted(&space, mapper, Objective::Edp, k, 3));
-        let (merged, stats) = sparseloop_mapping::merge_shard_results(parts);
-        let merged = merged.expect("search succeeds");
-        let (mapping, eval) = whole.expect("search succeeds");
-        assert_eq!(merged.mapping, mapping);
-        assert_eq!(stats, whole_stats);
-        let re_eval = model.evaluate(&merged.mapping).unwrap();
-        assert_eq!(re_eval.edp, eval.edp);
-        assert_eq!(re_eval.cycles, eval.cycles);
-        assert_eq!(re_eval.energy_pj, eval.energy_pj);
+        let walk_shards = |k: usize, n: usize| -> Vec<_> {
+            jobs.iter()
+                .map(|job| match &job.plan {
+                    JobPlan::Fixed(_) => (None, SearchStats::default()),
+                    JobPlan::Search {
+                        space,
+                        mapper,
+                        objective,
+                    } => session
+                        .model(job.workload.clone(), job.arch.clone(), job.safs.clone())
+                        .search_shard_counted(space, *mapper, *objective, k, n),
+                })
+                .collect()
+        };
+        for n in [1, 2, 3] {
+            let want = session.search_batch(&jobs, Some(n));
+            let returned = ReturnedShards((0..n).map(|k| walk_shards(k, n)).collect());
+            let got = session.run_batch(&jobs, &returned, None);
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                match (a, b) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a.mapping, b.mapping, "n={n} job {i}");
+                        assert_eq!(a.eval.edp.to_bits(), b.eval.edp.to_bits(), "n={n} job {i}");
+                        assert_eq!(a.stats, b.stats, "n={n} job {i}");
+                    }
+                    (a, b) => assert_eq!(a.as_ref().err(), b.as_ref().err(), "n={n} job {i}"),
+                }
+            }
+            assert!(matches!(
+                &got[2],
+                Err(JobError::NoValidCandidate { stats }) if stats.generated > 0 && stats.evaluated == 0
+            ));
+            // a shard with no entries contributes nothing: same reply as
+            // that shard reporting an empty walk for every job
+            let mut missing = returned.clone();
+            missing.0[n - 1].clear();
+            let mut empty = returned.clone();
+            empty.0[n - 1] = vec![(None, SearchStats::default()); jobs.len()];
+            let (a, b) = (
+                session.run_batch(&jobs, &missing, None),
+                session.run_batch(&jobs, &empty, None),
+            );
+            for (a, b) in a.iter().zip(&b) {
+                match (a, b) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a.mapping, b.mapping, "n={n}");
+                        assert_eq!(a.stats, b.stats, "n={n}");
+                    }
+                    (a, b) => assert_eq!(a.as_ref().err(), b.as_ref().err(), "n={n}"),
+                }
+            }
+            let search = a[1].as_ref().map(|o| o.stats.generated);
+            let others: usize = (0..n - 1).map(|k| returned.0[k][1].1.generated).sum();
+            match search {
+                Ok(generated) => assert_eq!(generated, others, "n={n}"),
+                Err(e) => assert_eq!(n, 1, "only a lone missing shard empties the search: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -353,7 +353,7 @@ impl SparseScratch {
         SparseScratch::default()
     }
 
-    /// The traffic of the most recent [`analyze_into`] call.
+    /// The traffic of the most recent analysis into this scratch.
     pub fn traffic(&self) -> &SparseTraffic {
         &self.traffic
     }

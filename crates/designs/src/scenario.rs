@@ -19,7 +19,9 @@
 
 use crate::common::{conv_mapspace, matmul_mapping_2level, matmul_mapping_3level, DesignPoint};
 use crate::{dstc, eyeriss, eyeriss_v2, fig1, fig17, scnn, stc};
-use sparseloop_core::{EvalJob, EvalSession, JobError, JobOutcome, Objective, Workload};
+use sparseloop_core::{
+    EvalJob, EvalSession, JobError, JobOutcome, LocalShards, Objective, ShardExecutor, Workload,
+};
 use sparseloop_density::DensityModelSpec;
 use sparseloop_mapping::{Mapping, Mapspace, SearchStats};
 use sparseloop_tensor::einsum::Einsum;
@@ -31,7 +33,7 @@ use std::time::Instant;
 pub use crate::common::DEFAULT_MAPPER;
 
 /// How an [`Experiment`] obtains its mapping — the core layer's
-/// [`JobPlan`] under its registry-facing name (one enum, no conversion
+/// [`JobPlan`](sparseloop_core::JobPlan) under its registry-facing name (one enum, no conversion
 /// layer to keep in sync).
 pub use sparseloop_core::JobPlan as MappingPolicy;
 
@@ -47,9 +49,14 @@ pub struct Experiment {
     /// Fixed mapping or search.
     pub policy: MappingPolicy,
     /// Whether an empty outcome is a failure. Defaults to `true`; the
-    /// Table 5 timing rows mark layers [`optional`](Experiment::optional)
-    /// because some deep layers genuinely admit no valid mapping on the
-    /// PE-scale designs (the paper's CPHC metric simply excludes them).
+    /// Table 5 timing rows mark deep layers
+    /// [`optional`](Experiment::optional) because the *default search*
+    /// may come back empty on the PE-scale designs (the paper's CPHC
+    /// metric simply excludes them). That is not a proof of
+    /// infeasibility: a probe found 2 100–2 895 valid mappings on each
+    /// of `table5_eyerissv2pe_vgg16` conv6–conv10, which the default
+    /// search misses. ROADMAP 18b (in-space samples) and 2b (emptiness
+    /// as a proof) are the way to retire the flag.
     pub required: bool,
 }
 
@@ -145,34 +152,25 @@ impl Scenario {
     /// search experiment walks its candidate stream in `shards` shards
     /// (`None`: one consumer); results are bit-identical at any count.
     pub fn run(&self, session: &EvalSession, shards: Option<usize>) -> ScenarioOutcome {
-        self.run_with(|jobs| session.search_batch(jobs, shards))
+        self.run_on(session, &LocalShards(shards.unwrap_or(1)), None)
     }
 
-    /// Like [`run`](Scenario::run) at `shards` shards, with a
-    /// cancellation probe checked at each experiment seam (see
-    /// [`EvalSession::search_batch_sharded_with`]): once the probe
+    /// Runs every experiment through the batch driver
+    /// ([`EvalSession::run_batch`]) with `executor` walking the search
+    /// shards, timing the whole batch. Once the optional `cancel` probe
     /// fires, remaining experiments resolve to [`JobError::Canceled`]
     /// instead of running. Experiments that do run stay bit-identical
-    /// to [`run`](Scenario::run). The serving layer's scenario mode.
-    pub fn run_sharded_with(
+    /// to [`run`](Scenario::run) — whichever executor walked them.
+    pub fn run_on(
         &self,
         session: &EvalSession,
-        shards: usize,
+        executor: &dyn ShardExecutor,
         cancel: Option<&(dyn Fn() -> bool + Sync)>,
-    ) -> ScenarioOutcome {
-        self.run_with(|jobs| session.search_batch_sharded_with(jobs, shards, cancel))
-    }
-
-    /// Shared driver: builds the jobs, times the batch, assembles the
-    /// outcome.
-    fn run_with(
-        &self,
-        batch: impl FnOnce(&[EvalJob]) -> Vec<Result<JobOutcome, JobError>>,
     ) -> ScenarioOutcome {
         let experiments = self.experiments();
         let jobs: Vec<EvalJob> = experiments.iter().map(Experiment::job).collect();
         let start = Instant::now();
-        let results = batch(&jobs);
+        let results = session.run_batch(&jobs, executor, cancel);
         ScenarioOutcome {
             name: self.name.clone(),
             experiments,

@@ -17,13 +17,14 @@
 //! obviously-invalid candidates (e.g. oversized tiles) before the full
 //! objective runs.
 //!
-//! There is one search driver, [`Mapper::search_sharded_counted`], and
-//! one loop under it: a worker walks one keyed candidate stream and
+//! There is one loop: a worker walks one keyed candidate stream and
 //! keeps the `(objective, key)` minimum. A sequential search is one
 //! walk over the whole stream; a threaded search walks `n` disjoint
-//! shards ([`Mapspace::shards`]) concurrently; a multi-process search
-//! runs [`Mapper::search_shard_counted`] per worker process. Every mode
-//! reduces its walks with [`merge_shard_results`], and shard keys order
+//! shards ([`Mapspace::shards`]) concurrently
+//! ([`Mapper::search_shards`]); a multi-process search runs
+//! [`Mapper::search_shard_counted`] per worker process. Every mode
+//! reduces its walks with [`merge_shard_results`] (in process,
+//! [`Mapper::search_sharded_counted`] does), and shard keys order
 //! exactly like the unsharded stream, so all of them return
 //! bit-identical winners and counters.
 
@@ -270,42 +271,53 @@ impl Mapper {
     where
         F: FnMut(&Mapping) -> Option<f64>,
     {
-        let (best, stats) = self.walk_stream(space, &mut FnWorker(objective), |i| i);
+        let (best, stats) = self.walk_stream(space, &mut FnWorker(objective));
         finish(best, stats).0
     }
 
     /// The search driver: walks the candidate stream in `shards`
-    /// disjoint sub-streams ([`Mapspace::shards`]) evaluated
-    /// concurrently — shard 0 on the calling thread, every other shard
-    /// on a scoped thread of its own — and reduces the per-shard
-    /// winners by `(objective value, candidate position)`. The run's
-    /// counters are returned even when no candidate evaluates
-    /// successfully — an all-invalid stream was still walked, and
-    /// throughput accounting should see that work.
+    /// disjoint sub-streams ([`search_shards`](Mapper::search_shards))
+    /// and reduces the per-shard winners with [`merge_shard_results`],
+    /// by `(objective value, candidate position)`. The run's counters
+    /// are returned even when no candidate evaluates successfully — an
+    /// all-invalid stream was still walked, and throughput accounting
+    /// should see that work.
     ///
     /// Winners and counters are **bit-identical** at any shard count:
     /// shard candidates carry globally comparable [`CandidateKey`]s
     /// whose order is exactly the unsharded stream order, so the
     /// lexicographic minimum of `(value, key)` is the first strict
-    /// minimum a sequential scan keeps. `shards <= 1` is that sequential
-    /// scan: one worker walks the whole stream, with no census and no
-    /// spawn. A hybrid strategy's seeded sample tail runs after shard
-    /// 0's share of the prefix, on shard 0's worker, deduplicated
-    /// against the full prefix exactly like the unsharded stream. A pure
-    /// random strategy is one seeded sequence with nothing to shard and
-    /// always runs sequentially.
-    ///
-    /// A panicking walk re-raises its own payload on the caller, after
-    /// every other shard has finished.
+    /// minimum a sequential scan keeps.
     pub fn search_sharded_counted<E: CandidateEvaluator + ?Sized>(
         &self,
         space: &Mapspace,
         evaluator: &E,
         shards: usize,
     ) -> (Option<SearchResult>, SearchStats) {
+        merge_shard_results(self.search_shards(space, evaluator, shards))
+    }
+
+    /// Every walk of [`search_sharded_counted`](Mapper::search_sharded_counted),
+    /// unmerged: one raw `(local winner, counters)` per shard, evaluated
+    /// concurrently — shard 0 on the calling thread, every other shard
+    /// on a scoped thread of its own, one census for the whole search.
+    /// `shards <= 1` is one sequential walk over the whole stream, with
+    /// no census and no spawn. A hybrid strategy's seeded sample tail
+    /// runs after shard 0's share of the prefix, on shard 0's worker,
+    /// deduplicated against the full prefix exactly like the unsharded
+    /// stream. A pure random strategy is one seeded sequence with
+    /// nothing to shard and always runs sequentially.
+    ///
+    /// A panicking walk re-raises its own payload on the caller, after
+    /// every other shard has finished.
+    pub fn search_shards<E: CandidateEvaluator + ?Sized>(
+        &self,
+        space: &Mapspace,
+        evaluator: &E,
+        shards: usize,
+    ) -> Vec<(Option<ShardWinner>, SearchStats)> {
         let Some(limit) = self.enumeration_limit().filter(|_| shards > 1) else {
-            let (best, stats) = self.walk_stream(space, &mut *evaluator.worker(), |i| i);
-            return finish(best, stats);
+            return vec![self.walk_stream(space, &mut *evaluator.worker())];
         };
         let mut own = space.shards(shards, limit).into_iter();
         let first = own.next().expect("at least two shards");
@@ -319,7 +331,7 @@ impl Mapper {
             let rest = rest
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)));
-            merge_shard_results(std::iter::once(first).chain(rest))
+            std::iter::once(first).chain(rest).collect()
         })
     }
 
@@ -357,11 +369,7 @@ impl Mapper {
                 let own = space.shards(shards, limit).swap_remove(shard);
                 self.walk_shard(space, evaluator, own, shard == 0)
             }
-            None if shard == 0 => {
-                // keyed like a sample tail: sampled keys order by draw
-                let sampled = |i| CandidateKey::sampled(i as u64);
-                self.walk_stream(space, &mut *evaluator.worker(), sampled)
-            }
+            None if shard == 0 => self.walk_stream(space, &mut *evaluator.worker()),
             None => (None, SearchStats::default()),
         }
     }
@@ -376,18 +384,17 @@ impl Mapper {
         }
     }
 
-    /// The strategy's whole candidate stream through one worker, the
-    /// `i`-th candidate keyed `key(i)`.
-    fn walk_stream<K: PartialOrd + Copy>(
+    /// The strategy's whole candidate stream through one worker, keyed
+    /// like a sample tail: sampled keys order by stream position.
+    fn walk_stream(
         &self,
         space: &Mapspace,
         worker: &mut dyn WorkerEvaluator,
-        key: impl Fn(usize) -> K,
-    ) -> (Option<(f64, K, Mapping)>, SearchStats) {
+    ) -> (Option<ShardWinner>, SearchStats) {
         let mut best = None;
         let mut stats = SearchStats::default();
         let items = self.delta_candidates(space).enumerate();
-        let items = items.map(|(i, (depth, m))| (key(i), depth, m));
+        let items = items.map(|(i, (depth, m))| (CandidateKey::sampled(i as u64), depth, m));
         walk(items, worker, &mut best, &mut stats);
         (best, stats)
     }
@@ -570,13 +577,12 @@ impl<'a> SampleTail<'a> {
 
 /// The one search loop: precheck → evaluate → keep the `(value, key)`
 /// minimum → count, for every `(key, depth, candidate)` of one stream in
-/// order. Keys must order like stream positions (a stream index, or a
-/// [`CandidateKey`]), so the kept candidate is the first strict minimum
-/// whatever way the stream was split.
-fn walk<K: PartialOrd + Copy>(
-    items: impl Iterator<Item = (K, ChangeDepth, Mapping)>,
+/// order. Keys must order like stream positions, so the kept candidate
+/// is the first strict minimum whatever way the stream was split.
+fn walk(
+    items: impl Iterator<Item = (CandidateKey, ChangeDepth, Mapping)>,
     worker: &mut dyn WorkerEvaluator,
-    best: &mut Option<(f64, K, Mapping)>,
+    best: &mut Option<ShardWinner>,
     stats: &mut SearchStats,
 ) {
     for (key, depth, m) in items {
@@ -600,17 +606,14 @@ fn walk<K: PartialOrd + Copy>(
 }
 
 /// `(value, key)` lexicographic improvement test.
-fn beats<K: PartialOrd>(v: f64, key: K, cur: &Option<(f64, K, Mapping)>) -> bool {
+fn beats(v: f64, key: CandidateKey, cur: &Option<ShardWinner>) -> bool {
     match cur {
         None => true,
         Some((bv, bkey, _)) => v < *bv || (v == *bv && key < *bkey),
     }
 }
 
-fn finish<K>(
-    best: Option<(f64, K, Mapping)>,
-    stats: SearchStats,
-) -> (Option<SearchResult>, SearchStats) {
+fn finish(best: Option<ShardWinner>, stats: SearchStats) -> (Option<SearchResult>, SearchStats) {
     let result = best.map(|(objective, _, mapping)| SearchResult {
         mapping,
         objective,

@@ -574,7 +574,7 @@ impl Mapspace {
     /// late-but-valid candidates entirely).
     ///
     /// Memory note: each dimension's ordered factorization list is a
-    /// *lazy memoizing stream* ([`FactorizationStream`]): factorizations
+    /// *lazy memoizing stream*: factorizations
     /// materialize only as far as the mixed-radix counter reaches, so an
     /// enumeration stopped early (small `limit`, or a search that bails
     /// out) never allocates the full ordered-factor list of an

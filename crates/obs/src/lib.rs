@@ -97,13 +97,6 @@ impl ObsHub {
         }
     }
 
-    /// Replaces the flight-recorder policy (call before handing clones
-    /// out — the recorder is shared once cloned).
-    pub fn with_recorder(mut self, config: RecorderConfig) -> Self {
-        self.recorder = Arc::new(FlightRecorder::new(config));
-        self
-    }
-
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }

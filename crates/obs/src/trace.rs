@@ -19,7 +19,7 @@ pub enum SpanKind {
     /// One dispatch attempt of a shard to a fleet worker (send → result or
     /// death), as observed by the supervisor.
     ShardDispatch,
-    /// Full round-trip of one request through the fleet (`run_spec` entry to
+    /// Full round-trip of one request through the fleet (`ShardHost::run` entry to
     /// merged winner).
     WorkerRoundTrip,
     /// Worker-side: compiling the spec into an evaluation plan.

@@ -47,8 +47,13 @@
 //! supervises a fleet of **worker processes** (one per shard) that
 //! speak a dependency-free length-prefixed frame protocol over
 //! stdin/stdout ([`protocol`]): the parent dispatches spec text plus a
-//! shard assignment, workers stream heartbeats and shard winners back,
-//! and the parent merges exactly like the in-process sharded search —
+//! shard assignment and workers stream heartbeats and shard winners
+//! back. The fleet is one executor of the batch driver
+//! ([`EvalSession::run_batch`](sparseloop_core::EvalSession::run_batch)):
+//! [`ShardHost::run`] takes the caller's compiled scenario and session
+//! and hands the shard winners to the driver as
+//! [`ReturnedShards`](sparseloop_core::ReturnedShards), which merges,
+//! re-evaluates and replies exactly as for an in-process run —
 //! bit-identical results under *any* kill schedule. Worker death
 //! (stream EOF or heartbeat silence) triggers re-dispatch of the
 //! orphaned shard with exponential backoff; deterministic failures are

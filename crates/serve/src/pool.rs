@@ -3,7 +3,7 @@
 //! The service→fleet integration must not pay a full worker-fleet
 //! spawn per request: a [`FleetPool`] owns a fixed set of hosts whose
 //! worker processes are **prewarmed at construction and reused across
-//! requests**. Service workers check a host out, run one spec, and
+//! requests**. Service workers check a host out, run one request, and
 //! check it back in — a classic object pool with a [`Condvar`] for the
 //! "all hosts busy" case, so concurrent service workers queue instead
 //! of spawning throwaway fleets.
@@ -25,6 +25,8 @@
 use crate::proc::{ProcessSpawner, ThreadSpawner, WorkerEvent, WorkerHandle, WorkerSpawner};
 use crate::service::ScenarioReply;
 use crate::supervisor::{HostConfig, HostError, HostStats, ShardHost};
+use sparseloop_core::EvalSession;
+use sparseloop_designs::Scenario;
 use sparseloop_obs::{ObsHub, SpanKind, TraceContext};
 use std::path::Path;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -142,11 +144,6 @@ impl FleetPool {
         Self::with_spawners(config, move |_| Box::new(ProcessSpawner::new(&bin)), None)
     }
 
-    /// Like [`threads`](Self::threads), publishing into `hub`.
-    pub fn threads_observed(config: FleetPoolConfig, hub: ObsHub) -> Self {
-        Self::with_spawners(config, |_| Box::new(ThreadSpawner), Some(hub))
-    }
-
     /// Like [`processes`](Self::processes), publishing into `hub`.
     pub fn processes_observed(
         config: FleetPoolConfig,
@@ -196,18 +193,16 @@ impl FleetPool {
         pool
     }
 
-    /// Runs one spec through a pooled fleet: checkout (blocking until a
-    /// host is free), optional health sweep, dispatch, checkin.
-    pub fn run_spec(&self, text: &str) -> Result<ScenarioReply, HostError> {
-        self.run_spec_traced(text, None)
-    }
-
-    /// [`run_spec`](Self::run_spec) under a caller-provided trace
-    /// context: the checkout span and everything the host records are
+    /// Runs one compiled scenario through a pooled fleet: checkout
+    /// (blocking until a host is free), optional health sweep,
+    /// [`ShardHost::run`], checkin. Under a caller-provided trace
+    /// context the checkout span and everything the host records are
     /// tagged with the originating request and parented under its span.
-    pub fn run_spec_traced(
+    pub fn run(
         &self,
+        scenario: &Scenario,
         text: &str,
+        session: &EvalSession,
         ctx: Option<TraceContext>,
     ) -> Result<ScenarioReply, HostError> {
         let checkout_start = self.inner.hub.as_ref().map(|h| h.now_nanos());
@@ -231,7 +226,7 @@ impl FleetPool {
             stats.pongs_received += report.pongs_received;
             stats.workers_replaced += report.workers_replaced;
         }
-        let result = pooled.host.run_spec_traced(text, ctx);
+        let result = pooled.host.run(scenario, text, session, ctx);
         self.checkin(index, pooled);
         result
     }
@@ -371,6 +366,13 @@ mod tests {
             )
     }
 
+    /// Runs `text` through `pool` the way the service does: compiled
+    /// once by the caller, replied on the caller's session.
+    fn run(pool: &FleetPool, text: &str) -> Result<ScenarioReply, HostError> {
+        let scenario = sparseloop_spec::compile_str(text).unwrap().into_scenario();
+        pool.run(&scenario, text, &EvalSession::new(), None)
+    }
+
     fn demo_spec() -> String {
         let scenario = sparseloop_designs::Scenario::new("pool_demo", "tiny pool demo", || {
             let layer = sparseloop_workloads::spmspm(8, 8, 8, 0.5, 0.5);
@@ -391,7 +393,7 @@ mod tests {
         let text = demo_spec();
         let pool = FleetPool::threads(pool_config(1, 2));
         for _ in 0..3 {
-            pool.run_spec(&text).unwrap();
+            run(&pool, &text).unwrap();
         }
         let hosts = pool.host_stats();
         assert_eq!(hosts.requests, 3);
@@ -412,7 +414,7 @@ mod tests {
                 .map(|_| {
                     let pool = pool.clone();
                     let text = &text;
-                    scope.spawn(move || pool.run_spec(text).unwrap())
+                    scope.spawn(move || run(&pool, text).unwrap())
                 })
                 .collect();
             for h in handles {
@@ -432,7 +434,7 @@ mod tests {
         let text = demo_spec();
         let pool =
             FleetPool::threads(pool_config(1, 2).with_health_interval(Duration::from_millis(0)));
-        pool.run_spec(&text).unwrap();
+        run(&pool, &text).unwrap();
         let stats = pool.stats();
         assert!(stats.health_sweeps >= 1, "{stats:?}");
         assert_eq!(stats.pings_sent, stats.pongs_received, "{stats:?}");
@@ -478,7 +480,7 @@ mod tests {
         let report = pool.health_check_all();
         assert_eq!(report.workers_replaced, 1, "{report:?}");
         // the replaced fleet serves correctly
-        pool.run_spec(&demo_spec()).unwrap();
+        run(&pool, &demo_spec()).unwrap();
         assert_eq!(pool.host_stats().requests, 1);
     }
 }

@@ -4,14 +4,15 @@
 use crate::pool::FleetPool;
 use crate::queue::{Admission, BoundedQueue, Priority};
 use crate::supervisor::HostError;
-use sparseloop_core::{EvalJob, EvalSession, JobError, JobOutcome};
-use sparseloop_designs::ScenarioRegistry;
+use sparseloop_core::{EvalJob, EvalSession, JobError, JobOutcome, LocalShards};
+use sparseloop_designs::{Scenario, ScenarioRegistry};
 use sparseloop_mapping::SearchStats;
 use sparseloop_obs::{
     Counter, Gauge, HealthStatus, Histogram, MetricsSnapshot, ObsHub, ObsServer, ObsServerHooks,
     RecordedRequest, RequestOutcome, SpanKind, TraceContext, LATENCY_BUCKETS_NANOS,
 };
 use sparseloop_spec::SpecError;
+use std::borrow::Cow;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,7 +30,7 @@ pub struct ServeConfig {
     /// beyond it (backpressure).
     pub queue_capacity: usize,
     /// Shard count for search jobs
-    /// ([`EvalSession::search_batch_sharded_with`]); results are
+    /// ([`LocalShards`] under [`EvalSession::run_batch`]); results are
     /// bit-identical at any value. Each queue worker's batch runs on up
     /// to one thread per core and every search in it on `shards`
     /// threads, so a value above 1 multiplies the service's threads.
@@ -386,12 +387,6 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// The request's cancellation token (cloneable; trip it to abandon
-    /// the request from anywhere).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// Cancels the request; a worker that has not finished it stops at
     /// the next cancellation checkpoint.
     pub fn cancel(&self) {
@@ -772,15 +767,18 @@ impl Shared {
         }));
     }
 
-    /// Dispatches spec text to the attached fleet. `Ok(None)` means
-    /// "evaluate in process instead": no fleet, or the fleet lost its
-    /// workers / ran out of host deadline — failures of the machinery,
-    /// not the workload (`degraded` is set so the flight recorder can
-    /// tag the request). Deterministic workload failures surface as
-    /// real errors so fallback never masks a bad request.
+    /// Dispatches a compiled scenario and its spec text to the attached
+    /// fleet, whose reply the batch driver builds on `session`.
+    /// `Ok(None)` means "evaluate in process instead": no fleet, or the
+    /// fleet lost its workers / ran out of host deadline — failures of
+    /// the machinery, not the workload (`degraded` is set so the flight
+    /// recorder can tag the request). Deterministic workload failures
+    /// surface as real errors so fallback never masks a bad request.
     fn try_fleet(
         &self,
+        scenario: &Scenario,
         text: &str,
+        session: &EvalSession,
         ctx: TraceContext,
         degraded: &mut bool,
     ) -> Result<Option<ScenarioReply>, ServeError> {
@@ -791,9 +789,8 @@ impl Shared {
         if let Some(obs) = &self.obs {
             obs.fleet_dispatched.inc();
         }
-        match fleet.run_spec_traced(text, Some(ctx)) {
+        match fleet.run(scenario, text, session, Some(ctx)) {
             Ok(reply) => Ok(Some(reply)),
-            Err(HostError::InvalidSpec(diag)) => Err(ServeError::InvalidSpec(diag)),
             Err(HostError::TaskFailed { message }) => Err(ServeError::Panicked(message)),
             Err(HostError::WorkerLost { .. } | HostError::DeadlineExceeded) => {
                 self.counters().fleet_fallbacks += 1;
@@ -816,45 +813,44 @@ impl Shared {
     ) -> Result<ServeReply, ServeError> {
         let probe = || cancel.is_canceled();
         let probe: Option<&(dyn Fn() -> bool + Sync)> = Some(&probe);
-        match request {
+        let local = LocalShards(self.config.shards);
+        let compiled;
+        let (scenario, text) = match request {
             ServeRequest::Job(job) => {
-                let mut results = session.search_batch_sharded_with(
-                    std::slice::from_ref(&**job),
-                    self.config.shards,
-                    probe,
-                );
+                let mut results = session.run_batch(std::slice::from_ref(&**job), &local, probe);
                 let result = results.pop().expect("one job in, one result out");
-                Ok(ServeReply::Job(Box::new(result)))
+                return Ok(ServeReply::Job(Box::new(result)));
             }
             ServeRequest::Scenario(name) => {
                 let scenario = self
                     .registry
                     .get(name)
                     .ok_or_else(|| ServeError::UnknownScenario(name.clone()))?;
-                // same emit→dispatch path the supervisor's
-                // `run_scenario` uses; enforced bit-identical to the
-                // in-process run by the fleet round-trip suite
-                if let Some(reply) =
-                    self.try_fleet(&sparseloop_spec::emit_scenario(scenario), ctx, degraded)?
-                {
-                    return Ok(ServeReply::Scenario(reply));
-                }
-                let outcome = scenario.run_sharded_with(session, self.config.shards, probe);
-                Ok(ServeReply::Scenario(scenario_reply(outcome)))
+                // the fleet's workers compile the emitted text; the smoke
+                // `scenario` phase keeps that twin bit-identical to the
+                // registry scenario the driver replies from
+                let text = self
+                    .fleet
+                    .as_ref()
+                    .map(|_| Cow::Owned(sparseloop_spec::emit_scenario(scenario)));
+                (scenario, text)
             }
             ServeRequest::Spec(text) => {
-                // compile first so malformed specs fail identically with
-                // or without a fleet attached
-                let scenario = sparseloop_spec::compile_str(text)
+                // compile once, first, so malformed specs fail
+                // identically with or without a fleet attached
+                compiled = sparseloop_spec::compile_str(text)
                     .map_err(|e| ServeError::InvalidSpec(SpecDiagnostic::from(&e)))?
                     .into_scenario();
-                if let Some(reply) = self.try_fleet(text, ctx, degraded)? {
-                    return Ok(ServeReply::Scenario(reply));
-                }
-                let outcome = scenario.run_sharded_with(session, self.config.shards, probe);
-                Ok(ServeReply::Scenario(scenario_reply(outcome)))
+                (&compiled, Some(Cow::Borrowed(text.as_str())))
+            }
+        };
+        if let Some(text) = text {
+            if let Some(reply) = self.try_fleet(scenario, &text, session, ctx, degraded)? {
+                return Ok(ServeReply::Scenario(reply));
             }
         }
+        let outcome = scenario.run_on(session, &local, probe);
+        Ok(ServeReply::Scenario(scenario_reply(outcome)))
     }
 
     /// Post-request bookkeeping: track the intern-slot high-water mark
@@ -2208,20 +2204,27 @@ mod tests {
     fn fleet_backed_service_surfaces_invalid_specs_without_fallback() {
         use crate::pool::FleetPoolConfig;
         let pool = FleetPool::threads(FleetPoolConfig::default().with_hosts(1));
-        let service = EvalService::start_with_fleet(ServeConfig::default().with_workers(1), pool);
+        let prewarmed = pool.host_stats();
+        let service =
+            EvalService::start_with_fleet(ServeConfig::default().with_workers(1), pool.clone());
         let reply = service
-            .submit_spec("definitely: not a scenario")
+            .submit_spec("scenario:\n  name: x\n  bogus: 1\n")
             .unwrap()
             .wait();
-        assert!(
-            matches!(reply, Err(ServeError::InvalidSpec(_))),
-            "got {reply:?}"
-        );
+        match reply {
+            Err(ServeError::InvalidSpec(diag)) => {
+                assert_eq!(diag.line, 3, "{diag}");
+                assert!(diag.context.contains("bogus"), "{diag}");
+            }
+            other => panic!("expected InvalidSpec, got {other:?}"),
+        }
         let stats = service.shutdown();
         assert_eq!(
             stats.fleet_dispatched, 0,
             "malformed specs fail at compile, before fleet dispatch"
         );
         assert_eq!(stats.fleet_fallbacks, 0);
+        // the fleet never saw the request: no run, no spawn, no retry
+        assert_eq!(pool.host_stats(), prewarmed);
     }
 }

@@ -1,15 +1,17 @@
 //! The supervision tree over multi-process sharded search.
 //!
-//! A [`ShardHost`] owns N worker slots (one per shard). Each request
-//! compiles its spec locally, dispatches one [`Frame::Task`] per shard
-//! to the workers, and folds the returned shard winners through
-//! [`merge_shard_results`] — re-evaluating the merged winner through
-//! the parent's own session, exactly as the in-process sharded search
-//! does. Because the per-shard walk is the *same code path*
+//! A [`ShardHost`] owns N worker slots (one per shard) and is one
+//! executor of the batch driver, nothing more. Each request takes the
+//! caller's compiled [`Scenario`] with its spec text, dispatches one
+//! [`Frame::Task`] per shard to the workers, and hands the returned
+//! shard winners to [`Scenario::run_on`] as [`ReturnedShards`] on the
+//! caller's session: the driver merges them, re-evaluates the winners
+//! and evaluates fixed-mapping experiments, exactly as for an
+//! in-process run. Because the per-shard walk is the *same code path*
 //! (`Model::search_shard_counted`) on both sides of the process
-//! boundary, the merged reply is bit-identical to
-//! [`Scenario::run`] — and stays bit-identical under any
-//! worker-failure schedule, because a lost shard is simply recomputed.
+//! boundary, the reply is bit-identical to [`Scenario::run`] — and
+//! stays bit-identical under any worker-failure schedule, because a
+//! lost shard is simply recomputed.
 //!
 //! Supervision policy:
 //!
@@ -21,16 +23,17 @@
 //!   [`HostConfig::max_retries`] times per request, sleeping
 //!   `backoff_base · 2^(attempt-1)` before each respawn. Exhaustion is
 //!   [`HostError::WorkerLost`].
-//! * **No retry of deterministic failures** — a spec that does not
-//!   compile ([`HostError::InvalidSpec`]) or a task the worker reports
+//! * **No retry of deterministic failures** — a task the worker reports
 //!   failed ([`HostError::TaskFailed`]) fails the request immediately;
-//!   re-running it would fail identically.
+//!   re-running it would fail identically. Specs arrive compiled, so an
+//!   invalid spec never reaches the fleet.
 //! * **Per-request deadline** — [`HostConfig::request_deadline`] bounds
 //!   the whole request; expiry is [`HostError::DeadlineExceeded`].
 //! * **Graceful degradation behind a circuit breaker** — if workers
 //!   cannot spawn at all (bad binary path, fork limits), the request
-//!   runs in-process through [`Scenario::run`] instead of
-//!   failing; counted in [`HostStats::degraded`]. Consecutive spawn
+//!   runs in-process — the same driver call with [`LocalShards`] at the
+//!   host's shard count — instead of failing; counted in
+//!   [`HostStats::degraded`]. Consecutive spawn
 //!   failures or exhausted-retry worker losses trip a per-host
 //!   [`CircuitBreaker`]: while it is open, requests short-circuit to
 //!   the degraded path without re-paying spawn attempts or backoff
@@ -57,10 +60,10 @@ use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::fault::{FaultPlan, WorkerFault};
 use crate::proc::{EventKind, WorkerEvent, WorkerHandle, WorkerSpawner};
 use crate::protocol::{ExpResult, Frame};
-use crate::service::{scenario_reply, ScenarioReply, SpecDiagnostic};
-use sparseloop_core::{EvalSession, JobError, JobOutcome, JobPlan};
-use sparseloop_designs::{Scenario, ScenarioOutcome};
-use sparseloop_mapping::{merge_shard_results, SearchStats};
+use crate::service::{scenario_reply, ScenarioReply};
+use sparseloop_core::{EvalSession, LocalShards, ReturnedShards};
+use sparseloop_designs::Scenario;
+use sparseloop_mapping::{SearchStats, ShardWinner};
 use sparseloop_obs::{MetricsSnapshot, ObsHub, SpanKind, TraceContext, LATENCY_BUCKETS_NANOS};
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -217,9 +220,6 @@ impl HostConfig {
 /// Why a hosted request failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HostError {
-    /// The spec did not compile — deterministic, never retried; the
-    /// position survives as structured fields.
-    InvalidSpec(SpecDiagnostic),
     /// A worker reported the task deterministically failed —
     /// re-running would fail identically, so no retry.
     TaskFailed {
@@ -242,7 +242,6 @@ pub enum HostError {
 impl std::fmt::Display for HostError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HostError::InvalidSpec(diag) => write!(f, "invalid spec: {diag}"),
             HostError::TaskFailed { message } => {
                 write!(f, "task failed deterministically: {message}")
             }
@@ -269,7 +268,7 @@ impl std::error::Error for HostError {}
 /// different moments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostStats {
-    /// Requests accepted (compiled successfully).
+    /// Requests run through the host (fleet or degraded).
     pub requests: u64,
     /// Workers spawned (first spawns + restarts).
     pub spawns: u64,
@@ -413,6 +412,17 @@ struct SlotState {
     busy_nanos: u64,
 }
 
+/// What every dispatch of one request carries.
+#[derive(Clone, Copy)]
+struct Dispatch<'a> {
+    task_id: u64,
+    /// The spec text the workers compile.
+    spec: &'a str,
+    deadline: Option<Instant>,
+    /// (request id, round-trip span id) when observed.
+    trace: Option<(u64, u64)>,
+}
+
 /// Observability attachment of a [`ShardHost`]: the shared hub plus the
 /// last [`HostStats`] already published, so counters advance by deltas
 /// and stay equal to the stats snapshot after every request.
@@ -426,7 +436,6 @@ struct HostObs {
 pub struct ShardHost<S: WorkerSpawner> {
     config: HostConfig,
     spawner: S,
-    session: EvalSession,
     /// Slots `0..shards` are the primaries; slots `shards..2*shards`
     /// are spare workers used only for hedged re-dispatch.
     slots: Vec<Option<SlotState>>,
@@ -456,7 +465,6 @@ impl<S: WorkerSpawner> ShardHost<S> {
         ShardHost {
             config,
             spawner,
-            session: EvalSession::new(),
             slots: (0..2 * shards).map(|_| None).collect(),
             events_tx,
             events_rx,
@@ -602,27 +610,20 @@ impl<S: WorkerSpawner> ShardHost<S> {
         report
     }
 
-    /// Runs a registered scenario through the worker fleet (emitted as
-    /// spec text — the same wire the workers compile).
-    pub fn run_scenario(&mut self, scenario: &Scenario) -> Result<ScenarioReply, HostError> {
-        self.run_spec(&sparseloop_spec::emit_scenario(scenario))
-    }
-
-    /// Runs a spec document across the worker fleet and merges the
-    /// shard results (see the [module docs](self) for the policy).
-    pub fn run_spec(&mut self, text: &str) -> Result<ScenarioReply, HostError> {
-        self.run_spec_traced(text, None)
-    }
-
-    /// [`run_spec`](Self::run_spec) under a caller-provided trace
-    /// context: the fleet round-trip span parents under
-    /// `ctx.parent_span_id` and every dispatch/worker span is tagged
-    /// with `ctx.request_id`, so a service request's timeline crosses
-    /// the process boundary intact. `None` (or an unobserved host)
-    /// falls back to a host-allocated request id.
-    pub fn run_spec_traced(
+    /// Runs `scenario` (compiled from the spec `text` the workers
+    /// receive) across the worker fleet, and builds the reply through
+    /// the batch driver on `session` (see the [module docs](self) for
+    /// the policy). Under a caller-provided trace context the fleet
+    /// round-trip span parents under `ctx.parent_span_id` and every
+    /// dispatch/worker span is tagged with `ctx.request_id`, so a
+    /// service request's timeline crosses the process boundary intact.
+    /// `None` (or an unobserved host) falls back to a host-allocated
+    /// request id.
+    pub fn run(
         &mut self,
+        scenario: &Scenario,
         text: &str,
+        session: &EvalSession,
         ctx: Option<TraceContext>,
     ) -> Result<ScenarioReply, HostError> {
         // (request id, parent span, round-trip span id, start) — the
@@ -642,7 +643,12 @@ impl<S: WorkerSpawner> ShardHost<S> {
                 o.hub.now_nanos(),
             )
         });
-        let result = self.run_spec_inner(text, trace.map(|(id, _, span, _)| (id, span)));
+        let result = self.run_inner(
+            scenario,
+            text,
+            session,
+            trace.map(|(id, _, span, _)| (id, span)),
+        );
         if let Some((req_id, parent, span, start_nanos)) = trace {
             if result.is_ok() {
                 if let Some(o) = &self.obs {
@@ -661,25 +667,24 @@ impl<S: WorkerSpawner> ShardHost<S> {
         result
     }
 
-    fn run_spec_inner(
+    fn run_inner(
         &mut self,
+        scenario: &Scenario,
         text: &str,
+        session: &EvalSession,
         // (request id, round-trip span id) when observed
         trace: Option<(u64, u64)>,
     ) -> Result<ScenarioReply, HostError> {
-        let scenario = sparseloop_spec::compile_str(text)
-            .map_err(|e| HostError::InvalidSpec(SpecDiagnostic::from(&e)))?
-            .into_scenario();
         self.stats.requests += 1;
         let n = self.config.shards;
+        let degraded = || scenario_reply(scenario.run_on(session, &LocalShards(n), None));
 
         // an open breaker short-circuits straight to the degraded
         // in-process path: a sick fleet is a *state*, not something
         // each request rediscovers through spawn attempts and backoff
         if !self.breaker.allow() {
             self.stats.degraded += 1;
-            let outcome = scenario.run(&self.session, Some(n));
-            return Ok(scenario_reply(outcome));
+            return Ok(degraded());
         }
         if self.breaker.state() == BreakerState::HalfOpen {
             self.stats.breaker_probes += 1;
@@ -694,8 +699,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                     self.stats.breaker_trips += 1;
                 }
                 self.stats.degraded += 1;
-                let outcome = scenario.run(&self.session, Some(n));
-                return Ok(scenario_reply(outcome));
+                return Ok(degraded());
             }
         }
 
@@ -703,7 +707,12 @@ impl<S: WorkerSpawner> ShardHost<S> {
         let deadline = self.config.request_deadline.map(|d| start + d);
         let task_id = self.next_task_id;
         self.next_task_id += 1;
-        let experiments = scenario.experiments();
+        let task = Dispatch {
+            task_id,
+            spec: text,
+            deadline,
+            trace,
+        };
         let mut attempts = vec![0u32; n];
         let mut shard_results: Vec<Option<Vec<ExpResult>>> = vec![None; n];
         // hedging state: one hedge attempt per shard per request, armed
@@ -713,7 +722,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
         let mut hedge_deadline: Option<Instant> = None;
 
         for slot in 0..n {
-            self.dispatch_shard(slot, task_id, text, &mut attempts, deadline, trace)?;
+            self.dispatch_shard(slot, task, &mut attempts)?;
         }
 
         while shard_results.iter().any(Option::is_none) {
@@ -735,7 +744,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                             hedged[shard] = true;
                             let budgeted = self.hedge_tokens.as_mut().is_some_and(|b| b.try_take());
                             if budgeted {
-                                self.dispatch_hedge(shard, task_id, text, trace);
+                                self.dispatch_hedge(shard, task);
                             }
                         }
                     }
@@ -870,20 +879,8 @@ impl<S: WorkerSpawner> ShardHost<S> {
                                 self.stats.kills_injected += 1;
                                 self.kill_slot(slot);
                                 if !is_hedge && shard_results[shard].is_none() {
-                                    self.retire_attempt(
-                                        shard,
-                                        &mut attempts,
-                                        "injected kill".to_string(),
-                                        deadline,
-                                    )?;
-                                    self.dispatch_shard(
-                                        shard,
-                                        task_id,
-                                        text,
-                                        &mut attempts,
-                                        deadline,
-                                        trace,
-                                    )?;
+                                    let why = "injected kill".to_string();
+                                    self.redispatch(shard, task, &mut attempts, why)?;
                                 }
                             }
                         }
@@ -895,15 +892,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                             // hedge deaths never consume retries
                             if !is_hedge && shard_results[shard].is_none() {
                                 let why = why.unwrap_or_else(|| "worker exited".to_string());
-                                self.retire_attempt(shard, &mut attempts, why, deadline)?;
-                                self.dispatch_shard(
-                                    shard,
-                                    task_id,
-                                    text,
-                                    &mut attempts,
-                                    deadline,
-                                    trace,
-                                )?;
+                                self.redispatch(shard, task, &mut attempts, why)?;
                             }
                         }
                     }
@@ -924,20 +913,8 @@ impl<S: WorkerSpawner> ShardHost<S> {
                             self.stats.deaths_heartbeat_timeout += 1;
                             self.kill_slot(slot);
                             if !is_hedge {
-                                self.retire_attempt(
-                                    shard,
-                                    &mut attempts,
-                                    "heartbeat timeout".to_string(),
-                                    deadline,
-                                )?;
-                                self.dispatch_shard(
-                                    shard,
-                                    task_id,
-                                    text,
-                                    &mut attempts,
-                                    deadline,
-                                    trace,
-                                )?;
+                                let why = "heartbeat timeout".to_string();
+                                self.redispatch(shard, task, &mut attempts, why)?;
                             }
                         }
                     }
@@ -949,81 +926,19 @@ impl<S: WorkerSpawner> ShardHost<S> {
         }
         self.breaker.record_success();
 
-        let shard_results: Vec<Vec<ExpResult>> = shard_results
+        // a worker's Skipped entry (a fixed-mapping experiment) or a
+        // missing one contributes nothing to the merge
+        let returned = shard_results
             .into_iter()
-            .map(|r| r.expect("loop exits only when every shard reported"))
+            .map(|r| {
+                let results = r.expect("loop exits only when every shard reported");
+                results.into_iter().map(shard_part).collect()
+            })
             .collect();
-        self.merge(&scenario, experiments, shard_results, start)
-    }
-
-    /// Folds per-shard results into the reply, evaluating fixed-mapping
-    /// experiments and re-evaluating merged search winners through the
-    /// parent session — the exact post-processing of the in-process
-    /// sharded search, so replies are bit-identical to it.
-    fn merge(
-        &self,
-        scenario: &Scenario,
-        experiments: Vec<sparseloop_designs::Experiment>,
-        shard_results: Vec<Vec<ExpResult>>,
-        start: Instant,
-    ) -> Result<ScenarioReply, HostError> {
-        let mut results: Vec<Result<JobOutcome, JobError>> = Vec::with_capacity(experiments.len());
-        for (i, exp) in experiments.iter().enumerate() {
-            let job = exp.job();
-            let model =
-                self.session
-                    .model(job.workload.clone(), job.arch.clone(), job.safs.clone());
-            let result = match &job.plan {
-                JobPlan::Fixed(mapping) => model
-                    .evaluate(mapping)
-                    .map(|eval| JobOutcome {
-                        mapping: mapping.clone(),
-                        eval,
-                        stats: SearchStats {
-                            generated: 1,
-                            evaluated: 1,
-                            ..SearchStats::default()
-                        },
-                    })
-                    .map_err(JobError::Eval),
-                JobPlan::Search { .. } => {
-                    let parts = shard_results.iter().map(|per_shard| {
-                        match per_shard.get(i) {
-                            Some(ExpResult::Winner {
-                                value,
-                                key,
-                                stats,
-                                mapping,
-                            }) => (Some((*value, *key, mapping.clone())), *stats),
-                            Some(ExpResult::NoWinner { stats }) => (None, *stats),
-                            // a worker that misunderstood the experiment
-                            // list contributes nothing; bit-identity
-                            // checks downstream will catch it
-                            Some(ExpResult::Skipped) | None => (None, SearchStats::default()),
-                        }
-                    });
-                    let (merged, stats) = merge_shard_results(parts);
-                    match merged {
-                        Some(r) => model
-                            .evaluate(&r.mapping)
-                            .map(|eval| JobOutcome {
-                                mapping: r.mapping,
-                                eval,
-                                stats,
-                            })
-                            .map_err(JobError::Eval),
-                        None => Err(JobError::NoValidCandidate { stats }),
-                    }
-                }
-            };
-            results.push(result);
-        }
-        Ok(scenario_reply(ScenarioOutcome {
-            name: scenario.name().to_string(),
-            experiments,
-            results,
-            wall_seconds: start.elapsed().as_secs_f64(),
-        }))
+        let mut outcome = scenario.run_on(session, &ReturnedShards(returned), None);
+        // the fleet reply's wall time covers dispatch as well as merge
+        outcome.wall_seconds = start.elapsed().as_secs_f64();
+        Ok(scenario_reply(outcome))
     }
 
     fn spawn_slot(&mut self, slot: usize) -> std::io::Result<()> {
@@ -1056,51 +971,19 @@ impl<S: WorkerSpawner> ShardHost<S> {
     fn dispatch_shard(
         &mut self,
         slot: usize,
-        task_id: u64,
-        spec: &str,
+        task: Dispatch<'_>,
         attempts: &mut [u32],
-        deadline: Option<Instant>,
-        trace: Option<(u64, u64)>,
     ) -> Result<(), HostError> {
         loop {
             if self.slots[slot].is_none() {
                 if let Err(e) = self.spawn_slot(slot) {
-                    self.retire_attempt(slot, attempts, e.to_string(), deadline)?;
+                    self.retire_attempt(slot, attempts, e.to_string(), task.deadline)?;
                     continue;
                 }
             }
-            // Each dispatch attempt gets a fresh span id; the worker
-            // parents its phase spans under it via the task's trace
-            // context, and the span itself is recorded at result
-            // receipt (retries therefore show as sibling dispatches).
-            let (trace_request, dispatch_span) = match (&self.obs, trace) {
-                (Some(o), Some((rid, _))) => (rid, o.hub.next_span_id()),
-                _ => (0, 0),
-            };
-            let task = Frame::Task {
-                id: task_id,
-                shard: slot as u32,
-                shards: self.config.shards as u32,
-                heartbeat_ms: self.config.heartbeat_ms,
-                spec: spec.to_string(),
-                // ask for a phase-timing Stats frame only when someone
-                // is listening
-                want_stats: self.obs.is_some(),
-                trace_request,
-                trace_parent: dispatch_span,
-            };
-            let dispatched_nanos = self.obs.as_ref().map_or(0, |o| o.hub.now_nanos());
-            let send = {
-                let st = self.slots[slot].as_mut().expect("spawned above");
-                st.frames_since_dispatch = 0;
-                st.last_seen = Instant::now();
-                st.dispatched_nanos = dispatched_nanos;
-                st.dispatch_span_id = dispatch_span;
-                st.handle.send(&task)
-            };
-            if let Err(e) = send {
+            if let Err(e) = self.send_task(slot, task) {
                 self.drop_slot(slot);
-                self.retire_attempt(slot, attempts, e.to_string(), deadline)?;
+                self.retire_attempt(slot, attempts, e.to_string(), task.deadline)?;
                 continue;
             }
             // a zero-frame kill schedule fires at dispatch itself
@@ -1110,58 +993,74 @@ impl<S: WorkerSpawner> ShardHost<S> {
             if instant_kill {
                 self.stats.kills_injected += 1;
                 self.kill_slot(slot);
-                self.retire_attempt(slot, attempts, "injected kill".to_string(), deadline)?;
+                let why = "injected kill".to_string();
+                self.retire_attempt(slot, attempts, why, task.deadline)?;
                 continue;
             }
             return Ok(());
         }
     }
 
+    /// Retires a dead worker's attempt at `shard` and dispatches the
+    /// shard again.
+    fn redispatch(
+        &mut self,
+        shard: usize,
+        task: Dispatch<'_>,
+        attempts: &mut [u32],
+        why: String,
+    ) -> Result<(), HostError> {
+        self.retire_attempt(shard, attempts, why, task.deadline)?;
+        self.dispatch_shard(shard, task, attempts)
+    }
+
     /// Best-effort re-dispatch of a straggler shard to its spare slot.
     /// Failures are swallowed: a hedge that cannot start just leaves
     /// the primary attempt racing alone, and hedges never consume
     /// retries or backoff.
-    fn dispatch_hedge(
-        &mut self,
-        shard: usize,
-        task_id: u64,
-        spec: &str,
-        trace: Option<(u64, u64)>,
-    ) {
+    fn dispatch_hedge(&mut self, shard: usize, task: Dispatch<'_>) {
         let slot = self.config.shards + shard;
         if self.slots[slot].is_none() && self.spawn_slot(slot).is_err() {
             return;
         }
-        let (trace_request, dispatch_span) = match (&self.obs, trace) {
-            (Some(o), Some((rid, _))) => (rid, o.hub.next_span_id()),
-            _ => (0, 0),
-        };
-        let task = Frame::Task {
-            id: task_id,
-            shard: shard as u32,
-            shards: self.config.shards as u32,
-            heartbeat_ms: self.config.heartbeat_ms,
-            spec: spec.to_string(),
-            // the primary already reports phase stats for this shard; a
-            // second Stats frame would double-count the histograms
-            want_stats: false,
-            trace_request,
-            trace_parent: dispatch_span,
-        };
-        let dispatched_nanos = self.obs.as_ref().map_or(0, |o| o.hub.now_nanos());
-        let send = {
-            let st = self.slots[slot].as_mut().expect("spawned above");
-            st.frames_since_dispatch = 0;
-            st.last_seen = Instant::now();
-            st.dispatched_nanos = dispatched_nanos;
-            st.dispatch_span_id = dispatch_span;
-            st.handle.send(&task)
-        };
-        if send.is_err() {
+        if self.send_task(slot, task).is_err() {
             self.drop_slot(slot);
             return;
         }
         self.stats.hedges_dispatched += 1;
+    }
+
+    /// Sends the task for `slot`'s shard to its (spawned) worker and
+    /// stamps the slot's dispatch. Each dispatch attempt gets a fresh
+    /// span id; the worker parents its phase spans under it via the
+    /// task's trace context, and the span itself is recorded at result
+    /// receipt (retries therefore show as sibling dispatches).
+    fn send_task(&mut self, slot: usize, task: Dispatch<'_>) -> std::io::Result<()> {
+        let (trace_request, dispatch_span) = match (&self.obs, task.trace) {
+            (Some(o), Some((rid, _))) => (rid, o.hub.next_span_id()),
+            _ => (0, 0),
+        };
+        let frame = Frame::Task {
+            id: task.task_id,
+            shard: (slot % self.config.shards) as u32,
+            shards: self.config.shards as u32,
+            heartbeat_ms: self.config.heartbeat_ms,
+            spec: task.spec.to_string(),
+            // ask for a phase-timing Stats frame only when someone is
+            // listening, and never from a hedge: the primary already
+            // reports this shard, and a second Stats frame would
+            // double-count the histograms
+            want_stats: self.obs.is_some() && slot < self.config.shards,
+            trace_request,
+            trace_parent: dispatch_span,
+        };
+        let dispatched_nanos = self.obs.as_ref().map_or(0, |o| o.hub.now_nanos());
+        let st = self.slots[slot].as_mut().expect("caller spawned the slot");
+        st.frames_since_dispatch = 0;
+        st.last_seen = Instant::now();
+        st.dispatched_nanos = dispatched_nanos;
+        st.dispatch_span_id = dispatch_span;
+        st.handle.send(&frame)
     }
 
     /// Books one consumed spawn attempt for `slot`: fails the request
@@ -1321,6 +1220,20 @@ impl<S: WorkerSpawner> ShardHost<S> {
     }
 }
 
+/// One worker's result for one experiment, as a raw shard walk.
+fn shard_part(result: ExpResult) -> (Option<ShardWinner>, SearchStats) {
+    match result {
+        ExpResult::Winner {
+            value,
+            key,
+            stats,
+            mapping,
+        } => (Some((value, key, mapping)), stats),
+        ExpResult::NoWinner { stats } => (None, stats),
+        ExpResult::Skipped => (None, SearchStats::default()),
+    }
+}
+
 impl<S: WorkerSpawner> Drop for ShardHost<S> {
     fn drop(&mut self) {
         self.shutdown();
@@ -1351,6 +1264,16 @@ mod tests {
         })
     }
 
+    /// Runs `text` through `host` the way the service does: compiled
+    /// once by the caller, replied on the caller's session.
+    fn run(
+        host: &mut ShardHost<impl WorkerSpawner>,
+        text: &str,
+    ) -> Result<ScenarioReply, HostError> {
+        let scenario = sparseloop_spec::compile_str(text).unwrap().into_scenario();
+        host.run(&scenario, text, &EvalSession::new(), None)
+    }
+
     fn reference_reply(text: &str, shards: usize) -> ScenarioReply {
         let scenario = sparseloop_spec::compile_str(text).unwrap().into_scenario();
         scenario_reply(scenario.run(&EvalSession::new(), Some(shards)))
@@ -1373,7 +1296,7 @@ mod tests {
         for shards in [1usize, 2, 3] {
             let want = reference_reply(&text, shards);
             let mut host = ShardHost::new(fast_config(shards), ThreadSpawner);
-            let got = host.run_spec(&text).unwrap();
+            let got = run(&mut host, &text).unwrap();
             assert_bit_identical(&got, &want, &format!("shards={shards}"));
             let stats = host.stats();
             assert_eq!(stats.spawns, shards as u64);
@@ -1393,7 +1316,7 @@ mod tests {
             for slot in [0u32, 1] {
                 let plan = FaultPlan::none().with(slot, WorkerFault::DieAt(die));
                 let mut host = ShardHost::new(fast_config(2).with_fault_plan(plan), ThreadSpawner);
-                let got = host.run_spec(&text).unwrap();
+                let got = run(&mut host, &text).unwrap();
                 assert_bit_identical(&got, &want, &format!("die={die:?} slot={slot}"));
                 assert!(
                     host.stats().restarts >= 1,
@@ -1410,7 +1333,7 @@ mod tests {
         for offset in 0u32..4 {
             let plan = FaultPlan::none().with(1, WorkerFault::KillAfterFrames(offset));
             let mut host = ShardHost::new(fast_config(2).with_fault_plan(plan), ThreadSpawner);
-            let got = host.run_spec(&text).unwrap();
+            let got = run(&mut host, &text).unwrap();
             assert_bit_identical(&got, &want, &format!("kill after {offset} frames"));
             if offset == 0 {
                 assert_eq!(host.stats().kills_injected, 1);
@@ -1429,7 +1352,7 @@ mod tests {
         ] {
             let plan = FaultPlan::none().with(0, fault);
             let mut host = ShardHost::new(fast_config(2).with_fault_plan(plan), ThreadSpawner);
-            let got = host.run_spec(&text).unwrap();
+            let got = run(&mut host, &text).unwrap();
             assert_bit_identical(&got, &want, tag);
             assert!(host.stats().restarts >= 1, "{tag}: must survive a death");
         }
@@ -1442,7 +1365,7 @@ mod tests {
         for seed in 0u64..6 {
             let plan = FaultPlan::from_seed(seed, 2);
             let mut host = ShardHost::new(fast_config(2).with_fault_plan(plan), ThreadSpawner);
-            let got = host.run_spec(&text).unwrap();
+            let got = run(&mut host, &text).unwrap();
             assert_bit_identical(&got, &want, &format!("seed={seed}"));
         }
     }
@@ -1453,26 +1376,12 @@ mod tests {
         let want = reference_reply(&text, 2);
         let plan = FaultPlan::none().with(1, WorkerFault::StallBeforeResult);
         let mut host = ShardHost::new(fast_config(2).with_fault_plan(plan), ThreadSpawner);
-        let got = host.run_spec(&text).unwrap();
+        let got = run(&mut host, &text).unwrap();
         assert_bit_identical(&got, &want, "stall");
         assert!(
             host.stats().deaths_heartbeat_timeout >= 1,
             "stall must be timed out"
         );
-    }
-
-    #[test]
-    fn invalid_spec_fails_fast_without_spawning() {
-        let mut host = ShardHost::new(fast_config(2), ThreadSpawner);
-        match host.run_spec("scenario:\n  name: x\n  bogus: 1\n") {
-            Err(HostError::InvalidSpec(diag)) => {
-                assert_eq!(diag.line, 3, "{diag}");
-                assert!(diag.context.contains("bogus"), "{diag}");
-            }
-            other => panic!("expected InvalidSpec, got {other:?}"),
-        }
-        assert_eq!(host.stats().spawns, 0, "compile errors must not spawn");
-        assert_eq!(host.stats().restarts, 0, "compile errors must not retry");
     }
 
     /// A spawner whose workers always die at startup — every spawn
@@ -1499,7 +1408,7 @@ mod tests {
     fn exhausted_retries_report_worker_lost() {
         let text = sparseloop_spec::emit_scenario(&small_scenario());
         let mut host = ShardHost::new(fast_config(1), Moribund);
-        match host.run_spec(&text) {
+        match run(&mut host, &text) {
             Err(HostError::WorkerLost {
                 shard, attempts, ..
             }) => {
@@ -1516,7 +1425,7 @@ mod tests {
         let want = reference_reply(&text, 2);
         let spawner = crate::proc::ProcessSpawner::new("/nonexistent/sparseloop-shard-worker");
         let mut host = ShardHost::new(fast_config(2), spawner);
-        let got = host.run_spec(&text).unwrap();
+        let got = run(&mut host, &text).unwrap();
         assert_bit_identical(&got, &want, "degraded");
         assert_eq!(host.stats().degraded, 1);
     }
@@ -1529,7 +1438,7 @@ mod tests {
             ThreadSpawner,
         );
         // the 1ms budget cannot cover a debug-mode compile + search
-        match host.run_spec(&text) {
+        match run(&mut host, &text) {
             Err(HostError::DeadlineExceeded) => {}
             Ok(_) => { /* astonishingly fast machine: nothing to assert */ }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -1583,7 +1492,7 @@ mod tests {
             ThreadSpawner,
             ObsHub::new(),
         );
-        host.run_spec(&text).unwrap();
+        run(&mut host, &text).unwrap();
         let stats = host.stats();
         assert!(stats.deaths_eof >= 1, "die-before-result is an EOF death");
         assert_eq!(stats.deaths_heartbeat_timeout, 0);
@@ -1596,7 +1505,7 @@ mod tests {
             ThreadSpawner,
             ObsHub::new(),
         );
-        host.run_spec(&text).unwrap();
+        run(&mut host, &text).unwrap();
         let stats = host.stats();
         assert!(
             stats.deaths_heartbeat_timeout >= 1,
@@ -1616,7 +1525,7 @@ mod tests {
         let want = reference_reply(&text, 2);
         let hub = ObsHub::new();
         let mut host = ShardHost::new_observed(fast_config(2), ThreadSpawner, hub.clone());
-        let got = host.run_spec(&text).unwrap();
+        let got = run(&mut host, &text).unwrap();
         assert_bit_identical(&got, &want, "observed");
         assert_metrics_match_stats(&host, "observed");
 
@@ -1670,7 +1579,7 @@ mod tests {
         let hub = ObsHub::new();
         let cfg = fast_config(2).with_heartbeat(200, Duration::from_secs(5));
         let mut host = ShardHost::new_observed(cfg, ThreadSpawner, hub.clone());
-        host.run_spec(&text).unwrap();
+        run(&mut host, &text).unwrap();
         let snap = hub.snapshot();
         for shard in ["0", "1"] {
             let idle = snap
@@ -1689,14 +1598,14 @@ mod tests {
             ThreadSpawner,
             ObsHub::new(),
         );
-        if let Err(HostError::DeadlineExceeded) = host.run_spec(&text) {
+        if let Err(HostError::DeadlineExceeded) = run(&mut host, &text) {
             assert_eq!(host.stats().deadline_exceeded, 1);
         }
         assert_metrics_match_stats(&host, "deadline");
 
         let spawner = crate::proc::ProcessSpawner::new("/nonexistent/sparseloop-shard-worker");
         let mut host = ShardHost::new_observed(fast_config(2), spawner, ObsHub::new());
-        host.run_spec(&text).unwrap();
+        run(&mut host, &text).unwrap();
         assert_eq!(host.stats().degraded, 1);
         assert_metrics_match_stats(&host, "degraded");
     }
@@ -1710,7 +1619,7 @@ mod tests {
         let plan = FaultPlan::none().with(0, WorkerFault::DieAt(DiePoint::BeforeResult));
         let mut host = ShardHost::new(fast_config(2).with_fault_plan(plan), ThreadSpawner);
         for round in 0..2 {
-            let got = host.run_spec(&text).unwrap();
+            let got = run(&mut host, &text).unwrap();
             assert_bit_identical(&got, &want, &format!("round {round}"));
         }
         assert_eq!(host.stats().requests, 2);
@@ -1731,7 +1640,7 @@ mod tests {
             Moribund,
         );
         let started = Instant::now();
-        let got = host.run_spec(&text);
+        let got = run(&mut host, &text);
         let elapsed = started.elapsed();
         assert!(
             matches!(got, Err(HostError::DeadlineExceeded)),
@@ -1790,7 +1699,7 @@ mod tests {
         // two consecutive spawn-failure requests trip the breaker; both
         // are still served via the degraded in-process path
         for round in 0..2 {
-            let got = host.run_spec(&text).unwrap();
+            let got = run(&mut host, &text).unwrap();
             assert_bit_identical(&got, &want, &format!("failing round {round}"));
         }
         assert_eq!(host.breaker_state(), BreakerState::Open);
@@ -1807,7 +1716,7 @@ mod tests {
             .spawner
             .failures
             .load(std::sync::atomic::Ordering::SeqCst);
-        let got = host.run_spec(&text).unwrap();
+        let got = run(&mut host, &text).unwrap();
         assert_bit_identical(&got, &want, "open short-circuit");
         assert_eq!(host.stats().degraded, 3);
         assert_eq!(
@@ -1821,14 +1730,14 @@ mod tests {
         // cooldown elapses: a probe goes through, still fails (one
         // refusal left), and re-opens the breaker
         clock.advance(1_000);
-        host.run_spec(&text).unwrap();
+        run(&mut host, &text).unwrap();
         assert_eq!(host.breaker_state(), BreakerState::Open);
         assert_eq!(host.stats().breaker_trips, 2);
         assert_eq!(host.stats().breaker_probes, 1);
 
         // next cooldown: the probe succeeds and closes the breaker
         clock.advance(1_000);
-        let got = host.run_spec(&text).unwrap();
+        let got = run(&mut host, &text).unwrap();
         assert_bit_identical(&got, &want, "recovered");
         assert_eq!(host.breaker_state(), BreakerState::Closed);
         assert_eq!(host.stats().breaker_probes, 2);
@@ -1856,7 +1765,7 @@ mod tests {
             .with_hedging(HedgeConfig::default());
         let mut host = ShardHost::new(cfg, ThreadSpawner);
         let started = Instant::now();
-        let got = host.run_spec(&text).unwrap();
+        let got = run(&mut host, &text).unwrap();
         let elapsed = started.elapsed();
         assert_bit_identical(&got, &want, "hedged");
         assert!(

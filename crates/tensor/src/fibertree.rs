@@ -162,15 +162,6 @@ impl FiberTree {
         assert!(r < self.rank());
         extents[..r].iter().product::<u64>().max(1)
     }
-
-    /// Mean density over the non-empty fibers at rank `r`.
-    pub fn mean_fiber_density(&self, r: usize) -> f64 {
-        let fibers = self.fibers_at_rank(r);
-        if fibers.is_empty() {
-            return 0.0;
-        }
-        fibers.iter().map(|f| f.density()).sum::<f64>() / fibers.len() as f64
-    }
 }
 
 fn build_fiber(triplets: &[(Point, f64)], depth: usize, extents: &[u64]) -> Fiber {

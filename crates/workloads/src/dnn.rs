@@ -55,13 +55,6 @@ pub struct Network {
     pub layers: Vec<Layer>,
 }
 
-impl Network {
-    /// Total dense computes across layers.
-    pub fn total_computes(&self) -> u64 {
-        self.layers.iter().map(|l| l.computes()).sum()
-    }
-}
-
 /// Builds a conv layer with weight density `wd` and input density `id`
 /// (uniform models; outputs dense).
 #[allow(clippy::too_many_arguments)]

@@ -6,7 +6,7 @@
 //!
 //! See [`core`] (the three-step analytical model and [`core::Model`]),
 //! [`mapping`] (mapspaces + the streaming/parallel mapper), [`density`]
-//! (statistical density models), [`format`] (compressed tensor formats),
+//! (statistical density models), [`format`](mod@format) (compressed tensor formats),
 //! [`designs`] (paper design points), [`spec`] (the declarative YAML
 //! spec front-end), and [`refsim`] (the per-element reference simulator
 //! used for validation).
