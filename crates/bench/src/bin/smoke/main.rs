@@ -19,9 +19,17 @@
 //! * `overload` — a priority burst through a pooled process fleet.
 //!
 //! "The same answer" is one decision everywhere: [`reply_drift`] (built
-//! on `sparseloop_spec::result_drift`) against an in-process run. Fleet
-//! counters reconcile through the one table behind
-//! [`fleet_metrics_drift`].
+//! on `sparseloop_spec::result_drift`) against an in-process run.
+//! Service and fleet counters reconcile through the one table per stats
+//! struct behind [`service_metrics_drift`] and [`fleet_metrics_drift`].
+//!
+//! The `fault` and `overload` phases spawn `sparseloop-shard-worker`,
+//! which `cargo run` does not build; build the package's bins first:
+//!
+//! ```text
+//! cargo build --release --locked -p sparseloop-bench --bins
+//! cargo run --release --locked -p sparseloop-bench --bin smoke
+//! ```
 //!
 //! [`reply_drift`]: sparseloop_serve::reply_drift
 //! [`fleet_metrics_drift`]: sparseloop_serve::fleet_metrics_drift
@@ -39,7 +47,9 @@ use sparseloop_core::EvalSession;
 use sparseloop_designs::{Experiment, Scenario};
 use sparseloop_mapping::Mapspace;
 use sparseloop_obs::MetricsSnapshot;
-use sparseloop_serve::{scenario_reply, FaultPlan, HostConfig, ScenarioReply, ServiceStats};
+use sparseloop_serve::{
+    scenario_reply, service_metrics_drift, FaultPlan, HostConfig, ScenarioReply, ServiceStats,
+};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -146,47 +156,25 @@ fn worker_bin() -> Result<PathBuf, String> {
 }
 
 /// Reconciles a service's exposition text with its [`ServiceStats`]:
-/// the text parses, every `sparseloop_requests_total{outcome}` and
-/// `sparseloop_service_fleet_total{kind}` series equals its stats
-/// field, and the admitted requests partition into outcomes
+/// the text parses, every service counter series equals its stats
+/// field ([`service_metrics_drift`]), and the admitted requests
+/// partition into outcomes
 /// (`submitted == completed + panicked + canceled + shed`).
 fn reconcile_service(text: &str, stats: &ServiceStats, failures: &mut Vec<String>) {
     let parsed = match MetricsSnapshot::parse_text(text) {
         Ok(parsed) => parsed,
         Err(e) => return failures.push(format!("metrics text does not parse: {e}")),
     };
-    let series = |name: &str, label: &str, value: &str| {
+    failures.extend(
+        service_metrics_drift(&parsed, stats)
+            .into_iter()
+            .map(|drift| format!("metrics drift: {drift}")),
+    );
+    let outcome = |o: &str| {
         parsed
-            .get(&format!("{name}{{{label}=\"{value}\"}}"))
+            .value("sparseloop_requests_total", &[("outcome", o)])
             .unwrap_or(-1.0)
     };
-    let outcome = |o: &str| series("sparseloop_requests_total", "outcome", o);
-    let requests = [
-        ("submitted", stats.submitted),
-        ("rejected", stats.rejected),
-        ("completed", stats.completed),
-        ("panicked", stats.panicked),
-        ("canceled", stats.canceled),
-        ("shed", stats.shed),
-    ];
-    let fleet = [
-        ("dispatched", stats.fleet_dispatched),
-        ("fallback", stats.fleet_fallbacks),
-    ];
-    let books = [
-        ("sparseloop_requests_total", "outcome", &requests[..]),
-        ("sparseloop_service_fleet_total", "kind", &fleet[..]),
-    ];
-    for (name, label, rows) in books {
-        for &(value, want) in rows {
-            let got = series(name, label, value);
-            if got != want as f64 {
-                failures.push(format!(
-                    "metrics drift: {name}{{{label}={value}}} = {got}, stats say {want}"
-                ));
-            }
-        }
-    }
     let resolved: f64 = ["completed", "panicked", "canceled", "shed"]
         .map(outcome)
         .iter()

@@ -16,7 +16,7 @@ use sparseloop_bench::{header, row, timed};
 use sparseloop_core::{EvalJob, JobPlan};
 use sparseloop_mapping::Mapper;
 use sparseloop_obs::{ObsHub, SpanKind};
-use sparseloop_serve::{EvalService, ServeConfig, ServeRequest, SubmitError};
+use sparseloop_serve::{EvalService, Request, ServeConfig, ServeRequest, SubmitError};
 use std::time::Duration;
 
 /// Ceiling on instrumentation overhead (percent) that every pair must
@@ -44,7 +44,7 @@ fn service_books(failures: &mut Vec<String>) {
     let spec = super::smoke_spec();
     let mut tickets = Vec::new();
     for _ in 0..5 {
-        match service.submit_spec(spec.clone()) {
+        match service.submit(ServeRequest::Spec(spec.clone())) {
             Ok(t) => tickets.push(t),
             Err(SubmitError::QueueFull { .. }) => {}
             Err(other) => return failures.push(format!("unexpected admission error: {other}")),
@@ -53,7 +53,11 @@ fn service_books(failures: &mut Vec<String>) {
     // a request admitted with an already-expired deadline: the worker's
     // dequeue-time probe must retire it as canceled, deterministically
     loop {
-        match service.submit_with_deadline(ServeRequest::Spec(spec.clone()), Duration::ZERO) {
+        let doomed = Request {
+            deadline: Some(Duration::ZERO),
+            ..ServeRequest::Spec(spec.clone()).into()
+        };
+        match service.submit(doomed) {
             Ok(t) => {
                 let _ = t.wait();
                 break;

@@ -19,8 +19,8 @@ use sparseloop_obs::ObsHub;
 use sparseloop_serve::proc::{WorkerEvent, WorkerHandle};
 use sparseloop_serve::{
     fleet_metrics_drift, reply_drift, BreakerConfig, BreakerState, EvalService, FaultPlan,
-    FleetPool, FleetPoolConfig, HostConfig, Priority, ServeConfig, ServeError, ServeRequest,
-    ShardHost, ThreadSpawner, WorkerFault, WorkerSpawner,
+    FleetPool, FleetPoolConfig, HostConfig, Priority, Request, ServeConfig, ServeError,
+    ServeRequest, ShardHost, ThreadSpawner, WorkerFault, WorkerSpawner,
 };
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -87,7 +87,10 @@ pub fn run(failures: &mut Vec<String>) {
     println!("observability server on http://{addr}");
 
     // healthy traffic: the fleet heals its seeded faults
-    match service.submit_spec(text.clone()).map(|t| t.wait()) {
+    match service
+        .submit(ServeRequest::Spec(text.clone()))
+        .map(|t| t.wait())
+    {
         Ok(Ok(_)) => {}
         Ok(Err(e)) => failures.push(format!("seeded-fault fleet request failed: {e}")),
         Err(e) => failures.push(format!("seeded-fault request refused: {e}")),
@@ -102,8 +105,13 @@ pub fn run(failures: &mut Vec<String>) {
             .into_iter()
             .chain([Priority::Interactive])
             .filter_map(|p| {
-                let request = ServeRequest::Spec(text.clone());
-                service.submit_with_priority(request, p).ok()
+                let payload = ServeRequest::Spec(text.clone());
+                service
+                    .submit(Request {
+                        priority: p,
+                        ..payload.into()
+                    })
+                    .ok()
             })
             .collect();
         for t in tickets {

@@ -18,7 +18,7 @@ use sparseloop_bench::{header, row};
 use sparseloop_obs::ObsHub;
 use sparseloop_serve::{
     fleet_metrics_drift, reply_drift, EvalService, FaultPlan, FleetPool, FleetPoolConfig, Priority,
-    ServeConfig, ServeError, ServeReply, ServeRequest, SubmitError,
+    Request, ServeConfig, ServeError, ServeReply, ServeRequest, SubmitError,
 };
 
 const SHARDS: usize = 2;
@@ -68,7 +68,11 @@ pub fn run(failures: &mut Vec<String>) {
     let mut tickets = Vec::new();
     for priority in burst.repeat(ROUNDS) {
         let book = &mut ledger[priority.index()];
-        match service.submit_with_priority(ServeRequest::Spec(text.clone()), priority) {
+        let payload = ServeRequest::Spec(text.clone());
+        match service.submit(Request {
+            priority,
+            ..payload.into()
+        }) {
             Ok(ticket) => {
                 book.admitted += 1;
                 tickets.push((priority, ticket));

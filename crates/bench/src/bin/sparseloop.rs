@@ -28,7 +28,9 @@ use sparseloop_bench::{fnum, header, row};
 use sparseloop_core::EvalSession;
 use sparseloop_designs::{Scenario, ScenarioOutcome, ScenarioRegistry};
 use sparseloop_obs::ObsHub;
-use sparseloop_serve::{EvalService, HostConfig, ServeConfig, ShardHost, ThreadSpawner};
+use sparseloop_serve::{
+    EvalService, HostConfig, ServeConfig, ServeRequest, ShardHost, ThreadSpawner,
+};
 use sparseloop_spec::{emit_scenario, load_file, SpecRegistryExt};
 use std::path::Path;
 use std::process::ExitCode;
@@ -285,7 +287,7 @@ fn stats(args: &[String]) -> ExitCode {
         config = config.with_obs_server(addr);
     }
     let service = EvalService::start_observed(config, hub.clone());
-    let ticket = match service.submit_spec(text.clone()) {
+    let ticket = match service.submit(ServeRequest::Spec(text.clone())) {
         Ok(ticket) => ticket,
         // a fresh service can still refuse admission (saturated queue,
         // watermark shed); the error carries depth/capacity/retry

@@ -553,6 +553,19 @@ impl ParsedSnapshot {
         self.values.get(series).copied()
     }
 
+    /// Lookup by series name and label set (order-insensitive) — the
+    /// parsed twin of [`MetricsSnapshot::value`] for counters and gauges.
+    pub fn value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+        let mut labels: Vec<(String, String)> = labels
+            .iter()
+            .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+            .collect();
+        labels.sort_unstable();
+        let mut series = name.to_owned();
+        render_labels(&mut series, &labels, None);
+        self.get(&series)
+    }
+
     /// Sum over every series whose name (the part before `{` or `_bucket`)
     /// equals `name` exactly.
     pub fn sum_of(&self, name: &str) -> f64 {
@@ -680,6 +693,9 @@ mod tests {
         assert_eq!(snap.value("m", &[("b", "2"), ("a", "1")]), Some(9));
         assert_eq!(snap.value("m", &[("a", "1")]), None);
         assert_eq!(snap.sum_of("m"), 9);
+        let parsed = MetricsSnapshot::parse_text(&snap.render_text()).unwrap();
+        assert_eq!(parsed.value("m", &[("b", "2"), ("a", "1")]), Some(9.0));
+        assert_eq!(parsed.value("m", &[("a", "1")]), None);
     }
 
     #[test]

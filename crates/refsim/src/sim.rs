@@ -7,7 +7,7 @@ use sparseloop_energy::EnergyTable;
 use sparseloop_mapping::Mapping;
 use sparseloop_tensor::einsum::{Einsum, TensorId, TensorKind};
 use sparseloop_tensor::SparseTensor;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Counted actions of one tensor at one storage level.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -43,7 +43,7 @@ impl SimLevelCounts {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Per-(tensor, level) counters.
-    pub levels: HashMap<(usize, usize), SimLevelCounts>,
+    pub levels: BTreeMap<(usize, usize), SimLevelCounts>,
     /// Computes that executed.
     pub computes_actual: f64,
     /// Computes gated (cycle spent, unit idle).
@@ -210,7 +210,7 @@ impl<'a> RefSim<'a> {
             }
         }
 
-        let mut counts: HashMap<(usize, usize), SimLevelCounts> = HashMap::new();
+        let mut counts: BTreeMap<(usize, usize), SimLevelCounts> = BTreeMap::new();
         let mut computes_actual = 0.0f64;
         let mut computes_gated = 0.0f64;
         let mut computes_skipped = 0.0f64;
@@ -449,7 +449,7 @@ impl<'a> RefSim<'a> {
 
     fn cost(
         &self,
-        counts: &HashMap<(usize, usize), SimLevelCounts>,
+        counts: &BTreeMap<(usize, usize), SimLevelCounts>,
         computes_actual: f64,
         computes_gated: f64,
     ) -> (f64, f64) {
@@ -633,6 +633,30 @@ mod tests {
         assert!(s.cycles < g.cycles);
         assert!(g.computes_gated > 0.0);
         assert_eq!(g.computes_skipped, 0.0);
+    }
+
+    #[test]
+    fn energy_is_bit_identical_across_reruns() {
+        // energy sums per-(tensor, level) counters; at this density three
+        // nonzero terms at one level round differently in different
+        // orders, so the sum must not follow a hash map's random order
+        let (e, map, tensors) = matmul_setup(0.05 + 0.9 * 2.0 / 39.0, 2);
+        let arch = arch();
+        let a_id = e.tensor_id("A").unwrap();
+        let b_id = e.tensor_id("B").unwrap();
+        let safs = SafSpec::dense()
+            .with_gate(1, b_id, vec![a_id])
+            .with_gate_compute();
+        let sim = RefSim::new(&e, &arch, &map, &safs, &tensors);
+        let first = sim.run().energy_pj;
+        for rerun in 0..32 {
+            let energy = sim.run().energy_pj;
+            assert_eq!(
+                energy.to_bits(),
+                first.to_bits(),
+                "rerun {rerun}: {energy} vs {first}"
+            );
+        }
     }
 
     #[test]

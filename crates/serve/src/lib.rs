@@ -10,12 +10,13 @@
 //! uncoordinated threads gives no admission control and no lifecycle.
 //! [`EvalService`] packages the production shape:
 //!
-//! * **Bounded queue, explicit backpressure** — requests enter through
-//!   an in-process MPSC queue with a hard admission capacity;
-//!   [`EvalService::submit`] fails fast with
-//!   [`SubmitError::QueueFull`] when the service is saturated
-//!   (callers that prefer to wait use
-//!   [`EvalService::submit_blocking`]).
+//! * **One way in, explicit backpressure** — every request is a
+//!   [`Request`] (payload, [`Priority`], optional deadline) entering an
+//!   in-process MPSC queue with a hard admission capacity through one
+//!   admission path: [`EvalService::submit`] fails fast with
+//!   [`SubmitError::QueueFull`] when the service is saturated, and
+//!   [`EvalService::submit_blocking`] waits for space instead. A bare
+//!   [`ServeRequest`] converts at [`Priority::Batch`] with no deadline.
 //! * **Worker pool over one shared session** — `workers` threads pop
 //!   requests and evaluate them through one [`EvalSession`], so density
 //!   aggregates and format analyses are shared *across requests*; each
@@ -32,8 +33,8 @@
 //!   starts a fresh one; in-flight requests keep their generation
 //!   alive, so recycling is invisible except in [`ServiceStats`].
 //! * **Deadlines and cancellation** — every ticket carries a
-//!   [`CancelToken`]; [`EvalService::submit_with_deadline`] arms it
-//!   with a wall clock, and a timed-out or dropped ticket trips it, so
+//!   [`CancelToken`]; a [`Request::deadline`] arms it with a wall
+//!   clock, and a timed-out or dropped ticket trips it, so
 //!   abandoned requests stop at the next cancellation checkpoint and
 //!   land in [`ServiceStats`]'s `canceled` bucket
 //!   (`submitted == completed + panicked + canceled` always holds).
@@ -68,15 +69,16 @@
 //!
 //! The service and the fleet compose into an overload-resilient stack:
 //!
-//! * **Priority admission and load shedding** — submissions carry a
-//!   [`Priority`] (interactive > batch > background); the queue drains
+//! * **Priority admission and load shedding** — a [`Request`] carries
+//!   a [`Priority`] (interactive > batch > background); the queue drains
 //!   strictly by band, a full queue displaces the *youngest
 //!   lowest-priority* entrant to admit higher-priority work (the victim
 //!   resolves to [`ServeError::Shed`] with an EWMA-derived
 //!   `retry_after_hint`), and a configured
 //!   [`ServeConfig::with_shed_watermark`] refuses background arrivals
-//!   early ([`SubmitError::Shed`]) before the queue saturates. The
-//!   stats identity extends to
+//!   early ([`SubmitError::Shed`]) before the queue saturates. A
+//!   blocking submit waits in its band's turn and never displaces or
+//!   sheds. The stats identity extends to
 //!   `submitted == completed + panicked + canceled + shed`.
 //! * **Circuit breaker** — consecutive spawn failures or worker losses
 //!   trip a per-fleet [`CircuitBreaker`] (closed → open → half-open);
@@ -98,12 +100,15 @@
 //!   failures without surfacing them to callers.
 //!
 //! ```
-//! use sparseloop_serve::{EvalService, ServeConfig};
+//! use sparseloop_serve::{EvalService, Priority, Request, ServeConfig, ServeRequest};
 //!
 //! let service = EvalService::start(
 //!     ServeConfig::default().with_workers(2).with_shards(2),
 //! );
-//! let ticket = service.submit_scenario("fig1_format_tradeoff").unwrap();
+//! let request = ServeRequest::Scenario("fig1_format_tradeoff".into());
+//! let ticket = service
+//!     .submit(Request { priority: Priority::Interactive, ..request.into() })
+//!     .unwrap();
 //! let reply = ticket.wait().unwrap().into_scenario();
 //! assert!(reply.results.iter().all(Result::is_ok));
 //! service.shutdown();
@@ -120,16 +125,18 @@ pub mod protocol;
 pub mod queue;
 pub mod service;
 pub mod supervisor;
+mod table;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use fault::{DiePoint, FaultPlan, WorkerFault};
 pub use pool::{FleetPool, FleetPoolConfig, PoolStats};
 pub use proc::{run_worker, worker_main, ProcessSpawner, ThreadSpawner, WorkerSpawner};
 pub use protocol::{Frame, ProtocolError, PROTOCOL_VERSION};
-pub use queue::{Admission, BoundedQueue, Priority, PushError};
+pub use queue::{Admission, BoundedQueue, Priority};
 pub use service::{
-    reply_drift, scenario_reply, CancelToken, EvalService, ScenarioReply, ServeConfig, ServeError,
-    ServeReply, ServeRequest, ServiceStats, SpecDiagnostic, SubmitError, Ticket,
+    reply_drift, scenario_reply, service_metrics_drift, CancelToken, EvalService, Request,
+    ScenarioReply, ServeConfig, ServeError, ServeReply, ServeRequest, ServiceStats, SpecDiagnostic,
+    SubmitError, Ticket,
 };
 pub use supervisor::{
     fleet_metrics_drift, HealthReport, HedgeConfig, HostConfig, HostError, HostStats, ShardHost,

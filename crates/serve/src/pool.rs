@@ -24,7 +24,8 @@
 
 use crate::proc::{ProcessSpawner, ThreadSpawner, WorkerEvent, WorkerHandle, WorkerSpawner};
 use crate::service::ScenarioReply;
-use crate::supervisor::{HostConfig, HostError, HostStats, ShardHost};
+use crate::supervisor::{HealthReport, HostConfig, HostError, HostStats, ShardHost};
+use crate::table::{counter_table, CounterRow};
 use sparseloop_core::EvalSession;
 use sparseloop_designs::Scenario;
 use sparseloop_obs::{ObsHub, SpanKind, TraceContext};
@@ -109,6 +110,25 @@ pub struct PoolStats {
     /// Workers found dead or silent and proactively replaced.
     pub workers_replaced: u64,
 }
+
+impl PoolStats {
+    /// Books one health sweep and what it found.
+    fn absorb(&mut self, report: &HealthReport) {
+        self.health_sweeps += 1;
+        self.pings_sent += report.pings_sent;
+        self.pongs_received += report.pongs_received;
+        self.workers_replaced += report.workers_replaced;
+    }
+}
+
+/// Every [`PoolStats`] field as its `sparseloop_pool_*` series.
+const POOL_COUNTERS: [CounterRow<PoolStats>; 5] = counter_table! {
+    checkouts => "sparseloop_pool_checkouts_total", [];
+    health_sweeps => "sparseloop_pool_health_sweeps_total", [];
+    pings_sent => "sparseloop_pool_pings_total", [];
+    pongs_received => "sparseloop_pool_pongs_total", [];
+    workers_replaced => "sparseloop_pool_workers_replaced_total", [];
+};
 
 struct PooledHost {
     host: ShardHost<BoxedSpawner>,
@@ -218,13 +238,7 @@ impl FleetPool {
             );
         }
         if pooled.last_health.elapsed() >= self.inner.config.health_interval {
-            let report = pooled.host.health_check(self.inner.config.health_timeout);
-            pooled.last_health = Instant::now();
-            let mut stats = self.inner.stats.lock().unwrap_or_else(|e| e.into_inner());
-            stats.health_sweeps += 1;
-            stats.pings_sent += report.pings_sent;
-            stats.pongs_received += report.pongs_received;
-            stats.workers_replaced += report.workers_replaced;
+            self.sweep(&mut pooled);
         }
         let result = pooled.host.run(scenario, text, session, ctx);
         self.checkin(index, pooled);
@@ -233,30 +247,27 @@ impl FleetPool {
 
     /// Forces a health sweep on every currently idle host (the pool
     /// normally sweeps lazily at checkout; this is for shutdown checks
-    /// and tests).
-    pub fn health_check_all(&self) -> crate::supervisor::HealthReport {
-        let mut total = crate::supervisor::HealthReport::default();
+    /// and tests). Returns what these sweeps alone added to
+    /// [`stats`](Self::stats).
+    pub fn health_check_all(&self) -> PoolStats {
+        let mut swept = PoolStats::default();
         let mut hosts = self.inner.hosts.lock().unwrap_or_else(|e| e.into_inner());
-        let mut sweeps = 0u64;
-        for slot in hosts.iter_mut() {
-            if let Some(pooled) = slot.as_mut() {
-                let report = pooled.host.health_check(self.inner.config.health_timeout);
-                pooled.last_health = Instant::now();
-                sweeps += 1;
-                total.pings_sent += report.pings_sent;
-                total.pongs_received += report.pongs_received;
-                total.workers_replaced += report.workers_replaced;
-            }
+        for pooled in hosts.iter_mut().flatten() {
+            swept.absorb(&self.sweep(pooled));
         }
         drop(hosts);
-        let mut stats = self.inner.stats.lock().unwrap_or_else(|e| e.into_inner());
-        stats.health_sweeps += sweeps;
-        stats.pings_sent += total.pings_sent;
-        stats.pongs_received += total.pongs_received;
-        stats.workers_replaced += total.workers_replaced;
-        drop(stats);
         self.publish_metrics();
-        total
+        swept
+    }
+
+    /// One Ping/Pong health sweep of `pooled`, booked in the pool
+    /// counters.
+    fn sweep(&self, pooled: &mut PooledHost) -> HealthReport {
+        let report = pooled.host.health_check(self.inner.config.health_timeout);
+        pooled.last_health = Instant::now();
+        let mut stats = self.inner.stats.lock().unwrap_or_else(|e| e.into_inner());
+        stats.absorb(&report);
+        report
     }
 
     /// Pool counters.
@@ -325,27 +336,21 @@ impl FleetPool {
     /// registry equals [`PoolStats`] after every transition.
     fn publish_metrics(&self) {
         let Some(hub) = &self.inner.hub else { return };
-        let stats = self.stats();
         let idle = {
             let hosts = self.inner.hosts.lock().unwrap_or_else(|e| e.into_inner());
             hosts.iter().filter(|h| h.is_some()).count() as u64
         };
         let reg = hub.registry();
-        let set_counter = |name: &str, value: u64| {
-            let c = reg.counter(name, &[]);
-            let current = c.get();
+        // raising each counter under the stats lock keeps two concurrent
+        // publishers from both adding the same difference
+        let stats = self.inner.stats.lock().unwrap_or_else(|e| e.into_inner());
+        for row in &POOL_COUNTERS {
+            let counter = row.register(reg);
+            let (value, current) = (row.read(&stats), counter.get());
             if value > current {
-                c.add(value - current);
+                counter.add(value - current);
             }
-        };
-        set_counter("sparseloop_pool_checkouts_total", stats.checkouts);
-        set_counter("sparseloop_pool_health_sweeps_total", stats.health_sweeps);
-        set_counter("sparseloop_pool_pings_total", stats.pings_sent);
-        set_counter("sparseloop_pool_pongs_total", stats.pongs_received);
-        set_counter(
-            "sparseloop_pool_workers_replaced_total",
-            stats.workers_replaced,
-        );
+        }
         reg.gauge("sparseloop_pool_idle_hosts", &[]).set_u64(idle);
     }
 }

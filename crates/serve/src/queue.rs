@@ -4,10 +4,10 @@
 //!
 //! The queue holds one FIFO band per [`Priority`]; consumers always pop
 //! the most urgent non-empty band, FIFO within a band. Producers see a
-//! hard admission boundary: [`BoundedQueue::try_push`] fails
-//! immediately when the queue holds `capacity` items, so a saturated
-//! service rejects new work instead of buffering without bound (callers
-//! that prefer to wait use [`push_blocking`](BoundedQueue::push_blocking)).
+//! hard admission boundary: [`BoundedQueue::admit`] never lets the
+//! queue hold more than `capacity` items, so a saturated service
+//! rejects new work instead of buffering without bound (callers that
+//! prefer to wait use [`push_blocking`](BoundedQueue::push_blocking)).
 //!
 //! Overload policy lives in [`BoundedQueue::admit`], which decides
 //! atomically under one lock — so the shed invariant ("a shed request
@@ -64,15 +64,6 @@ impl Priority {
             Priority::Background => "background",
         }
     }
-}
-
-/// Why a push was refused.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
-    /// The queue already holds `capacity` items; the value is returned.
-    Full(T),
-    /// The queue was closed; the value is returned.
-    Closed(T),
 }
 
 /// Outcome of a priority-aware [`BoundedQueue::admit`]. `depth` is the
@@ -156,22 +147,6 @@ impl<T> BoundedQueue<T> {
         self.state.lock().expect("queue poisoned").bands[priority.index()].len()
     }
 
-    /// Non-blocking admission at [`Priority::Batch`] with the legacy
-    /// contract: no displacement, no watermark — full means refused.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.depth() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.bands[Priority::Batch.index()].push_back((item, Priority::Batch));
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Priority-aware admission under one lock (see the [module
     /// docs](self) for the policy). `shed_watermark` is clamped to
     /// `capacity`; pass `capacity` to disable early shedding.
@@ -207,17 +182,17 @@ impl<T> BoundedQueue<T> {
         Admission::Enqueued
     }
 
-    /// Blocking admission at [`Priority::Batch`]: waits for space,
-    /// returning `Err(item)` only if the queue closes while waiting (or
-    /// was already closed).
-    pub fn push_blocking(&self, item: T) -> Result<(), T> {
+    /// Blocking admission into `priority`'s band: waits for space
+    /// (never displaces, never sheds), returning `Err(item)` only if
+    /// the queue closes while waiting (or was already closed).
+    pub fn push_blocking(&self, item: T, priority: Priority) -> Result<(), T> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
             if state.closed {
                 return Err(item);
             }
             if state.depth() < self.capacity {
-                state.bands[Priority::Batch.index()].push_back((item, Priority::Batch));
+                state.bands[priority.index()].push_back((item, priority));
                 drop(state);
                 self.not_empty.notify_one();
                 return Ok(());
@@ -271,25 +246,31 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Admits `item` at [`Priority::Batch`] with early shedding off.
+    fn push<T>(q: &BoundedQueue<T>, item: T) -> Admission<T> {
+        q.admit(item, Priority::Batch, q.capacity())
+    }
+
     #[test]
     fn admission_error_when_full() {
         let q = BoundedQueue::new(2);
-        assert_eq!(q.try_push(1), Ok(()));
-        assert_eq!(q.try_push(2), Ok(()));
-        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
+        assert_eq!(push(&q, 1), Admission::Enqueued);
+        assert_eq!(push(&q, 2), Admission::Enqueued);
+        assert_eq!(push(&q, 3), Admission::Full(3, 2));
         assert_eq!(q.len(), 2);
         // draining reopens admission
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(3), Ok(()));
+        assert_eq!(push(&q, 3), Admission::Enqueued);
     }
 
     #[test]
     fn close_drains_then_ends() {
         let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        push(&q, 1);
+        push(&q, 2);
         q.close();
-        assert_eq!(q.try_push(3), Err(PushError::Closed(3)));
+        assert_eq!(push(&q, 3), Admission::Closed(3));
+        assert_eq!(q.push_blocking(3, Priority::Batch), Err(3));
         assert_eq!(q.admit(3, Priority::Interactive, 4), Admission::Closed(3));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
@@ -301,7 +282,7 @@ mod tests {
     fn fifo_order_preserved() {
         let q = BoundedQueue::new(16);
         for i in 0..10 {
-            q.try_push(i).unwrap();
+            push(&q, i);
         }
         for i in 0..10 {
             assert_eq!(q.pop(), Some(i));
@@ -358,12 +339,26 @@ mod tests {
     }
 
     #[test]
+    fn blocking_push_lands_in_the_requested_band() {
+        let q = BoundedQueue::new(4);
+        q.push_blocking(30, Priority::Background).unwrap();
+        q.push_blocking(20, Priority::Batch).unwrap();
+        q.push_blocking(10, Priority::Interactive).unwrap();
+        assert_eq!(q.depth_of(Priority::Interactive), 1);
+        assert_eq!(q.depth_of(Priority::Batch), 1);
+        assert_eq!(q.depth_of(Priority::Background), 1);
+        assert_eq!(q.pop(), Some(10));
+        assert_eq!(q.pop(), Some(20));
+        assert_eq!(q.pop(), Some(30));
+    }
+
+    #[test]
     fn blocking_push_waits_for_space() {
         let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(0u32).unwrap();
+        push(&q, 0u32);
         let producer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push_blocking(1).is_ok())
+            std::thread::spawn(move || q.push_blocking(1, Priority::Batch).is_ok())
         };
         // the producer is blocked on a full queue until we drain one
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -375,10 +370,10 @@ mod tests {
     #[test]
     fn blocking_push_fails_on_close() {
         let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(0u32).unwrap();
+        push(&q, 0u32);
         let producer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push_blocking(1))
+            std::thread::spawn(move || q.push_blocking(1, Priority::Batch))
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
@@ -393,7 +388,7 @@ mod tests {
             std::thread::spawn(move || q.pop())
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
-        q.try_push(7u32).unwrap();
+        push(&q, 7u32);
         assert_eq!(consumer.join().unwrap(), Some(7));
     }
 }

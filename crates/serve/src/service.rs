@@ -4,12 +4,13 @@
 use crate::pool::FleetPool;
 use crate::queue::{Admission, BoundedQueue, Priority};
 use crate::supervisor::HostError;
+use crate::table::{self, counter_table, CounterRow};
 use sparseloop_core::{EvalJob, EvalSession, JobError, JobOutcome, LocalShards};
 use sparseloop_designs::{Scenario, ScenarioRegistry};
 use sparseloop_mapping::SearchStats;
 use sparseloop_obs::{
     Counter, Gauge, HealthStatus, Histogram, MetricsSnapshot, ObsHub, ObsServer, ObsServerHooks,
-    RecordedRequest, RequestOutcome, SpanKind, TraceContext, LATENCY_BUCKETS_NANOS,
+    ParsedSnapshot, RecordedRequest, RequestOutcome, SpanKind, TraceContext, LATENCY_BUCKETS_NANOS,
 };
 use sparseloop_spec::SpecError;
 use std::borrow::Cow;
@@ -121,6 +122,41 @@ pub enum ServeRequest {
     /// bit-identical to registering the same scenario and running it by
     /// name.
     Spec(String),
+}
+
+/// What [`EvalService::submit`] and [`EvalService::submit_blocking`]
+/// admit: a payload and how urgently it is wanted. A bare
+/// [`ServeRequest`] converts at [`Priority::Batch`] with no deadline;
+/// override a field with struct-update syntax:
+/// `Request { priority: Priority::Interactive, ..payload.into() }`.
+#[derive(Debug)]
+pub struct Request {
+    /// The work itself.
+    pub payload: ServeRequest,
+    /// The queue band it waits in. Under overload a higher-priority
+    /// arrival displaces the youngest strictly-lower-priority queued
+    /// request (the victim's ticket resolves to [`ServeError::Shed`]);
+    /// once the queue reaches the shed watermark,
+    /// [`Priority::Background`] arrivals are refused early with
+    /// [`SubmitError::Shed`]. Equal-priority work is never displaced,
+    /// so admission order within a band is preserved.
+    pub priority: Priority,
+    /// Once this elapses after admission, the request's token trips on
+    /// its own and workers abandon the remaining work at the next
+    /// cancellation checkpoint (the ticket resolves to whatever
+    /// completed before that, counted as `canceled` in
+    /// [`ServiceStats`]).
+    pub deadline: Option<Duration>,
+}
+
+impl From<ServeRequest> for Request {
+    fn from(payload: ServeRequest) -> Self {
+        Request {
+            payload,
+            priority: Priority::Batch,
+            deadline: None,
+        }
+    }
 }
 
 /// A successfully processed request's payload.
@@ -477,39 +513,52 @@ struct Work {
     enqueued_nanos: u64,
 }
 
-/// The related request counters, guarded by **one** mutex so a snapshot
-/// can never mix two moments: `submitted` is incremented *before* the
-/// queue push (and rolled back on refusal), and every completion bucket
-/// is incremented under the same lock — so any snapshot observes
-/// `submitted >= completed + panicked + canceled + shed`, with equality
-/// once the queue drains.
-#[derive(Debug, Clone, Copy, Default)]
-struct Counters {
-    submitted: u64,
-    rejected: u64,
-    completed: u64,
-    panicked: u64,
-    canceled: u64,
-    shed: u64,
-    fleet_dispatched: u64,
-    fleet_fallbacks: u64,
-    recycles: u64,
-    peak_slots: u64,
+/// A service event that bumps one monotonic [`ServiceStats`] counter:
+/// the variant's index is its [`SERVICE_COUNTERS`] row.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Submitted,
+    Rejected,
+    Completed,
+    Panicked,
+    Canceled,
+    Shed,
+    FleetDispatched,
+    FleetFallback,
+    Recycle,
+}
+
+/// Every monotonic [`ServiceStats`] counter as its metric series, in
+/// [`Event`] order — the one place that pairs the two. Booking
+/// ([`Shared::count`]), registration and [`service_metrics_drift`] all
+/// walk it.
+const SERVICE_COUNTERS: [CounterRow<ServiceStats>; 9] = counter_table! {
+    submitted => "sparseloop_requests_total", [("outcome", "submitted")];
+    rejected => "sparseloop_requests_total", [("outcome", "rejected")];
+    completed => "sparseloop_requests_total", [("outcome", "completed")];
+    panicked => "sparseloop_requests_total", [("outcome", "panicked")];
+    canceled => "sparseloop_requests_total", [("outcome", "canceled")];
+    shed => "sparseloop_requests_total", [("outcome", "shed")];
+    fleet_dispatched => "sparseloop_service_fleet_total", [("kind", "dispatched")];
+    fleet_fallbacks => "sparseloop_service_fleet_total", [("kind", "fallback")];
+    recycles => "sparseloop_session_recycles_total", [];
+};
+
+/// The service series in `snap` (parsed exposition text, as scraped)
+/// that disagree with `stats`, one line each; empty when every
+/// monotonic [`ServiceStats`] counter reads exactly its series.
+pub fn service_metrics_drift(snap: &ParsedSnapshot, stats: &ServiceStats) -> Vec<String> {
+    table::drift(&SERVICE_COUNTERS, stats, |name, labels| {
+        snap.value(name, labels)
+    })
 }
 
 /// Pre-registered metric handles for the service's hot path (one
 /// `Option` check + relaxed atomics per event; no registry lookups).
 struct ServeObs {
     hub: ObsHub,
-    submitted: Counter,
-    rejected: Counter,
-    completed: Counter,
-    panicked: Counter,
-    canceled: Counter,
-    shed: Counter,
-    fleet_dispatched: Counter,
-    fleet_fallback: Counter,
-    recycles: Counter,
+    /// One counter per [`SERVICE_COUNTERS`] row.
+    counters: [Counter; 9],
     queue_wait: Histogram,
     latency: Histogram,
     /// Mapper funnel counters: generated, pruned, evaluated, invalid.
@@ -524,7 +573,6 @@ impl ServeObs {
     fn new(hub: ObsHub, config: &ServeConfig) -> Self {
         hub.set_protocol_version(crate::protocol::PROTOCOL_VERSION);
         let reg = hub.registry();
-        let outcome = |o: &str| reg.counter("sparseloop_requests_total", &[("outcome", o)]);
         let stage = |s: &str| reg.counter("sparseloop_mapper_candidates_total", &[("stage", s)]);
         // pre-register the gauges so empty snapshots still show them
         reg.gauge("sparseloop_queue_capacity", &[])
@@ -533,16 +581,7 @@ impl ServeObs {
         queue_depth.set(0);
         ServeObs {
             queue_depth,
-            submitted: outcome("submitted"),
-            rejected: outcome("rejected"),
-            completed: outcome("completed"),
-            panicked: outcome("panicked"),
-            canceled: outcome("canceled"),
-            shed: outcome("shed"),
-            fleet_dispatched: reg
-                .counter("sparseloop_service_fleet_total", &[("kind", "dispatched")]),
-            fleet_fallback: reg.counter("sparseloop_service_fleet_total", &[("kind", "fallback")]),
-            recycles: reg.counter("sparseloop_session_recycles_total", &[]),
+            counters: SERVICE_COUNTERS.each_ref().map(|row| row.register(reg)),
             queue_wait: reg.histogram("sparseloop_queue_wait_nanos", &[], LATENCY_BUCKETS_NANOS),
             latency: reg.histogram(
                 "sparseloop_request_latency_nanos",
@@ -559,33 +598,23 @@ impl ServeObs {
         }
     }
 
-    fn absorb_search_stats(&self, stats: &SearchStats) {
-        self.mapper[0].add(stats.generated as u64);
-        self.mapper[1].add(stats.pruned as u64);
-        self.mapper[2].add(stats.evaluated as u64);
-        self.mapper[3].add(stats.invalid as u64);
-    }
-
     /// Folds the mapper funnel counters out of a finished reply.
     fn absorb_reply(&self, reply: &Result<ServeReply, ServeError>) {
-        match reply {
-            Ok(ServeReply::Job(result)) => match &**result {
-                Ok(outcome) => self.absorb_search_stats(&outcome.stats),
-                Err(JobError::NoValidCandidate { stats }) => self.absorb_search_stats(stats),
-                Err(_) => {}
-            },
-            Ok(ServeReply::Scenario(scenario)) => {
-                for result in &scenario.results {
-                    match result {
-                        Ok(outcome) => self.absorb_search_stats(&outcome.stats),
-                        Err(JobError::NoValidCandidate { stats }) => {
-                            self.absorb_search_stats(stats)
-                        }
-                        Err(_) => {}
-                    }
-                }
-            }
-            Err(_) => {}
+        let results = match reply {
+            Ok(ServeReply::Job(result)) => std::slice::from_ref(&**result),
+            Ok(ServeReply::Scenario(scenario)) => &scenario.results[..],
+            Err(_) => &[],
+        };
+        for result in results {
+            let stats: &SearchStats = match result {
+                Ok(outcome) => &outcome.stats,
+                Err(JobError::NoValidCandidate { stats }) => stats,
+                Err(_) => continue,
+            };
+            self.mapper[0].add(stats.generated as u64);
+            self.mapper[1].add(stats.pruned as u64);
+            self.mapper[2].add(stats.evaluated as u64);
+            self.mapper[3].add(stats.invalid as u64);
         }
     }
 }
@@ -598,7 +627,14 @@ struct Shared {
     /// request; recycling swaps the slot, so in-flight requests keep
     /// their generation alive while new requests start clean.
     session: Mutex<Arc<EvalSession>>,
-    counters: Mutex<Counters>,
+    /// The request counters (`queued` and `session_slots` unused),
+    /// guarded by **one** mutex so a snapshot can never mix two
+    /// moments: `submitted` is incremented *before* the queue push (and
+    /// rolled back on refusal), and every completion bucket is
+    /// incremented under the same lock — so any snapshot observes
+    /// `submitted >= completed + panicked + canceled + shed`, with
+    /// equality once the queue drains.
+    counters: Mutex<ServiceStats>,
     obs: Option<ServeObs>,
     /// An optional shared worker-process fleet: `Scenario`/`Spec`
     /// requests dispatch to pooled [`ShardHost`]s (bit-identical to
@@ -618,8 +654,22 @@ impl Shared {
         Arc::clone(&self.session.lock().expect("session slot poisoned"))
     }
 
-    fn counters(&self) -> std::sync::MutexGuard<'_, Counters> {
+    fn counters(&self) -> std::sync::MutexGuard<'_, ServiceStats> {
         self.counters.lock().expect("counters poisoned")
+    }
+
+    /// Books one event: its [`ServiceStats`] counter, then its series.
+    fn count(&self, event: Event) {
+        *(SERVICE_COUNTERS[event as usize].field)(&mut self.counters()) += 1;
+        self.observe(event);
+    }
+
+    /// Bumps `event`'s series alone — for `submitted`, whose counter
+    /// admission books ahead of the queue call.
+    fn observe(&self, event: Event) {
+        if let Some(obs) = &self.obs {
+            obs.counters[event as usize].inc();
+        }
     }
 
     /// Folds one completed request's wall time into the latency EWMA
@@ -753,10 +803,7 @@ impl Shared {
     /// `shed` — and its ticket resolves immediately to
     /// [`ServeError::Shed`].
     fn shed_victim(&self, victim: Work) {
-        self.counters().shed += 1;
-        if let Some(obs) = &self.obs {
-            obs.shed.inc();
-        }
+        self.count(Event::Shed);
         self.record_outcome(
             victim.request_id,
             victim.enqueued_nanos,
@@ -785,18 +832,12 @@ impl Shared {
         let Some(fleet) = &self.fleet else {
             return Ok(None);
         };
-        self.counters().fleet_dispatched += 1;
-        if let Some(obs) = &self.obs {
-            obs.fleet_dispatched.inc();
-        }
+        self.count(Event::FleetDispatched);
         match fleet.run(scenario, text, session, Some(ctx)) {
             Ok(reply) => Ok(Some(reply)),
             Err(HostError::TaskFailed { message }) => Err(ServeError::Panicked(message)),
             Err(HostError::WorkerLost { .. } | HostError::DeadlineExceeded) => {
-                self.counters().fleet_fallbacks += 1;
-                if let Some(obs) = &self.obs {
-                    obs.fleet_fallback.inc();
-                }
+                self.count(Event::FleetFallback);
                 *degraded = true;
                 Ok(None)
             }
@@ -878,10 +919,7 @@ impl Shared {
         let mut current = self.session.lock().expect("session slot poisoned");
         if Arc::ptr_eq(&current, used) {
             *current = Arc::new(EvalSession::new());
-            self.counters().recycles += 1;
-            if let Some(obs) = &self.obs {
-                obs.recycles.inc();
-            }
+            self.count(Event::Recycle);
         }
     }
 }
@@ -959,10 +997,7 @@ fn worker_loop(shared: &Shared) {
         // a request already abandoned while queued is retired without
         // touching the session at all
         if cancel.is_canceled() {
-            shared.counters().canceled += 1;
-            if let Some(obs) = &shared.obs {
-                obs.canceled.inc();
-            }
+            shared.count(Event::Canceled);
             shared.record_outcome(request_id, enqueued_nanos, RequestOutcome::Canceled);
             let _ = responder.send(Err(ServeError::Canceled));
             continue;
@@ -991,28 +1026,20 @@ fn worker_loop(shared: &Shared) {
                 // canceled even when a partial reply exists — the
                 // invariant is one bucket per admitted request
                 let canceled = cancel.is_canceled();
-                {
-                    let mut c = shared.counters();
-                    if canceled {
-                        c.canceled += 1;
-                    } else {
-                        c.completed += 1;
-                    }
-                }
+                shared.count(if canceled {
+                    Event::Canceled
+                } else {
+                    Event::Completed
+                });
                 if !canceled {
                     // canceled requests stop early; folding them in
                     // would bias the shed retry hint optimistic
                     shared.note_latency(wall_start.elapsed());
                 }
                 if let Some(obs) = &shared.obs {
-                    if canceled {
-                        obs.canceled.inc();
-                    } else {
-                        obs.completed.inc();
-                        if let Some(start) = eval_start {
-                            let now = obs.hub.now_nanos();
-                            obs.latency.observe(now.saturating_sub(start));
-                        }
+                    if let (false, Some(start)) = (canceled, eval_start) {
+                        obs.latency
+                            .observe(obs.hub.now_nanos().saturating_sub(start));
                     }
                     if let Some(start) = eval_start {
                         obs.hub.span_with_id(
@@ -1061,10 +1088,7 @@ fn worker_loop(shared: &Shared) {
                 // contain the blast radius: reply with the panic message
                 // and retire the (possibly lock-poisoned) session so the
                 // next request starts from a clean generation
-                shared.counters().panicked += 1;
-                if let Some(obs) = &shared.obs {
-                    obs.panicked.inc();
-                }
+                shared.count(Event::Panicked);
                 shared.record_outcome(request_id, enqueued_nanos, RequestOutcome::Panicked);
                 shared.swap_session(&session);
                 let msg = panic
@@ -1097,7 +1121,7 @@ impl EvalService {
 
     /// Boots the service against a caller-supplied registry.
     pub fn start_with_registry(config: ServeConfig, registry: ScenarioRegistry) -> Self {
-        EvalService::start_with_registry_and_hub(config, registry, None)
+        EvalService::start_full(config, registry, None, None)
     }
 
     /// Boots the service with the standard registry, wired into `hub`:
@@ -1107,19 +1131,7 @@ impl EvalService {
     /// [`ShardHost`](crate::supervisor::ShardHost) to get a single
     /// fleet-wide snapshot.
     pub fn start_observed(config: ServeConfig, hub: ObsHub) -> Self {
-        EvalService::start_with_registry_and_hub(config, ScenarioRegistry::standard(), Some(hub))
-    }
-
-    /// The fully general constructor: caller-supplied registry, plus an
-    /// optional [`ObsHub`] (`None` keeps the hot path free of any
-    /// instrumentation — the A/B baseline the overhead gate compares
-    /// against).
-    pub fn start_with_registry_and_hub(
-        config: ServeConfig,
-        registry: ScenarioRegistry,
-        hub: Option<ObsHub>,
-    ) -> Self {
-        EvalService::start_full(config, registry, hub, None)
+        EvalService::start_full(config, ScenarioRegistry::standard(), Some(hub), None)
     }
 
     /// Boots the service on top of a shared [`FleetPool`]: `Scenario`
@@ -1134,6 +1146,9 @@ impl EvalService {
         EvalService::start_full(config, ScenarioRegistry::standard(), hub, Some(fleet))
     }
 
+    /// The general constructor behind every `start*`: a `None` hub
+    /// keeps the hot path free of any instrumentation (the A/B baseline
+    /// the overhead gate compares against).
     fn start_full(
         config: ServeConfig,
         registry: ScenarioRegistry,
@@ -1151,7 +1166,7 @@ impl EvalService {
             queue: BoundedQueue::new(config.queue_capacity),
             registry,
             session: Mutex::new(Arc::new(EvalSession::new())),
-            counters: Mutex::new(Counters::default()),
+            counters: Mutex::new(ServiceStats::default()),
             obs: hub.map(|hub| ServeObs::new(hub, &config)),
             fleet,
             ewma_latency_nanos: AtomicU64::new(0),
@@ -1229,56 +1244,55 @@ impl EvalService {
         self.shared.config
     }
 
-    /// Non-blocking admission at [`Priority::Batch`]: enqueues the
-    /// request or refuses it when the queue is at capacity
-    /// (backpressure) or the service is shutting down.
-    pub fn submit(&self, request: ServeRequest) -> Result<Ticket, SubmitError> {
-        self.submit_with_token(request, CancelToken::new())
+    /// Non-blocking admission: enqueues the request, displaces
+    /// lower-priority work when the queue is full, or refuses it — at
+    /// capacity with nothing to displace ([`SubmitError::QueueFull`],
+    /// backpressure), at the shed watermark for
+    /// [`Priority::Background`] ([`SubmitError::Shed`]), or while the
+    /// service shuts down. See [`Request`] for priority and deadline.
+    pub fn submit(&self, request: impl Into<Request>) -> Result<Ticket, SubmitError> {
+        self.admit(request.into(), false)
     }
 
-    /// [`submit`](EvalService::submit) at an explicit [`Priority`].
-    /// Under overload a higher-priority arrival displaces the youngest
-    /// strictly-lower-priority queued request (the victim's ticket
-    /// resolves to [`ServeError::Shed`]); once the queue reaches the
-    /// shed watermark, [`Priority::Background`] arrivals are refused
-    /// early with [`SubmitError::Shed`]. Equal-priority work is never
-    /// displaced, so admission order within a band is preserved.
-    pub fn submit_with_priority(
+    /// Blocking admission: waits for queue space instead of refusing,
+    /// and never displaces or sheds (still fails if the service shuts
+    /// down while waiting). Priority and deadline act as for
+    /// [`submit`](EvalService::submit) once admitted.
+    pub fn submit_blocking(&self, request: impl Into<Request>) -> Result<Ticket, SubmitError> {
+        self.admit(request.into(), true)
+    }
+
+    /// Arms the request's [`CancelToken`] with its deadline, if any,
+    /// and admits it.
+    fn admit(&self, request: Request, blocking: bool) -> Result<Ticket, SubmitError> {
+        let cancel = match request.deadline {
+            Some(deadline) => CancelToken::with_deadline(deadline),
+            None => CancelToken::new(),
+        };
+        self.enqueue(request.payload, request.priority, cancel, blocking)
+    }
+
+    /// The one admission path. `submitted` is counted *before* the
+    /// queue call, so no snapshot can catch a completion whose
+    /// admission is not yet counted; one queue call — [`BoundedQueue::admit`]
+    /// or, when `blocking`, [`BoundedQueue::push_blocking`] — then
+    /// decides enqueue / displace / refuse, and the counters mirror it:
+    /// displaced victims stay `submitted` and move to the `shed`
+    /// bucket; refused arrivals roll `submitted` back and count as
+    /// `rejected` (a shutdown refusal counts nowhere).
+    fn enqueue(
         &self,
         request: ServeRequest,
         priority: Priority,
+        cancel: CancelToken,
+        blocking: bool,
     ) -> Result<Ticket, SubmitError> {
-        self.submit_prioritized(request, CancelToken::new(), priority)
-    }
-
-    /// [`submit`](EvalService::submit) with a per-request deadline: once
-    /// it elapses, the request's token trips on its own and workers
-    /// abandon the remaining work at the next cancellation checkpoint
-    /// (the ticket resolves to whatever completed before that, counted
-    /// as `canceled` in [`ServiceStats`]).
-    pub fn submit_with_deadline(
-        &self,
-        request: ServeRequest,
-        deadline: Duration,
-    ) -> Result<Ticket, SubmitError> {
-        self.submit_with_token(request, CancelToken::with_deadline(deadline))
-    }
-
-    /// Builds the `Work` payload and pre-counts the admission:
-    /// `submitted` is incremented *before* the queue push so no snapshot
-    /// can catch a completion whose admission is not yet counted; a
-    /// refused push rolls the increment back under the same lock.
-    fn make_work(
-        &self,
-        request: ServeRequest,
-        cancel: &CancelToken,
-    ) -> (Work, mpsc::Receiver<Result<ServeReply, ServeError>>) {
+        let shared = &self.shared;
         let (responder, receiver) = mpsc::channel();
-        let (request_id, enqueued_nanos) = match &self.shared.obs {
+        let (request_id, enqueued_nanos) = match &shared.obs {
             Some(obs) => (obs.hub.next_request_id(), obs.hub.now_nanos()),
             None => (0, 0),
         };
-        self.shared.counters().submitted += 1;
         let work = Work {
             request,
             responder,
@@ -1286,121 +1300,43 @@ impl EvalService {
             request_id,
             enqueued_nanos,
         };
-        (work, receiver)
-    }
-
-    /// Undoes [`make_work`](EvalService::make_work)'s pre-count after a
-    /// refused push; `rejected: true` books it as backpressure.
-    fn unmake_work(&self, rejected: bool) {
-        let mut c = self.shared.counters();
-        c.submitted -= 1;
-        if rejected {
-            c.rejected += 1;
+        shared.counters().submitted += 1;
+        let admission = if blocking {
+            match shared.queue.push_blocking(work, priority) {
+                Ok(()) => Admission::Enqueued,
+                Err(work) => Admission::Closed(work),
+            }
+        } else {
+            shared
+                .queue
+                .admit(work, priority, shared.effective_watermark())
+        };
+        let capacity = shared.queue.capacity();
+        let refusal = match admission {
+            Admission::Enqueued | Admission::Displaced { .. } => None,
+            Admission::Full(_, depth) => Some(SubmitError::QueueFull { depth, capacity }),
+            Admission::Shed(_, depth) => Some(SubmitError::Shed {
+                depth,
+                capacity,
+                retry_after_hint: shared.retry_after_hint(),
+            }),
+            Admission::Closed(_) => Some(SubmitError::ShuttingDown),
+        };
+        if let Some(refusal) = refusal {
+            shared.counters().submitted -= 1;
+            if refusal != SubmitError::ShuttingDown {
+                shared.count(Event::Rejected);
+            }
+            return Err(refusal);
         }
-        drop(c);
-        if rejected {
-            if let Some(obs) = &self.shared.obs {
-                obs.rejected.inc();
-            }
+        shared.observe(Event::Submitted);
+        // a displacement swaps one queued entry for another, so the
+        // depth is re-read from the queue itself rather than guessed at
+        shared.sync_queue_depth();
+        if let Admission::Displaced { victim, .. } = admission {
+            shared.shed_victim(victim);
         }
-    }
-
-    fn submit_with_token(
-        &self,
-        request: ServeRequest,
-        cancel: CancelToken,
-    ) -> Result<Ticket, SubmitError> {
-        self.submit_prioritized(request, cancel, Priority::Batch)
-    }
-
-    /// The priority-aware admission path (all non-blocking submits land
-    /// here): one locked [`BoundedQueue::admit`] decides enqueue /
-    /// displace / refuse, and the counters mirror the outcome —
-    /// displaced victims stay `submitted` and move to the `shed`
-    /// bucket; refused arrivals roll `submitted` back and count as
-    /// `rejected`.
-    fn submit_prioritized(
-        &self,
-        request: ServeRequest,
-        cancel: CancelToken,
-        priority: Priority,
-    ) -> Result<Ticket, SubmitError> {
-        let (work, receiver) = self.make_work(request, &cancel);
-        let capacity = self.shared.queue.capacity();
-        let watermark = self.shared.effective_watermark();
-        match self.shared.queue.admit(work, priority, watermark) {
-            Admission::Enqueued => {
-                if let Some(obs) = &self.shared.obs {
-                    obs.submitted.inc();
-                }
-                self.shared.sync_queue_depth();
-                Ok(Ticket { receiver, cancel })
-            }
-            Admission::Displaced { victim, .. } => {
-                if let Some(obs) = &self.shared.obs {
-                    obs.submitted.inc();
-                }
-                // displacement swaps one queued entry for another, so the
-                // depth is re-read from the queue itself rather than
-                // guessed at (+1 for the arrival, -1 for the victim)
-                self.shared.sync_queue_depth();
-                self.shared.shed_victim(victim);
-                Ok(Ticket { receiver, cancel })
-            }
-            Admission::Full(_, depth) => {
-                self.unmake_work(true);
-                Err(SubmitError::QueueFull { depth, capacity })
-            }
-            Admission::Shed(_, depth) => {
-                self.unmake_work(true);
-                Err(SubmitError::Shed {
-                    depth,
-                    capacity,
-                    retry_after_hint: self.shared.retry_after_hint(),
-                })
-            }
-            Admission::Closed(_) => {
-                self.unmake_work(false);
-                Err(SubmitError::ShuttingDown)
-            }
-        }
-    }
-
-    /// Blocking admission: waits for queue space instead of refusing
-    /// (still fails if the service shuts down while waiting).
-    pub fn submit_blocking(&self, request: ServeRequest) -> Result<Ticket, SubmitError> {
-        let cancel = CancelToken::new();
-        let (work, receiver) = self.make_work(request, &cancel);
-        match self.shared.queue.push_blocking(work) {
-            Ok(()) => {
-                if let Some(obs) = &self.shared.obs {
-                    obs.submitted.inc();
-                }
-                self.shared.sync_queue_depth();
-                Ok(Ticket { receiver, cancel })
-            }
-            Err(_) => {
-                self.unmake_work(false);
-                Err(SubmitError::ShuttingDown)
-            }
-        }
-    }
-
-    /// Sugar: submits a single evaluation job.
-    pub fn submit_job(&self, job: EvalJob) -> Result<Ticket, SubmitError> {
-        self.submit(ServeRequest::Job(Box::new(job)))
-    }
-
-    /// Sugar: submits a registered scenario by name.
-    pub fn submit_scenario(&self, name: impl Into<String>) -> Result<Ticket, SubmitError> {
-        self.submit(ServeRequest::Scenario(name.into()))
-    }
-
-    /// Sugar: submits an inline spec document (compiled and run by the
-    /// worker; a malformed spec resolves the ticket to
-    /// [`ServeError::InvalidSpec`]).
-    pub fn submit_spec(&self, text: impl Into<String>) -> Result<Ticket, SubmitError> {
-        self.submit(ServeRequest::Spec(text.into()))
+        Ok(Ticket { receiver, cancel })
     }
 
     /// Current counters (queue depth and session slots are snapshots).
@@ -1412,20 +1348,10 @@ impl EvalService {
     pub fn stats(&self) -> ServiceStats {
         let session = self.shared.current_session();
         let s = session.stats();
-        let c = *self.shared.counters();
         ServiceStats {
-            submitted: c.submitted,
-            rejected: c.rejected,
-            completed: c.completed,
-            panicked: c.panicked,
-            canceled: c.canceled,
-            shed: c.shed,
-            fleet_dispatched: c.fleet_dispatched,
-            fleet_fallbacks: c.fleet_fallbacks,
-            recycles: c.recycles,
-            peak_slots: c.peak_slots,
             queued: self.shared.queue.len(),
             session_slots: s.total_slots(),
+            ..*self.shared.counters()
         }
     }
 
@@ -1433,14 +1359,19 @@ impl EvalService {
     /// request (all outstanding tickets resolve), joins the workers and
     /// returns the final counters.
     pub fn shutdown(mut self) -> ServiceStats {
-        // the debug endpoint goes down first so a scraper cannot catch
-        // a half-drained snapshot mid-shutdown
+        self.stop();
+        self.stats()
+    }
+
+    /// Closes admission, drains the queue and joins the workers. The
+    /// debug endpoint goes down first so a scraper cannot catch a
+    /// half-drained snapshot mid-shutdown.
+    fn stop(&mut self) {
         self.obs_server.take();
         self.shared.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        self.stats()
     }
 }
 
@@ -1448,11 +1379,7 @@ impl Drop for EvalService {
     fn drop(&mut self) {
         // same graceful drain as `shutdown`: pending tickets resolve
         // rather than hang
-        self.obs_server.take();
-        self.shared.queue.close();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.stop();
     }
 }
 
@@ -1476,8 +1403,6 @@ mod tests {
     use sparseloop_mapping::{Mapper, Mapspace};
     use sparseloop_tensor::einsum::Einsum;
 
-    use crate::queue::PushError;
-
     fn arch() -> sparseloop_arch::Architecture {
         ArchitectureBuilder::new("t")
             .level(StorageLevel::new("DRAM").with_class(ComponentClass::Dram))
@@ -1485,6 +1410,14 @@ mod tests {
             .compute(ComputeSpec::new("MAC", 4))
             .build()
             .unwrap()
+    }
+
+    fn job(job: EvalJob) -> ServeRequest {
+        ServeRequest::Job(Box::new(job))
+    }
+
+    fn scenario(name: &str) -> ServeRequest {
+        ServeRequest::Scenario(name.into())
     }
 
     fn search_job(density: f64) -> EvalJob {
@@ -1519,15 +1452,15 @@ mod tests {
     #[test]
     fn served_job_matches_direct_parallel_search() {
         let service = EvalService::start(ServeConfig::default().with_workers(2).with_shards(2));
-        let job = search_job(0.25);
-        let ticket = service.submit_job(job.clone()).unwrap();
+        let direct = search_job(0.25);
+        let ticket = service.submit(job(direct.clone())).unwrap();
         let outcome = ticket.wait().unwrap().into_job().unwrap();
-        let model = Model::new(job.workload, job.arch, job.safs);
+        let model = Model::new(direct.workload, direct.arch, direct.safs);
         let JobPlan::Search {
             space,
             mapper,
             objective,
-        } = job.plan
+        } = direct.plan
         else {
             unreachable!()
         };
@@ -1546,7 +1479,7 @@ mod tests {
     #[test]
     fn served_scenario_matches_direct_run() {
         let service = EvalService::start(ServeConfig::default().with_workers(2).with_shards(3));
-        let ticket = service.submit_scenario("fig1_format_tradeoff").unwrap();
+        let ticket = service.submit(scenario("fig1_format_tradeoff")).unwrap();
         let reply = ticket.wait().unwrap().into_scenario();
         let direct = ScenarioRegistry::standard()
             .expect("fig1_format_tradeoff")
@@ -1563,7 +1496,7 @@ mod tests {
         let scenario = registry.expect("fig13_dstc_validation");
         let text = sparseloop_spec::emit_scenario(scenario);
         let service = EvalService::start(ServeConfig::default().with_workers(2).with_shards(2));
-        let ticket = service.submit_spec(text).unwrap();
+        let ticket = service.submit(ServeRequest::Spec(text)).unwrap();
         let reply = ticket.wait().unwrap().into_scenario();
         assert_eq!(reply.name, "fig13_dstc_validation");
         let direct = scenario.run(&EvalSession::new(), Some(2));
@@ -1574,7 +1507,9 @@ mod tests {
     #[test]
     fn invalid_spec_is_reported_not_fatal() {
         let service = EvalService::start(ServeConfig::default());
-        let ticket = service.submit_spec("scenario:\n  nmae: oops\n").unwrap();
+        let ticket = service
+            .submit(ServeRequest::Spec("scenario:\n  nmae: oops\n".into()))
+            .unwrap();
         match ticket.wait() {
             Err(ServeError::InvalidSpec(diag)) => {
                 assert!(
@@ -1585,7 +1520,7 @@ mod tests {
             other => panic!("expected InvalidSpec, got {other:?}"),
         }
         // the service keeps serving after the error
-        let ok = service.submit_job(search_job(0.5)).unwrap();
+        let ok = service.submit(job(search_job(0.5))).unwrap();
         assert!(ok.wait().unwrap().into_job().is_ok());
         service.shutdown();
     }
@@ -1597,7 +1532,7 @@ mod tests {
         // string — clients point editors at file:line:col
         let service = EvalService::start(ServeConfig::default());
         let text = "scenario:\n  name: demo\n  title: t\n  bogus_key: 1\n";
-        let ticket = service.submit_spec(text).unwrap();
+        let ticket = service.submit(ServeRequest::Spec(text.into())).unwrap();
         match ticket.wait() {
             Err(ServeError::InvalidSpec(diag)) => {
                 assert_eq!(diag.line, 4, "line of bogus_key: {diag}");
@@ -1620,7 +1555,7 @@ mod tests {
         // the `canceled` bucket
         let service = EvalService::start(ServeConfig::default().with_workers(1));
         // ten-experiment scenario: plenty of checkpoints between jobs
-        let ticket = service.submit_scenario("fig13_dstc_validation").unwrap();
+        let ticket = service.submit(scenario("fig13_dstc_validation")).unwrap();
         let ticket = match ticket.wait_timeout(std::time::Duration::from_millis(1)) {
             Err(t) => t, // timed out: the request is now canceled
             Ok(reply) => {
@@ -1675,9 +1610,11 @@ mod tests {
         // canceled, not with an `Ok` reply wrapping the skipped job
         let service = EvalService::start(ServeConfig::default().with_workers(1));
         let ticket = service
-            .submit_with_token(
-                ServeRequest::Job(Box::new(search_job(0.5))),
+            .enqueue(
+                job(search_job(0.5)),
+                Priority::Batch,
                 CancelToken::tripping_at_probe(2),
+                false,
             )
             .unwrap();
         assert!(matches!(ticket.wait(), Err(ServeError::Canceled)));
@@ -1689,14 +1626,14 @@ mod tests {
     fn queued_request_with_expired_deadline_is_skipped() {
         let service = EvalService::start(ServeConfig::default().with_workers(1));
         // occupy the single worker...
-        let busy = service.submit_scenario("fig13_dstc_validation").unwrap();
+        let busy = service.submit(scenario("fig13_dstc_validation")).unwrap();
         // ...then queue a request whose deadline has already expired by
         // the time the worker's dequeue-time probe sees it
         let doomed = service
-            .submit_with_deadline(
-                ServeRequest::Job(Box::new(search_job(0.5))),
-                std::time::Duration::ZERO,
-            )
+            .submit(Request {
+                deadline: Some(Duration::ZERO),
+                ..job(search_job(0.5)).into()
+            })
             .unwrap();
         assert!(busy.wait().is_ok());
         assert!(matches!(doomed.wait(), Err(ServeError::Canceled)));
@@ -1708,13 +1645,13 @@ mod tests {
     #[test]
     fn unknown_scenario_is_reported_not_fatal() {
         let service = EvalService::start(ServeConfig::default());
-        let ticket = service.submit_scenario("no_such_scenario").unwrap();
+        let ticket = service.submit(scenario("no_such_scenario")).unwrap();
         match ticket.wait() {
             Err(ServeError::UnknownScenario(name)) => assert_eq!(name, "no_such_scenario"),
             other => panic!("expected UnknownScenario, got {other:?}"),
         }
         // the service keeps serving after the error
-        let ok = service.submit_job(search_job(0.5)).unwrap();
+        let ok = service.submit(job(search_job(0.5))).unwrap();
         assert!(ok.wait().unwrap().into_job().is_ok());
         service.shutdown();
     }
@@ -1729,7 +1666,7 @@ mod tests {
         let mut tickets = Vec::new();
         let mut rejected = 0u64;
         for i in 0..20 {
-            match service.submit_job(search_job(0.1 + (i as f64) * 0.04)) {
+            match service.submit(job(search_job(0.1 + (i as f64) * 0.04))) {
                 Ok(t) => tickets.push(t),
                 Err(SubmitError::QueueFull { depth, capacity }) => {
                     assert_eq!(capacity, 1);
@@ -1760,7 +1697,7 @@ mod tests {
         let tickets: Vec<Ticket> = (0..8)
             .map(|i| {
                 service
-                    .submit_job(search_job(0.1 + (i as f64) * 0.1))
+                    .submit(job(search_job(0.1 + (i as f64) * 0.1)))
                     .unwrap()
             })
             .collect();
@@ -1777,15 +1714,16 @@ mod tests {
         let shared = Arc::clone(&service.shared);
         service.shutdown();
         let (responder, _receiver) = mpsc::channel();
+        let work = Work {
+            request: scenario("x"),
+            responder,
+            cancel: CancelToken::new(),
+            request_id: 0,
+            enqueued_nanos: 0,
+        };
         assert!(matches!(
-            shared.queue.try_push(Work {
-                request: ServeRequest::Scenario("x".into()),
-                responder,
-                cancel: CancelToken::new(),
-                request_id: 0,
-                enqueued_nanos: 0,
-            }),
-            Err(PushError::Closed(_))
+            shared.queue.admit(work, Priority::Batch, 1),
+            Admission::Closed(_)
         ));
     }
 
@@ -1801,9 +1739,7 @@ mod tests {
         // cap the live session's growth
         for i in 0..12 {
             let t = service
-                .submit_blocking(ServeRequest::Job(Box::new(search_job(
-                    0.05 + (i as f64) * 0.07,
-                ))))
+                .submit_blocking(job(search_job(0.05 + (i as f64) * 0.07)))
                 .unwrap();
             t.wait().unwrap().into_job().unwrap();
         }
@@ -1825,13 +1761,13 @@ mod tests {
         )]);
         let service =
             EvalService::start_with_registry(ServeConfig::default().with_workers(1), registry);
-        let ticket = service.submit_scenario("poison").unwrap();
+        let ticket = service.submit(scenario("poison")).unwrap();
         match ticket.wait() {
             Err(ServeError::Panicked(msg)) => assert!(msg.contains("boom"), "got {msg}"),
             other => panic!("expected a contained panic, got {other:?}"),
         }
         // the service survives and keeps processing
-        let ok = service.submit_job(search_job(0.5)).unwrap();
+        let ok = service.submit(job(search_job(0.5))).unwrap();
         assert!(ok.wait().unwrap().into_job().is_ok());
         let stats = service.shutdown();
         assert_eq!(stats.panicked, 1);
@@ -1879,7 +1815,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..6 {
                         let d = 0.05 + ((t * 6 + i) as f64) * 0.045;
-                        if let Ok(ticket) = service.submit_job(search_job(d)) {
+                        if let Ok(ticket) = service.submit(job(search_job(d))) {
                             let _ = ticket.wait();
                         }
                     }
@@ -1915,16 +1851,17 @@ mod tests {
         let mut tickets = Vec::new();
         let mut rejected = 0u64;
         for i in 0..6 {
-            match service.submit_job(search_job(0.1 + (i as f64) * 0.08)) {
+            match service.submit(job(search_job(0.1 + (i as f64) * 0.08))) {
                 Ok(t) => tickets.push(t),
                 Err(SubmitError::QueueFull { .. }) => rejected += 1,
                 Err(other) => panic!("unexpected admission error: {other}"),
             }
         }
         let doomed = loop {
-            match service
-                .submit_with_deadline(ServeRequest::Job(Box::new(search_job(0.9))), Duration::ZERO)
-            {
+            match service.submit(Request {
+                deadline: Some(Duration::ZERO),
+                ..job(search_job(0.9)).into()
+            }) {
                 Ok(t) => break t,
                 Err(SubmitError::QueueFull { .. }) => {
                     rejected += 1;
@@ -1939,17 +1876,9 @@ mod tests {
         let _ = doomed.wait();
         let snap = service.metrics_snapshot().expect("observed service");
         let stats = service.stats();
-        let outcome = |o: &str| {
-            snap.value("sparseloop_requests_total", &[("outcome", o)])
-                .unwrap_or(0) as u64
-        };
-        assert_eq!(outcome("submitted"), stats.submitted);
-        assert_eq!(outcome("rejected"), rejected);
-        assert_eq!(outcome("rejected"), stats.rejected);
-        assert_eq!(
-            outcome("completed") + outcome("panicked") + outcome("canceled"),
-            stats.completed + stats.panicked + stats.canceled
-        );
+        assert_eq!(stats.rejected, rejected);
+        let parsed = MetricsSnapshot::parse_text(&snap.render_text()).expect("parseable snapshot");
+        assert_eq!(service_metrics_drift(&parsed, &stats), Vec::<String>::new());
         assert!(
             snap.value(
                 "sparseloop_mapper_candidates_total",
@@ -1969,7 +1898,6 @@ mod tests {
             stats.session_slots
         );
         // the text rendering round-trips through the parser
-        let parsed = MetricsSnapshot::parse_text(&snap.render_text()).expect("parseable snapshot");
         assert_eq!(
             parsed.sum_of("sparseloop_requests_total"),
             snap.sum_of("sparseloop_requests_total") as f64
@@ -1989,6 +1917,37 @@ mod tests {
     }
 
     #[test]
+    fn service_counters_pair_each_event_with_its_own_field() {
+        let mut stats = ServiceStats::default();
+        for (i, row) in SERVICE_COUNTERS.iter().enumerate() {
+            *(row.field)(&mut stats) = i as u64 + 1;
+        }
+        let events = [
+            Event::Submitted,
+            Event::Rejected,
+            Event::Completed,
+            Event::Panicked,
+            Event::Canceled,
+            Event::Shed,
+            Event::FleetDispatched,
+            Event::FleetFallback,
+            Event::Recycle,
+        ];
+        let fields = [
+            stats.submitted,
+            stats.rejected,
+            stats.completed,
+            stats.panicked,
+            stats.canceled,
+            stats.shed,
+            stats.fleet_dispatched,
+            stats.fleet_fallbacks,
+            stats.recycles,
+        ];
+        assert_eq!(events.map(|e| e as u64 + 1), fields);
+    }
+
+    #[test]
     fn obs_http_server_serves_metrics_health_and_traces() {
         let service = EvalService::start_observed(
             ServeConfig::default()
@@ -1997,7 +1956,7 @@ mod tests {
             ObsHub::new(),
         );
         let addr = service.obs_http_addr().expect("obs server bound");
-        assert!(service.submit_job(search_job(0.4)).unwrap().wait().is_ok());
+        assert!(service.submit(job(search_job(0.4))).unwrap().wait().is_ok());
 
         let (code, body) = sparseloop_obs::http::http_get(addr, "/metrics").unwrap();
         assert_eq!(code, 200);
@@ -2066,21 +2025,16 @@ mod tests {
                 .with_queue_capacity(2),
             blocking_registry(&gate),
         );
-        let blocker = service.submit_scenario("block").unwrap();
+        let blocker = service.submit(scenario("block")).unwrap();
         wait_until_worker_busy(&service);
         // fill the queue with background work, then outrank it
-        let bg_old = service
-            .submit_with_priority(ServeRequest::Scenario("block".into()), Priority::Background)
-            .unwrap();
-        let bg_young = service
-            .submit_with_priority(ServeRequest::Scenario("block".into()), Priority::Background)
-            .unwrap();
-        let vip = service
-            .submit_with_priority(
-                ServeRequest::Scenario("block".into()),
-                Priority::Interactive,
-            )
-            .unwrap();
+        let at = |priority| Request {
+            priority,
+            ..scenario("block").into()
+        };
+        let bg_old = service.submit(at(Priority::Background)).unwrap();
+        let bg_young = service.submit(at(Priority::Background)).unwrap();
+        let vip = service.submit(at(Priority::Interactive)).unwrap();
         // the youngest background request was evicted and resolved
         // immediately, while the worker is still pinned
         match bg_young.wait() {
@@ -2114,14 +2068,15 @@ mod tests {
                 .with_shed_watermark(1),
             blocking_registry(&gate),
         );
-        let blocker = service.submit_scenario("block").unwrap();
+        let blocker = service.submit(scenario("block")).unwrap();
         wait_until_worker_busy(&service);
-        let queued = service.submit_scenario("block").unwrap();
+        let queued = service.submit(scenario("block")).unwrap();
         // depth 1 >= watermark 1: background is refused early even
         // though three queue slots remain
-        match service
-            .submit_with_priority(ServeRequest::Scenario("block".into()), Priority::Background)
-        {
+        match service.submit(Request {
+            priority: Priority::Background,
+            ..scenario("block").into()
+        }) {
             Err(SubmitError::Shed {
                 depth,
                 capacity,
@@ -2135,7 +2090,7 @@ mod tests {
             Err(other) => panic!("expected a watermark shed, got {other}"),
         }
         // batch work still admits freely below capacity
-        let batch = service.submit_scenario("block").unwrap();
+        let batch = service.submit(scenario("block")).unwrap();
         gate.store(true, Ordering::Release);
         assert!(blocker.wait().is_ok());
         assert!(queued.wait().is_ok());
@@ -2145,6 +2100,99 @@ mod tests {
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.shed, 0, "admission refusals are not queue evictions");
         assert_eq!(stats.completed, 3);
+    }
+
+    #[test]
+    fn blocking_interactive_arrival_waits_for_space_then_jumps_the_batch_band() {
+        // "hold" waits for a permit, so the test decides when the
+        // single worker moves on; every scenario logs when it runs
+        let permits = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let logged = |name: &'static str, gated: bool| {
+            let (permits, log) = (Arc::clone(&permits), Arc::clone(&log));
+            Scenario::new(name, "logs its run", move || {
+                while gated
+                    && permits
+                        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |p| p.checked_sub(1))
+                        .is_err()
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                log.lock().unwrap().push(name);
+                Vec::new()
+            })
+        };
+        let registry = ScenarioRegistry::new(vec![
+            logged("hold", true),
+            logged("batch", false),
+            logged("vip", false),
+        ]);
+        let service = EvalService::start_with_registry(
+            ServeConfig::default()
+                .with_workers(1)
+                .with_queue_capacity(2),
+            registry,
+        );
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let first = service.submit(scenario("hold")).unwrap();
+        wait_until_worker_busy(&service);
+        // the queue is full of batch work behind the held worker
+        let second = service.submit(scenario("hold")).unwrap();
+        let batch = service.submit(scenario("batch")).unwrap();
+        std::thread::scope(|scope| {
+            let vip = scope.spawn(|| {
+                service
+                    .submit_blocking(Request {
+                        priority: Priority::Interactive,
+                        ..scenario("vip").into()
+                    })
+                    .unwrap()
+                    .wait()
+            });
+            wait_for("the blocking submit", &|| service.stats().submitted == 4);
+            assert_eq!(service.stats().queued, 2, "vip waits outside the queue");
+            // the worker takes the second hold, which frees the slot vip
+            // waits for; vip must then be queued ahead of the batch work
+            permits.fetch_add(1, Ordering::AcqRel);
+            let queue = &service.shared.queue;
+            wait_for("vip to be admitted", &|| {
+                queue.depth_of(Priority::Interactive) == 1
+            });
+            assert_eq!(queue.depth_of(Priority::Batch), 1);
+            permits.fetch_add(1, Ordering::AcqRel);
+            assert!(vip.join().unwrap().is_ok());
+        });
+        for ticket in [first, second, batch] {
+            assert!(ticket.wait().is_ok());
+        }
+        assert_eq!(*log.lock().unwrap(), ["hold", "hold", "vip", "batch"]);
+        let stats = service.shutdown();
+        assert_eq!((stats.submitted, stats.completed), (4, 4));
+        assert_eq!((stats.rejected, stats.shed), (0, 0));
+    }
+
+    #[test]
+    fn blocking_request_with_expired_deadline_resolves_canceled() {
+        let service = EvalService::start(ServeConfig::default().with_workers(1));
+        let doomed = service
+            .submit_blocking(Request {
+                deadline: Some(Duration::ZERO),
+                ..job(search_job(0.5)).into()
+            })
+            .unwrap();
+        assert!(matches!(doomed.wait(), Err(ServeError::Canceled)));
+        let stats = service.shutdown();
+        assert_eq!((stats.canceled, stats.completed), (1, 0));
+        assert_eq!(
+            stats.submitted,
+            stats.completed + stats.panicked + stats.canceled + stats.shed
+        );
     }
 
     fn demo_spec() -> String {
@@ -2181,7 +2229,7 @@ mod tests {
         };
         for round in 0..3 {
             let got = service
-                .submit_spec(&text)
+                .submit(ServeRequest::Spec(text.clone()))
                 .unwrap()
                 .wait()
                 .unwrap()
@@ -2208,7 +2256,9 @@ mod tests {
         let service =
             EvalService::start_with_fleet(ServeConfig::default().with_workers(1), pool.clone());
         let reply = service
-            .submit_spec("scenario:\n  name: x\n  bogus: 1\n")
+            .submit(ServeRequest::Spec(
+                "scenario:\n  name: x\n  bogus: 1\n".into(),
+            ))
             .unwrap()
             .wait();
         match reply {

@@ -61,6 +61,7 @@ use crate::fault::{FaultPlan, WorkerFault};
 use crate::proc::{EventKind, WorkerEvent, WorkerHandle, WorkerSpawner};
 use crate::protocol::{ExpResult, Frame};
 use crate::service::{scenario_reply, ScenarioReply};
+use crate::table::{self, counter_table, CounterRow};
 use sparseloop_core::{EvalSession, LocalShards, ReturnedShards};
 use sparseloop_designs::Scenario;
 use sparseloop_mapping::{SearchStats, ShardWinner};
@@ -317,37 +318,11 @@ impl HostStats {
     }
 }
 
-/// One [`HostStats`] counter and the `sparseloop_fleet_*` series a
-/// host publishes it as.
-struct FleetCounter {
-    /// Series name.
-    name: &'static str,
-    /// Series labels.
-    labels: &'static [(&'static str, &'static str)],
-    /// The field the series counts.
-    field: fn(&mut HostStats) -> &mut u64,
-}
-
-impl FleetCounter {
-    /// The field's value in `stats`.
-    fn read(&self, stats: &HostStats) -> u64 {
-        let mut copy = *stats;
-        *(self.field)(&mut copy)
-    }
-}
-
-/// One [`FLEET_COUNTERS`] row per `field => series, [labels];`.
-macro_rules! fleet_counters {
-    ($($field:ident => $name:literal, [$($label:expr),*];)*) => {
-        [$(FleetCounter { name: $name, labels: &[$($label),*], field: |s| &mut s.$field }),*]
-    };
-}
-
 /// Every [`HostStats`] field as its metric series — the one place that
 /// pairs the two. Publishing, [`HostStats::absorb`] and
 /// [`fleet_metrics_drift`] all walk this table, so a new field is one
 /// new row.
-const FLEET_COUNTERS: [FleetCounter; 15] = fleet_counters! {
+const FLEET_COUNTERS: [CounterRow<HostStats>; 15] = counter_table! {
     requests => "sparseloop_fleet_requests_total", [];
     spawns => "sparseloop_fleet_spawns_total", [];
     restarts => "sparseloop_fleet_restarts_total", [];
@@ -367,19 +342,13 @@ const FLEET_COUNTERS: [FleetCounter; 15] = fleet_counters! {
 
 /// The fleet series in `snap` that disagree with `stats`, one line
 /// each; empty when every `sparseloop_fleet_*` counter reads exactly
-/// its [`HostStats`] field. A missing series is drift: a publishing host registers every
-/// row, zeros included. Pass the sum over every host that published
-/// into the hub ([`HostStats::absorb`]).
+/// its [`HostStats`] field. A missing series is drift: a publishing
+/// host registers every row, zeros included. Pass the sum over every
+/// host that published into the hub ([`HostStats::absorb`]).
 pub fn fleet_metrics_drift(snap: &MetricsSnapshot, stats: &HostStats) -> Vec<String> {
-    FLEET_COUNTERS
-        .iter()
-        .filter_map(|c| {
-            let want = c.read(stats);
-            let got = snap.value(c.name, c.labels);
-            (got != Some(i128::from(want)))
-                .then(|| format!("{}{:?} = {got:?}, host stats say {want}", c.name, c.labels))
-        })
-        .collect()
+    table::drift(&FLEET_COUNTERS, stats, |name, labels| {
+        snap.value(name, labels).map(|v| v as f64)
+    })
 }
 
 /// What one [`ShardHost::health_check`] sweep did.
@@ -1129,7 +1098,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
         let reg = obs.hub.registry();
         for c in &FLEET_COUNTERS {
             let (new, old) = (c.read(&now), c.read(&prev));
-            let counter = reg.counter(c.name, c.labels);
+            let counter = c.register(reg);
             if new > old {
                 counter.add(new - old);
             }

@@ -11,7 +11,7 @@ use sparseloop_core::{EvalJob, JobPlan, Objective, SafSpec, Workload};
 use sparseloop_density::DensityModelSpec;
 use sparseloop_designs::{Scenario, ScenarioRegistry};
 use sparseloop_mapping::{Mapper, Mapspace};
-use sparseloop_serve::{EvalService, ServeConfig, ServeError, Ticket};
+use sparseloop_serve::{EvalService, ServeConfig, ServeError, ServeRequest, Ticket};
 use sparseloop_tensor::einsum::Einsum;
 
 fn small_job(density: f64) -> EvalJob {
@@ -73,9 +73,13 @@ proptest! {
             let ticket = match op {
                 1 => {
                     poisons += 1;
-                    service.submit_scenario("poison").unwrap()
+                    service
+                        .submit(ServeRequest::Scenario("poison".into()))
+                        .unwrap()
                 }
-                _ => service.submit_job(small_job(density)).unwrap(),
+                _ => service
+                    .submit(ServeRequest::Job(Box::new(small_job(density))))
+                    .unwrap(),
             };
             if *op == 2 {
                 ticket.cancel();
@@ -112,7 +116,9 @@ proptest! {
 
         // post-panic requests run on a fresh session generation
         if poisons > 0 {
-            let after = service.submit_job(small_job(0.42)).unwrap();
+            let after = service
+                .submit(ServeRequest::Job(Box::new(small_job(0.42))))
+                .unwrap();
             prop_assert!(after.wait().unwrap().into_job().is_ok());
         }
 

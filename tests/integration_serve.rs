@@ -94,7 +94,11 @@ fn served_scenarios_match_direct_run_across_workers_and_shards() {
         );
         let tickets: Vec<Ticket> = SCENARIOS
             .iter()
-            .map(|name| service.submit_scenario(*name).unwrap())
+            .map(|name| {
+                service
+                    .submit(ServeRequest::Scenario(name.to_string()))
+                    .unwrap()
+            })
             .collect();
         for (ticket, direct) in tickets.into_iter().zip(&reference) {
             let reply = ticket.wait().unwrap().into_scenario();
@@ -200,7 +204,8 @@ fn service_backpressure_and_recovery_roundtrip() {
     let mut accepted = Vec::new();
     let mut rejected = 0;
     for i in 0..12 {
-        match service.submit_job(search_job(8, 0.1 + 0.05 * i as f64, 2000)) {
+        let job = search_job(8, 0.1 + 0.05 * i as f64, 2000);
+        match service.submit(ServeRequest::Job(Box::new(job))) {
             Ok(t) => accepted.push(t),
             Err(sparseloop_serve::SubmitError::QueueFull { depth, capacity }) => {
                 assert_eq!(capacity, 2);
