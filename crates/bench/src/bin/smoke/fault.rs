@@ -7,9 +7,8 @@
 //!   after compute but before the result frame),
 //! * a heartbeat stall, a corrupted result frame, a dropped result
 //!   frame,
-//! * slowed frames ([`WorkerFault::SlowFrames`]): mild delays that must
-//!   ride through untouched, plus a 1.5 s straggler that must lose its
-//!   shard to a hedged spare dispatch,
+//! * slowed frames ([`WorkerFault::SlowFrames`]): late results that must
+//!   ride through untouched,
 //! * seeded pseudo-random schedules ([`FaultPlan::from_seed`]), so the
 //!   gate sweeps failure combinations nobody hand-picked.
 //!
@@ -24,10 +23,9 @@ use sparseloop_bench::{header, row, timed};
 use sparseloop_core::EvalSession;
 use sparseloop_obs::{ObsHub, SpanKind};
 use sparseloop_serve::{
-    fleet_metrics_drift, reply_drift, DiePoint, FaultPlan, HedgeConfig, HostStats, ProcessSpawner,
-    ShardHost, WorkerFault,
+    fleet_metrics_drift, reply_drift, DiePoint, FaultPlan, HostStats, ProcessSpawner, ShardHost,
+    WorkerFault,
 };
-use std::time::Duration;
 
 /// One fault schedule plus the supervision evidence it must leave.
 struct Case {
@@ -38,9 +36,6 @@ struct Case {
     expect_restarts: bool,
     /// The death must have been detected by heartbeat silence.
     expect_heartbeat_timeout: bool,
-    /// Hedged dispatch is enabled and a hedge must win the straggler's
-    /// shard.
-    expect_hedge_win: bool,
 }
 
 impl Case {
@@ -51,7 +46,6 @@ impl Case {
             plan,
             expect_restarts: false,
             expect_heartbeat_timeout: false,
-            expect_hedge_win: false,
         }
     }
 
@@ -65,11 +59,6 @@ impl Case {
         self
     }
 
-    fn hedged(mut self) -> Self {
-        self.expect_hedge_win = true;
-        self
-    }
-
     fn check_stats(&self, stats: &HostStats) -> Option<&'static str> {
         if stats.degraded != 0 {
             return Some("request degraded to in-process (workers never ran)");
@@ -79,12 +68,6 @@ impl Case {
         }
         if self.expect_heartbeat_timeout && stats.deaths_heartbeat_timeout == 0 {
             return Some("silent worker was never timed out by heartbeat audit");
-        }
-        if self.expect_hedge_win && stats.hedges_dispatched == 0 {
-            return Some("straggler never got a hedge dispatched");
-        }
-        if self.expect_hedge_win && stats.hedge_wins == 0 {
-            return Some("hedge was dispatched but never won the shard");
         }
         None
     }
@@ -130,8 +113,6 @@ fn cases() -> Vec<Case> {
             FaultPlan::none().with(slot, WorkerFault::SlowFrames { delay_ms }),
         ));
     }
-    let straggler = FaultPlan::none().with(1, WorkerFault::SlowFrames { delay_ms: 1500 });
-    cases.push(Case::new("straggler hedged to a spare (1500ms, slot 1)", 2, straggler).hedged());
     for seed in [1u64, 2, 3] {
         cases.push(Case::new(
             format!("seeded schedule (seed {seed}, 3 shards)"),
@@ -163,15 +144,7 @@ pub fn run(failures: &mut Vec<String>) {
         "verdict",
     ]);
     for case in cases() {
-        let mut config = super::fleet_config(case.shards, case.plan.clone());
-        if case.expect_hedge_win {
-            // hedging must beat the straggler, not the heartbeat audit: a
-            // long timeout keeps the slow worker alive so only the hedge
-            // can resolve its shard
-            config = config
-                .with_heartbeat(20, Duration::from_secs(10))
-                .with_hedging(HedgeConfig::default());
-        }
+        let config = super::fleet_config(case.shards, case.plan.clone());
         let mut host = ShardHost::new_observed(config, ProcessSpawner::new(&worker), hub.clone());
         let (outcome, wall_s) = timed(|| host.run(&scenario, &text, &session, None));
         let stats = host.stats();
@@ -222,7 +195,7 @@ fn trace_tree_checks(hub: &ObsHub, failures: &mut Vec<String>) {
         return failures.push("trace: no worker_round_trip span recorded".into());
     };
     let req = hub.traces().events_for(rid);
-    use SpanKind::{HedgeDispatch, ShardDispatch, WorkerCompile, WorkerRoundTrip, WorkerSearch};
+    use SpanKind::{ShardDispatch, WorkerCompile, WorkerRoundTrip, WorkerSearch};
     let ids_of = |kinds: &[SpanKind]| -> Vec<u64> {
         req.iter()
             .filter(|e| kinds.contains(&e.kind))
@@ -230,7 +203,7 @@ fn trace_tree_checks(hub: &ObsHub, failures: &mut Vec<String>) {
             .collect()
     };
     let roundtrips = ids_of(&[WorkerRoundTrip]);
-    let dispatches = ids_of(&[ShardDispatch, HedgeDispatch]);
+    let dispatches = ids_of(&[ShardDispatch]);
     let worker_phases = ids_of(&[WorkerCompile, WorkerSearch]);
     if dispatches.is_empty() || worker_phases.is_empty() {
         failures.push(format!(
@@ -241,7 +214,7 @@ fn trace_tree_checks(hub: &ObsHub, failures: &mut Vec<String>) {
     }
     for e in &req {
         let parents = match e.kind {
-            ShardDispatch | HedgeDispatch => &roundtrips,
+            ShardDispatch => &roundtrips,
             WorkerCompile | WorkerSearch => &dispatches,
             _ => continue,
         };

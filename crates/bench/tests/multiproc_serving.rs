@@ -279,12 +279,6 @@ fn pooled_process_fleets_reuse_prewarmed_workers() {
         "prewarmed processes serve every request — no per-request spawning"
     );
     assert_eq!(host.degraded, 0);
-    // a forced sweep over the live process transport: every ping must
-    // come back, and nothing needs replacement
-    let report = pool.health_check_all();
-    assert_eq!(report.pings_sent, 2);
-    assert_eq!(report.pongs_received, 2, "idle workers must answer pings");
-    assert_eq!(report.workers_replaced, 0);
     assert_metrics_reconcile(&pool.host_stats(), None, &hub, "pool-reuse");
     pool.shutdown();
 }

@@ -218,12 +218,11 @@ fn route(path: &str, hub: &ObsHub, hooks: &ObsServerHooks) -> (&'static str, &'s
             );
             for entry in index {
                 body.push_str(&format!(
-                    "request={} outcome={} latency={}ns spans={} hedged={}\n",
+                    "request={} outcome={} latency={}ns spans={}\n",
                     entry.request_id,
                     entry.outcome.as_str(),
                     entry.latency_nanos,
-                    entry.spans,
-                    entry.hedged
+                    entry.spans
                 ));
             }
             ("200 OK", "text/plain; charset=utf-8", body)
@@ -233,10 +232,9 @@ fn route(path: &str, hub: &ObsHub, hooks: &ObsServerHooks) -> (&'static str, &'s
                 match id.parse::<u64>().ok().and_then(|id| hub.recorder().get(id)) {
                     Some(rec) => {
                         let body = format!(
-                            "outcome={} latency={}ns hedged={}\n{}",
+                            "outcome={} latency={}ns\n{}",
                             rec.outcome.as_str(),
                             rec.latency_nanos,
-                            rec.hedged,
                             rec.render_tree()
                         );
                         ("200 OK", "text/plain; charset=utf-8", body)
@@ -343,7 +341,6 @@ mod tests {
             request_id: 42,
             outcome: RequestOutcome::Degraded,
             latency_nanos: 1234,
-            hedged: true,
             completed_nanos: 99,
             events: vec![TraceEvent {
                 request_id: 42,
@@ -362,7 +359,7 @@ mod tests {
         let (code, body) = http_get(addr, "/traces").unwrap();
         assert_eq!(code, 200);
         assert!(
-            body.contains("request=42 outcome=degraded latency=1234ns spans=1 hedged=true"),
+            body.contains("request=42 outcome=degraded latency=1234ns spans=1\n"),
             "{body}"
         );
 

@@ -5,7 +5,7 @@
 //! *why one request* was slow. The recorder keeps the full span tree
 //! plus terminal outcome for exactly the interesting tail — requests
 //! that were slow (latency over [`RecorderConfig::slow_threshold_nanos`]),
-//! errored, shed, panicked, canceled, hedged, deadline-expired, or
+//! errored, shed, panicked, canceled, deadline-expired, or
 //! breaker-degraded. Cheap successful requests are dropped *at
 //! completion* (tail-based sampling: the decision is made when the
 //! outcome is known, not at admission), so retention cost stays bounded
@@ -75,8 +75,6 @@ pub struct RecordedRequest {
     pub outcome: RequestOutcome,
     /// Admission-to-resolution latency in the hub's clock domain.
     pub latency_nanos: u64,
-    /// Whether any hedged dispatch ran for this request.
-    pub hedged: bool,
     /// Hub-clock completion time.
     pub completed_nanos: u64,
     /// The request's spans, oldest first (gathered from the trace ring
@@ -98,7 +96,6 @@ pub struct RecordedSummary {
     pub request_id: u64,
     pub outcome: RequestOutcome,
     pub latency_nanos: u64,
-    pub hedged: bool,
     pub completed_nanos: u64,
     pub spans: usize,
 }
@@ -137,8 +134,8 @@ impl FlightRecorder {
     /// The retention decision, callable *before* paying to gather the
     /// span tree: cheap successful requests answer `false` and cost the
     /// completion path nothing beyond this check.
-    pub fn should_retain(&self, outcome: RequestOutcome, latency_nanos: u64, hedged: bool) -> bool {
-        outcome != RequestOutcome::Ok || hedged || latency_nanos >= self.config.slow_threshold_nanos
+    pub fn should_retain(&self, outcome: RequestOutcome, latency_nanos: u64) -> bool {
+        outcome != RequestOutcome::Ok || latency_nanos >= self.config.slow_threshold_nanos
     }
 
     /// Offer a completed request. Interesting requests (per
@@ -148,7 +145,7 @@ impl FlightRecorder {
     /// request was retained. Events from other requests are filtered
     /// out so stored trees stay internally consistent.
     pub fn record(&self, mut request: RecordedRequest) -> bool {
-        if !self.should_retain(request.outcome, request.latency_nanos, request.hedged) {
+        if !self.should_retain(request.outcome, request.latency_nanos) {
             let mut inner = self.inner.lock().expect("flight recorder poisoned");
             inner.dropped_cheap += 1;
             return false;
@@ -212,7 +209,6 @@ impl FlightRecorder {
                 request_id: r.request_id,
                 outcome: r.outcome,
                 latency_nanos: r.latency_nanos,
-                hedged: r.hedged,
                 completed_nanos: r.completed_nanos,
                 spans: r.events.len(),
             })
@@ -230,7 +226,6 @@ mod tests {
             request_id: id,
             outcome,
             latency_nanos: latency,
-            hedged: false,
             completed_nanos: latency,
             events: Vec::new(),
         }
@@ -256,10 +251,7 @@ mod tests {
         );
         assert!(rec.record(req(3, RequestOutcome::Shed, 5)), "shed retained");
         assert!(rec.record(req(4, RequestOutcome::Panicked, 5)));
-        let mut hedged = req(5, RequestOutcome::Ok, 5);
-        hedged.hedged = true;
-        assert!(rec.record(hedged), "hedged retained even when fast");
-        assert_eq!(rec.len(), 4);
+        assert_eq!(rec.len(), 3);
         assert_eq!(rec.dropped_cheap(), 1);
         assert!(rec.get(1).is_none());
         assert_eq!(rec.get(3).unwrap().outcome, RequestOutcome::Shed);

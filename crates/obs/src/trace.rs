@@ -26,8 +26,6 @@ pub enum SpanKind {
     WorkerCompile,
     /// Worker-side: sharded mapspace search.
     WorkerSearch,
-    /// A hedged re-dispatch of a straggling shard (dispatch → winning result).
-    HedgeDispatch,
     /// Waiting to check a pooled `ShardHost` out of the `FleetPool`.
     PoolCheckout,
 }
@@ -41,7 +39,6 @@ impl SpanKind {
             SpanKind::WorkerRoundTrip => "worker_round_trip",
             SpanKind::WorkerCompile => "worker_compile",
             SpanKind::WorkerSearch => "worker_search",
-            SpanKind::HedgeDispatch => "hedge_dispatch",
             SpanKind::PoolCheckout => "pool_checkout",
         }
     }
@@ -173,7 +170,7 @@ impl TraceBuffer {
 /// parent, and siblings sort by start time. Each line carries the span
 /// kind, shard (when scoped), ids, start, and duration, so the output
 /// reads as a per-request timeline: queue wait → session eval → fleet
-/// checkout → per-shard dispatch (hedges included) → worker phases.
+/// checkout → per-shard dispatch (retries included) → worker phases.
 pub fn render_span_tree(request_id: u64, events: &[TraceEvent]) -> String {
     use std::collections::HashSet;
 

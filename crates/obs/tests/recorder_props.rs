@@ -23,10 +23,10 @@ fn outcome_of(code: u32) -> RequestOutcome {
     }
 }
 
-/// One scripted completion: `(outcome code, latency, hedged, stray)`.
+/// One scripted completion: `(outcome code, latency, stray)`.
 /// `stray` injects a span event belonging to a *different* request so
 /// the filter-on-record invariant is exercised.
-type Op = (u32, u64, bool, bool);
+type Op = (u32, u64, bool);
 
 /// The retention policy restated independently of the implementation:
 /// a bounded FIFO of retained ids plus the two drop counters.
@@ -39,10 +39,9 @@ struct Model {
 
 impl Model {
     fn offer(&mut self, config: RecorderConfig, id: u64, op: Op) {
-        let (code, latency, hedged, _) = op;
+        let (code, latency, _) = op;
         let outcome = outcome_of(code);
-        let interesting =
-            outcome != RequestOutcome::Ok || hedged || latency >= config.slow_threshold_nanos;
+        let interesting = outcome != RequestOutcome::Ok || latency >= config.slow_threshold_nanos;
         if !interesting {
             self.dropped_cheap += 1;
             return;
@@ -75,7 +74,7 @@ proptest! {
         capacity in 1usize..6,
         threshold in 1u64..500,
         ops in proptest::collection::vec(
-            (0u32..14, 0u64..1000, any::<bool>(), any::<bool>()),
+            (0u32..14, 0u64..1000, any::<bool>()),
             1..60,
         ),
     ) {
@@ -84,7 +83,7 @@ proptest! {
         let mut model = Model::default();
         for (i, &op) in ops.iter().enumerate() {
             let id = i as u64 + 1;
-            let (code, latency, hedged, stray) = op;
+            let (code, latency, stray) = op;
             let mut events = vec![span(id, 10 * id)];
             if stray {
                 // an event from another request must be filtered out at
@@ -95,7 +94,6 @@ proptest! {
                 request_id: id,
                 outcome: outcome_of(code),
                 latency_nanos: latency,
-                hedged,
                 completed_nanos: latency,
                 events,
             });
@@ -138,7 +136,6 @@ proptest! {
                 request_id: i as u64 + 1,
                 outcome: RequestOutcome::Error,
                 latency_nanos: latency,
-                hedged: false,
                 completed_nanos: latency,
                 events: vec![],
             });
@@ -149,7 +146,6 @@ proptest! {
             request_id: 9999,
             outcome: RequestOutcome::Ok,
             latency_nanos: 99, // under threshold
-            hedged: false,
             completed_nanos: 99,
             events: vec![],
         });

@@ -66,8 +66,9 @@ pub enum WorkerFault {
     /// received this many frames from it since task dispatch.
     KillAfterFrames(u32),
     /// Worker computes its task, then *delays* (never drops) its result
-    /// frames by this many milliseconds while still heartbeating —
-    /// deterministic straggler, the fault hedged dispatch exists for.
+    /// frames by this many milliseconds, silently — a deterministic
+    /// straggler that is late but alive. The delay must stay under the
+    /// host's heartbeat timeout to ride through without a restart.
     SlowFrames {
         /// Delay before the result frames are written, milliseconds.
         delay_ms: u64,

@@ -86,15 +86,10 @@
 //!   execution (still bit-identical) instead of re-paying the failure,
 //!   and after a cooldown a single probe request tests recovery. State
 //!   is observable via the `sparseloop_fleet_breaker_state` gauge.
-//! * **Hedged dispatch** — with [`HostConfig::with_hedging`], a shard
-//!   whose result is overdue (latency-derived delay) is re-dispatched
-//!   to a spare worker and the first reply wins — safe precisely
-//!   because replies are bit-identical; a token bucket caps hedge
-//!   amplification.
 //! * **Prewarmed pools** — [`FleetPool`] keeps long-lived
 //!   [`ShardHost`]s checked in/out across requests (amortizing spawn +
-//!   handshake), sweeps idle hosts with Ping/Pong health probes, and
-//!   proactively replaces silent workers;
+//!   handshake); a worker that died while its host sat idle is
+//!   respawned at the start of the next request, before dispatch;
 //!   [`EvalService::start_with_fleet`] routes scenario/spec requests
 //!   through the pool and falls back in-process on fleet machinery
 //!   failures without surfacing them to callers.
@@ -138,6 +133,4 @@ pub use service::{
     ScenarioReply, ServeConfig, ServeError, ServeReply, ServeRequest, ServiceStats, SpecDiagnostic,
     SubmitError, Ticket,
 };
-pub use supervisor::{
-    fleet_metrics_drift, HealthReport, HedgeConfig, HostConfig, HostError, HostStats, ShardHost,
-};
+pub use supervisor::{fleet_metrics_drift, HostConfig, HostError, HostStats, ShardHost};

@@ -6,32 +6,27 @@
 //! requests**. Service workers check a host out, run one request, and
 //! check it back in — a classic object pool with a [`Condvar`] for the
 //! "all hosts busy" case, so concurrent service workers queue instead
-//! of spawning throwaway fleets.
+//! of spawning throwaway fleets. The check-in happens when the checkout
+//! guard drops, so a request that panics still returns its host.
 //!
-//! Between requests the pool keeps the fleet healthy *proactively*:
-//! when a host has not been examined for
-//! [`FleetPoolConfig::health_interval`], its next checkout first runs
-//! [`ShardHost::health_check`] — Ping/Pong probes over the worker
-//! protocol, killing silent workers and respawning missing primaries —
-//! so a worker that died while idle is replaced before a request
-//! trips over it, not discovered through retry backoff.
+//! A worker that dies while its host sits idle is replaced by the
+//! host itself at the start of the next request (see
+//! [`ShardHost::run`]), before any task is dispatched to it.
 //!
 //! Every host shares the pool's [`ObsHub`] (when observed); host
 //! counters are delta-published, so fleet-wide metrics are exact sums
-//! over the pool. The pool adds its own series: checkout and
-//! health-sweep totals, workers proactively replaced, and an
-//! idle-host gauge.
+//! over the pool. The pool adds its own series: a checkout total and
+//! an idle-host gauge.
 
 use crate::proc::{ProcessSpawner, ThreadSpawner, WorkerEvent, WorkerHandle, WorkerSpawner};
 use crate::service::ScenarioReply;
-use crate::supervisor::{HealthReport, HostConfig, HostError, HostStats, ShardHost};
+use crate::supervisor::{HostConfig, HostError, HostStats, ShardHost};
 use crate::table::{counter_table, CounterRow};
 use sparseloop_core::EvalSession;
 use sparseloop_designs::Scenario;
 use sparseloop_obs::{ObsHub, SpanKind, TraceContext};
 use std::path::Path;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// A spawner trait object, so one pool type can host thread- or
 /// process-backed fleets (and test doubles) without a generic
@@ -50,7 +45,7 @@ impl WorkerSpawner for BoxedSpawner {
     }
 }
 
-/// Pool sizing and health-sweep cadence.
+/// Pool sizing.
 #[derive(Debug, Clone)]
 pub struct FleetPoolConfig {
     /// Hosts (independent worker fleets) in the pool; also the maximum
@@ -58,11 +53,6 @@ pub struct FleetPoolConfig {
     pub hosts: usize,
     /// Supervision config applied to every host.
     pub host: HostConfig,
-    /// A host idle longer than this gets a Ping/Pong health sweep
-    /// before its next request.
-    pub health_interval: Duration,
-    /// How long one health sweep waits for pongs.
-    pub health_timeout: Duration,
 }
 
 impl Default for FleetPoolConfig {
@@ -70,8 +60,6 @@ impl Default for FleetPoolConfig {
         FleetPoolConfig {
             hosts: 2,
             host: HostConfig::default(),
-            health_interval: Duration::from_secs(30),
-            health_timeout: Duration::from_millis(250),
         }
     }
 }
@@ -88,12 +76,6 @@ impl FleetPoolConfig {
         self.host = host;
         self
     }
-
-    /// Sets the idle-time threshold that triggers a health sweep.
-    pub fn with_health_interval(mut self, interval: Duration) -> Self {
-        self.health_interval = interval;
-        self
-    }
 }
 
 /// Point-in-time pool counters (all monotonic).
@@ -101,47 +83,37 @@ impl FleetPoolConfig {
 pub struct PoolStats {
     /// Host checkouts served (== fleet requests routed via the pool).
     pub checkouts: u64,
-    /// Health sweeps run on idle-too-long hosts.
-    pub health_sweeps: u64,
-    /// Ping probes sent across all sweeps.
-    pub pings_sent: u64,
-    /// Pong answers received across all sweeps.
-    pub pongs_received: u64,
-    /// Workers found dead or silent and proactively replaced.
-    pub workers_replaced: u64,
-}
-
-impl PoolStats {
-    /// Books one health sweep and what it found.
-    fn absorb(&mut self, report: &HealthReport) {
-        self.health_sweeps += 1;
-        self.pings_sent += report.pings_sent;
-        self.pongs_received += report.pongs_received;
-        self.workers_replaced += report.workers_replaced;
-    }
 }
 
 /// Every [`PoolStats`] field as its `sparseloop_pool_*` series.
-const POOL_COUNTERS: [CounterRow<PoolStats>; 5] = counter_table! {
+const POOL_COUNTERS: [CounterRow<PoolStats>; 1] = counter_table! {
     checkouts => "sparseloop_pool_checkouts_total", [];
-    health_sweeps => "sparseloop_pool_health_sweeps_total", [];
-    pings_sent => "sparseloop_pool_pings_total", [];
-    pongs_received => "sparseloop_pool_pongs_total", [];
-    workers_replaced => "sparseloop_pool_workers_replaced_total", [];
 };
 
-struct PooledHost {
-    host: ShardHost<BoxedSpawner>,
-    last_health: Instant,
-}
+type PooledHost = ShardHost<BoxedSpawner>;
 
 struct PoolShared {
     /// Fixed slots; `None` while that host is checked out.
     hosts: Mutex<Vec<Option<PooledHost>>>,
     available: Condvar,
     stats: Mutex<PoolStats>,
-    config: FleetPoolConfig,
     hub: Option<ObsHub>,
+}
+
+/// A host checked out of the pool. Dropping it checks the host back
+/// in, also while a panic unwinds through [`FleetPool::run`].
+struct Checkout<'a> {
+    pool: &'a FleetPool,
+    index: usize,
+    host: Option<PooledHost>,
+}
+
+impl Drop for Checkout<'_> {
+    fn drop(&mut self) {
+        if let Some(host) = self.host.take() {
+            self.pool.checkin(self.index, host);
+        }
+    }
 }
 
 /// A cloneable handle to a shared fleet pool (see the
@@ -195,17 +167,13 @@ impl FleetPool {
                 None => ShardHost::new(config.host.clone(), spawner),
             };
             let _ = host.prewarm();
-            hosts.push(Some(PooledHost {
-                host,
-                last_health: Instant::now(),
-            }));
+            hosts.push(Some(host));
         }
         let pool = FleetPool {
             inner: Arc::new(PoolShared {
                 hosts: Mutex::new(hosts),
                 available: Condvar::new(),
                 stats: Mutex::new(PoolStats::default()),
-                config,
                 hub,
             }),
         };
@@ -214,10 +182,10 @@ impl FleetPool {
     }
 
     /// Runs one compiled scenario through a pooled fleet: checkout
-    /// (blocking until a host is free), optional health sweep,
-    /// [`ShardHost::run`], checkin. Under a caller-provided trace
-    /// context the checkout span and everything the host records are
-    /// tagged with the originating request and parented under its span.
+    /// (blocking until a host is free), [`ShardHost::run`], checkin.
+    /// Under a caller-provided trace context the checkout span and
+    /// everything the host records are tagged with the originating
+    /// request and parented under its span.
     pub fn run(
         &self,
         scenario: &Scenario,
@@ -226,48 +194,19 @@ impl FleetPool {
         ctx: Option<TraceContext>,
     ) -> Result<ScenarioReply, HostError> {
         let checkout_start = self.inner.hub.as_ref().map(|h| h.now_nanos());
-        let (index, mut pooled) = self.checkout();
+        let mut checkout = self.checkout();
         if let (Some(hub), Some(start)) = (&self.inner.hub, checkout_start) {
             let ctx = ctx.unwrap_or_default();
             hub.span_in(
                 ctx.request_id,
                 SpanKind::PoolCheckout,
-                Some(index as u32),
+                Some(checkout.index as u32),
                 start,
                 ctx.parent_span_id,
             );
         }
-        if pooled.last_health.elapsed() >= self.inner.config.health_interval {
-            self.sweep(&mut pooled);
-        }
-        let result = pooled.host.run(scenario, text, session, ctx);
-        self.checkin(index, pooled);
-        result
-    }
-
-    /// Forces a health sweep on every currently idle host (the pool
-    /// normally sweeps lazily at checkout; this is for shutdown checks
-    /// and tests). Returns what these sweeps alone added to
-    /// [`stats`](Self::stats).
-    pub fn health_check_all(&self) -> PoolStats {
-        let mut swept = PoolStats::default();
-        let mut hosts = self.inner.hosts.lock().unwrap_or_else(|e| e.into_inner());
-        for pooled in hosts.iter_mut().flatten() {
-            swept.absorb(&self.sweep(pooled));
-        }
-        drop(hosts);
-        self.publish_metrics();
-        swept
-    }
-
-    /// One Ping/Pong health sweep of `pooled`, booked in the pool
-    /// counters.
-    fn sweep(&self, pooled: &mut PooledHost) -> HealthReport {
-        let report = pooled.host.health_check(self.inner.config.health_timeout);
-        pooled.last_health = Instant::now();
-        let mut stats = self.inner.stats.lock().unwrap_or_else(|e| e.into_inner());
-        stats.absorb(&report);
-        report
+        let host = checkout.host.as_mut().expect("held until drop");
+        host.run(scenario, text, session, ctx)
     }
 
     /// Pool counters.
@@ -281,8 +220,8 @@ impl FleetPool {
     pub fn host_stats(&self) -> HostStats {
         let hosts = self.inner.hosts.lock().unwrap_or_else(|e| e.into_inner());
         let mut total = HostStats::default();
-        for pooled in hosts.iter().flatten() {
-            total.absorb(&pooled.host.stats());
+        for host in hosts.iter().flatten() {
+            total.absorb(&host.stats());
         }
         total
     }
@@ -296,24 +235,26 @@ impl FleetPool {
     /// shut down at drop).
     pub fn shutdown(&self) {
         let mut hosts = self.inner.hosts.lock().unwrap_or_else(|e| e.into_inner());
-        for slot in hosts.iter_mut() {
-            if let Some(pooled) = slot.as_mut() {
-                pooled.host.shutdown();
-            }
+        for host in hosts.iter_mut().flatten() {
+            host.shutdown();
         }
     }
 
-    fn checkout(&self) -> (usize, PooledHost) {
+    fn checkout(&self) -> Checkout<'_> {
         let mut hosts = self.inner.hosts.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(index) = hosts.iter().position(Option::is_some) {
-                let pooled = hosts[index].take().expect("position() found Some");
+                let host = hosts[index].take();
                 drop(hosts);
                 let mut stats = self.inner.stats.lock().unwrap_or_else(|e| e.into_inner());
                 stats.checkouts += 1;
                 drop(stats);
                 self.publish_metrics();
-                return (index, pooled);
+                return Checkout {
+                    pool: self,
+                    index,
+                    host,
+                };
             }
             hosts = self
                 .inner
@@ -323,9 +264,9 @@ impl FleetPool {
         }
     }
 
-    fn checkin(&self, index: usize, pooled: PooledHost) {
+    fn checkin(&self, index: usize, host: PooledHost) {
         let mut hosts = self.inner.hosts.lock().unwrap_or_else(|e| e.into_inner());
-        hosts[index] = Some(pooled);
+        hosts[index] = Some(host);
         drop(hosts);
         self.inner.available.notify_one();
         self.publish_metrics();
@@ -359,6 +300,7 @@ impl FleetPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     fn pool_config(hosts: usize, shards: usize) -> FleetPoolConfig {
         FleetPoolConfig::default()
@@ -435,24 +377,16 @@ mod tests {
     }
 
     #[test]
-    fn stale_hosts_get_health_swept_at_checkout() {
-        let text = demo_spec();
-        let pool =
-            FleetPool::threads(pool_config(1, 2).with_health_interval(Duration::from_millis(0)));
-        run(&pool, &text).unwrap();
-        let stats = pool.stats();
-        assert!(stats.health_sweeps >= 1, "{stats:?}");
-        assert_eq!(stats.pings_sent, stats.pongs_received, "{stats:?}");
-        assert_eq!(stats.workers_replaced, 0, "healthy fleet: {stats:?}");
-    }
-
-    #[test]
-    fn health_sweep_replaces_dead_workers() {
+    fn idle_worker_death_is_replaced_without_a_restart() {
         use crate::fault::{DiePoint, WorkerFault};
+        use crate::proc::EventKind;
         // a spawner whose FIRST worker dies right after Hello: the
-        // prewarmed fleet silently loses it while idle
+        // prewarmed fleet silently loses it while idle. Its events pass
+        // through a relay that reports the death, so the test knows it
+        // is queued before the request starts.
         struct FirstOneDies {
             spawned: AtomicU64,
+            died: Mutex<mpsc::Sender<()>>,
         }
         impl WorkerSpawner for FirstOneDies {
             fn spawn(
@@ -462,30 +396,74 @@ mod tests {
                 fault: Option<WorkerFault>,
                 events: mpsc::Sender<WorkerEvent>,
             ) -> std::io::Result<Box<dyn WorkerHandle>> {
-                let n = self.spawned.fetch_add(1, Ordering::SeqCst);
-                let fault = if n == 0 {
-                    Some(WorkerFault::DieAt(DiePoint::AfterHello))
-                } else {
-                    fault
-                };
-                ThreadSpawner.spawn(slot, epoch, fault, events)
+                if self.spawned.fetch_add(1, Ordering::SeqCst) > 0 {
+                    return ThreadSpawner.spawn(slot, epoch, fault, events);
+                }
+                let (relay, relayed) = mpsc::channel();
+                let died = self.died.lock().unwrap().clone();
+                std::thread::spawn(move || {
+                    for event in relayed {
+                        let exited = matches!(
+                            event,
+                            WorkerEvent {
+                                kind: EventKind::Exited(_),
+                                ..
+                            }
+                        );
+                        let _ = events.send(event);
+                        if exited {
+                            let _ = died.send(());
+                        }
+                    }
+                });
+                let fault = Some(WorkerFault::DieAt(DiePoint::AfterHello));
+                ThreadSpawner.spawn(slot, epoch, fault, relay)
             }
         }
+        let (died, death) = mpsc::channel();
         let pool = FleetPool::with_spawners(
             pool_config(1, 2),
             |_| {
                 Box::new(FirstOneDies {
                     spawned: AtomicU64::new(0),
+                    died: Mutex::new(died.clone()),
                 })
             },
             None,
         );
-        // give the doomed worker a moment to die, then sweep
-        std::thread::sleep(Duration::from_millis(50));
-        let report = pool.health_check_all();
-        assert_eq!(report.workers_replaced, 1, "{report:?}");
-        // the replaced fleet serves correctly
+        death
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the doomed worker dies while idle");
         run(&pool, &demo_spec()).unwrap();
-        assert_eq!(pool.host_stats().requests, 1);
+        let stats = pool.host_stats();
+        assert_eq!(stats.requests, 1);
+        assert_eq!(stats.deaths_eof, 1, "{stats:?}");
+        assert_eq!(stats.spawns, 3, "two prewarmed, one replacement: {stats:?}");
+        assert_eq!(stats.restarts, 0, "{stats:?}");
+        assert_eq!(stats.redispatches, 0, "{stats:?}");
+        assert_eq!(stats.backoff_nanos_total, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn a_panicking_request_returns_its_host_to_the_pool() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let text = demo_spec();
+        let pool = FleetPool::threads(pool_config(1, 2));
+        // the workers get valid spec text; the parent's scenario panics
+        // when the batch driver builds its experiments
+        let poison = Scenario::new("poison", "panics in the parent", || panic!("poisoned"));
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(&poison, &text, &EvalSession::new(), None)
+        }));
+        assert!(panicked.is_err());
+        // the one host must be back: a lost host blocks this forever
+        let (tx, rx) = mpsc::channel();
+        let (pool2, text2) = (pool.clone(), text.clone());
+        let second = std::thread::spawn(move || {
+            let _ = tx.send(run(&pool2, &text2).is_ok());
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(true));
+        second.join().unwrap();
+        assert_eq!(pool.stats().checkouts, 2);
     }
 }

@@ -366,12 +366,6 @@ where
                     }
                 }
             }
-            Frame::Ping { seq } => {
-                let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                if write_frame(&mut *w, &Frame::Pong { seq }).is_err() {
-                    return;
-                }
-            }
             Frame::Shutdown => return,
             // anything else on the command stream is a protocol breach;
             // dying loudly beats computing the wrong thing
@@ -583,9 +577,12 @@ impl WorkerSpawner for ProcessSpawner {
         cmd.stdin(std::process::Stdio::piped())
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::null());
-        if let Some(env) = fault.and_then(WorkerFault::to_env) {
-            cmd.env(FAULT_ENV, env);
-        }
+        // a worker with nothing scheduled must not inherit the parent's
+        // fault: restarts come up clean
+        match fault.and_then(WorkerFault::to_env) {
+            Some(env) => cmd.env(FAULT_ENV, env),
+            None => cmd.env_remove(FAULT_ENV),
+        };
         let mut child = cmd.spawn()?;
         let stdin = child.stdin.take().expect("stdin piped");
         let stdout = child.stdout.take().expect("stdout piped");
@@ -661,28 +658,6 @@ mod tests {
             } => {}
             other => panic!("expected exit without hello, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn idle_worker_answers_pings() {
-        let (tx, rx) = mpsc::channel();
-        let mut handle = ThreadSpawner.spawn(0, 1, None, tx).unwrap();
-        // hello
-        let _ = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        for seq in [5u64, 6, 7] {
-            handle.send(&Frame::Ping { seq }).unwrap();
-            match rx.recv_timeout(Duration::from_secs(5)).unwrap().kind {
-                EventKind::Frame(Frame::Pong { seq: got }) => assert_eq!(got, seq),
-                other => panic!("expected pong {seq}, got {other:?}"),
-            }
-        }
-        // a ping is not a protocol breach: the worker still serves tasks
-        handle.send(&task(1, 0, BAD_SPEC)).unwrap();
-        match rx.recv_timeout(Duration::from_secs(5)).unwrap().kind {
-            EventKind::Frame(Frame::TaskFailed { id: 1, .. }) => {}
-            other => panic!("expected task reply after pings, got {other:?}"),
-        }
-        handle.kill();
     }
 
     #[test]
@@ -796,12 +771,13 @@ mod tests {
             heartbeats >= 1,
             "a long task must heartbeat before its result"
         );
-        // frames arrive in write order, so the pong fences off anything
-        // the worker wrote after its result
-        handle.send(&Frame::Ping { seq: 99 }).unwrap();
+        // frames arrive in write order, so the reply to a second,
+        // heartbeat-free task fences off anything the worker wrote after
+        // its first result
+        handle.send(&task(8, 0, BAD_SPEC)).unwrap();
         match next_frame(&rx) {
-            Frame::Pong { seq: 99 } => {}
-            other => panic!("frame between TaskDone and the pong fence: {other:?}"),
+            Frame::TaskFailed { id: 8, .. } => {}
+            other => panic!("frame between TaskDone and the fence: {other:?}"),
         }
         handle.kill();
     }

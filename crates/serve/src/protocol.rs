@@ -38,7 +38,7 @@ use std::io::{Read, Write};
 /// payload that ends early or carries bytes past its last field is an
 /// error. The parent refuses a worker whose first frame is not a
 /// `Hello` with this version (see [`crate::proc`]).
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Frame magic: "SLF1" little-endian.
 pub const FRAME_MAGIC: u32 = 0x3146_4C53;
@@ -156,17 +156,6 @@ pub enum Frame {
     },
     /// Parent → worker: exit cleanly.
     Shutdown,
-    /// Parent → worker: health probe for an idle pooled worker. A live
-    /// worker echoes the sequence number back in a [`Frame::Pong`].
-    Ping {
-        /// Probe sequence number, echoed verbatim.
-        seq: u64,
-    },
-    /// Worker → parent: answer to a [`Frame::Ping`].
-    Pong {
-        /// The probed sequence number.
-        seq: u64,
-    },
 }
 
 /// Why a frame could not be read.
@@ -347,14 +336,6 @@ pub fn encode_payload(frame: &Frame) -> Vec<u8> {
             w.put_u64(*trace_parent);
         }
         Frame::Shutdown => w.put_u8(6),
-        Frame::Ping { seq } => {
-            w.put_u8(8);
-            w.put_u64(*seq);
-        }
-        Frame::Pong { seq } => {
-            w.put_u8(9);
-            w.put_u64(*seq);
-        }
     }
     w.into_bytes()
 }
@@ -404,12 +385,6 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Frame, ProtocolError> {
             evaluated: r.get_u64("stats.evaluated")?,
             trace_request: r.get_u64("stats.trace_request")?,
             trace_parent: r.get_u64("stats.trace_parent")?,
-        },
-        8 => Frame::Ping {
-            seq: r.get_u64("ping.seq")?,
-        },
-        9 => Frame::Pong {
-            seq: r.get_u64("pong.seq")?,
         },
         tag => return Err(ProtocolError::UnknownTag(tag)),
     };
@@ -544,8 +519,6 @@ mod tests {
                 message: "spec:2:3: unknown key".into(),
             },
             Frame::Shutdown,
-            Frame::Ping { seq: 11 },
-            Frame::Pong { seq: 11 },
         ]
     }
 
@@ -578,6 +551,19 @@ mod tests {
             };
             let got = decode_payload(&encode_payload(&frame)).unwrap();
             assert_eq!(got, frame);
+        }
+    }
+
+    #[test]
+    fn retired_ping_and_pong_tags_are_unknown() {
+        // v4's Ping (8) and Pong (9), each with its u64 sequence number
+        for tag in [8u8, 9] {
+            let mut payload = vec![tag];
+            payload.extend_from_slice(&11u64.to_le_bytes());
+            assert!(
+                matches!(decode_payload(&payload), Err(ProtocolError::UnknownTag(t)) if t == tag),
+                "tag {tag} must not decode"
+            );
         }
     }
 

@@ -786,13 +786,19 @@ impl Shared {
     fn record_outcome(&self, request_id: u64, enqueued_nanos: u64, outcome: RequestOutcome) {
         let Some(obs) = &self.obs else { return };
         let now = obs.hub.now_nanos();
-        let events = obs.hub.traces().events_for(request_id);
-        let hedged = events.iter().any(|e| e.kind == SpanKind::HedgeDispatch);
-        obs.hub.recorder().record(RecordedRequest {
+        let latency_nanos = now.saturating_sub(enqueued_nanos);
+        let recorder = obs.hub.recorder();
+        // gather the span tree only for a request the recorder keeps;
+        // a cheap one is still offered, so it is counted as dropped
+        let events = if recorder.should_retain(outcome, latency_nanos) {
+            obs.hub.traces().events_for(request_id)
+        } else {
+            Vec::new()
+        };
+        recorder.record(RecordedRequest {
             request_id,
             outcome,
-            latency_nanos: now.saturating_sub(enqueued_nanos),
-            hedged,
+            latency_nanos,
             completed_nanos: now,
             events,
         });

@@ -1,6 +1,6 @@
 //! The supervision tree over multi-process sharded search.
 //!
-//! A [`ShardHost`] owns N worker slots (one per shard) and is one
+//! A [`ShardHost`] owns one worker slot per shard and is one
 //! executor of the batch driver, nothing more. Each request takes the
 //! caller's compiled [`Scenario`] with its spec text, dispatches one
 //! [`Frame::Task`] per shard to the workers, and hands the returned
@@ -39,12 +39,10 @@
 //!   the degraded path without re-paying spawn attempts or backoff
 //!   sleeps; after a deterministic clock-driven cooldown one probe
 //!   request tests the fleet and closes the breaker on success.
-//! * **Hedged shard dispatch** — optionally
-//!   ([`HostConfig::with_hedging`]), once the fastest shard's latency
-//!   is observed, straggling shards are re-dispatched to spare workers
-//!   after `latency_factor ×` that latency; the first result wins
-//!   (shard winners are bit-identical by construction, so hedging can
-//!   never change a reply). A token bucket caps hedge amplification.
+//! * **Idle deaths** — a worker that dies between requests is booked
+//!   from the events queued meanwhile when the next request starts, and
+//!   respawned before dispatch, so it costs that request no retry and
+//!   no backoff.
 //! * **Deterministic fault injection** — a [`FaultPlan`] schedules
 //!   worker-side faults (die/stall/corrupt/drop, delivered at spawn)
 //!   and parent-side kills ([`WorkerFault::KillAfterFrames`], delivered
@@ -66,70 +64,8 @@ use sparseloop_core::{EvalSession, LocalShards, ReturnedShards};
 use sparseloop_designs::Scenario;
 use sparseloop_mapping::{SearchStats, ShardWinner};
 use sparseloop_obs::{MetricsSnapshot, ObsHub, SpanKind, TraceContext, LATENCY_BUCKETS_NANOS};
-use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-/// Hedged-dispatch tuning (off unless installed via
-/// [`HostConfig::with_hedging`]).
-#[derive(Debug, Clone, Copy)]
-pub struct HedgeConfig {
-    /// Hedge delay = this factor × the fastest shard's observed
-    /// latency (measured from dispatch). Must be `>= 1.0` to be useful.
-    pub latency_factor: f64,
-    /// Floor on the hedge delay, so microsecond-fast shards do not
-    /// trigger hedges on scheduling noise.
-    pub min_delay: Duration,
-    /// Token bucket capacity: at most this many hedges in a burst.
-    pub token_capacity: u32,
-    /// Bucket refill rate, tokens per second — bounds sustained
-    /// retry+hedge amplification under overload.
-    pub refill_per_sec: f64,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig {
-            latency_factor: 2.0,
-            min_delay: Duration::from_millis(10),
-            token_capacity: 4,
-            refill_per_sec: 1.0,
-        }
-    }
-}
-
-/// The hedge amplification cap: a classic leaky token bucket.
-#[derive(Debug)]
-struct TokenBucket {
-    capacity: f64,
-    tokens: f64,
-    refill_per_sec: f64,
-    last: Instant,
-}
-
-impl TokenBucket {
-    fn new(capacity: u32, refill_per_sec: f64) -> Self {
-        TokenBucket {
-            capacity: capacity as f64,
-            tokens: capacity as f64,
-            refill_per_sec,
-            last: Instant::now(),
-        }
-    }
-
-    fn try_take(&mut self) -> bool {
-        let now = Instant::now();
-        let refill = now.duration_since(self.last).as_secs_f64() * self.refill_per_sec;
-        self.tokens = (self.tokens + refill).min(self.capacity);
-        self.last = now;
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-}
 
 /// Supervision knobs (builder-style, all defaulted).
 #[derive(Debug, Clone)]
@@ -151,8 +87,6 @@ pub struct HostConfig {
     pub fault_plan: FaultPlan,
     /// Circuit breaker over the degraded-fallback decision.
     pub breaker: BreakerConfig,
-    /// Hedged dispatch of straggler shards (`None`: disabled).
-    pub hedge: Option<HedgeConfig>,
 }
 
 impl Default for HostConfig {
@@ -166,7 +100,6 @@ impl Default for HostConfig {
             backoff_base: Duration::from_millis(5),
             fault_plan: FaultPlan::none(),
             breaker: BreakerConfig::default(),
-            hedge: None,
         }
     }
 }
@@ -208,12 +141,6 @@ impl HostConfig {
     /// Tunes the degradation circuit breaker.
     pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
         self.breaker = breaker;
-        self
-    }
-
-    /// Enables hedged dispatch of straggler shards.
-    pub fn with_hedging(mut self, hedge: HedgeConfig) -> Self {
-        self.hedge = Some(hedge);
         self
     }
 }
@@ -302,10 +229,11 @@ pub struct HostStats {
     pub breaker_trips: u64,
     /// Half-open probe requests admitted through the breaker.
     pub breaker_probes: u64,
-    /// Hedge tasks dispatched to spare workers.
+    /// Always 0: the host no longer hedges. The field stays only
+    /// because slbench reads it; it goes with slbench's
+    /// `serve.fleet_hedges_dispatched` row in a `benchmark` change. It
+    /// has no row in the counter table, so no series publishes it.
     pub hedges_dispatched: u64,
-    /// Shards whose accepted result came from a hedge worker.
-    pub hedge_wins: u64,
 }
 
 impl HostStats {
@@ -318,11 +246,11 @@ impl HostStats {
     }
 }
 
-/// Every [`HostStats`] field as its metric series — the one place that
-/// pairs the two. Publishing, [`HostStats::absorb`] and
-/// [`fleet_metrics_drift`] all walk this table, so a new field is one
-/// new row.
-const FLEET_COUNTERS: [CounterRow<HostStats>; 15] = counter_table! {
+/// Every [`HostStats`] field but `hedges_dispatched` as its metric
+/// series — the one place that pairs the two. Publishing,
+/// [`HostStats::absorb`] and [`fleet_metrics_drift`] all walk this
+/// table, so a new field is one new row.
+const FLEET_COUNTERS: [CounterRow<HostStats>; 13] = counter_table! {
     requests => "sparseloop_fleet_requests_total", [];
     spawns => "sparseloop_fleet_spawns_total", [];
     restarts => "sparseloop_fleet_restarts_total", [];
@@ -336,8 +264,6 @@ const FLEET_COUNTERS: [CounterRow<HostStats>; 15] = counter_table! {
     deadline_exceeded => "sparseloop_fleet_deadline_exceeded_total", [];
     breaker_trips => "sparseloop_fleet_breaker_trips_total", [];
     breaker_probes => "sparseloop_fleet_breaker_probes_total", [];
-    hedges_dispatched => "sparseloop_fleet_hedges_total", [("kind", "dispatched")];
-    hedge_wins => "sparseloop_fleet_hedges_total", [("kind", "wins")];
 };
 
 /// The fleet series in `snap` that disagree with `stats`, one line
@@ -349,17 +275,6 @@ pub fn fleet_metrics_drift(snap: &MetricsSnapshot, stats: &HostStats) -> Vec<Str
     table::drift(&FLEET_COUNTERS, stats, |name, labels| {
         snap.value(name, labels).map(|v| v as f64)
     })
-}
-
-/// What one [`ShardHost::health_check`] sweep did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthReport {
-    /// Ping probes sent to live workers.
-    pub pings_sent: u64,
-    /// Pong answers received within the probe timeout.
-    pub pongs_received: u64,
-    /// Workers found dead or silent and proactively replaced.
-    pub workers_replaced: u64,
 }
 
 struct SlotState {
@@ -405,17 +320,14 @@ struct HostObs {
 pub struct ShardHost<S: WorkerSpawner> {
     config: HostConfig,
     spawner: S,
-    /// Slots `0..shards` are the primaries; slots `shards..2*shards`
-    /// are spare workers used only for hedged re-dispatch.
+    /// One worker slot per shard.
     slots: Vec<Option<SlotState>>,
     events_tx: mpsc::Sender<WorkerEvent>,
     events_rx: mpsc::Receiver<WorkerEvent>,
     fault_plan: FaultPlan,
     next_task_id: u64,
     next_epoch: u64,
-    next_ping_seq: u64,
     breaker: CircuitBreaker,
-    hedge_tokens: Option<TokenBucket>,
     stats: HostStats,
     obs: Option<HostObs>,
 }
@@ -427,22 +339,17 @@ impl<S: WorkerSpawner> ShardHost<S> {
         let shards = config.shards.max(1);
         let fault_plan = config.fault_plan.clone();
         let breaker = CircuitBreaker::new(config.breaker);
-        let hedge_tokens = config
-            .hedge
-            .map(|h| TokenBucket::new(h.token_capacity, h.refill_per_sec));
         let (events_tx, events_rx) = mpsc::channel();
         ShardHost {
             config,
             spawner,
-            slots: (0..2 * shards).map(|_| None).collect(),
+            slots: (0..shards).map(|_| None).collect(),
             events_tx,
             events_rx,
             fault_plan,
             next_task_id: 1,
             next_epoch: 1,
-            next_ping_seq: 1,
             breaker,
-            hedge_tokens,
             stats: HostStats::default(),
             obs: None,
         }
@@ -484,7 +391,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
         self.breaker.state()
     }
 
-    /// Spawns any missing primary workers now, so the first request
+    /// Spawns any missing workers now, so the first request
     /// does not pay spawn latency — the pool calls this at build time.
     pub fn prewarm(&mut self) -> std::io::Result<()> {
         for slot in 0..self.config.shards {
@@ -493,90 +400,6 @@ impl<S: WorkerSpawner> ShardHost<S> {
             }
         }
         Ok(())
-    }
-
-    /// One health sweep over the fleet: pings every live worker,
-    /// drains pongs for up to `timeout`, kills workers that stayed
-    /// silent, and respawns missing primaries. The pool runs this
-    /// periodically between requests so unhealthy workers are replaced
-    /// *proactively*, not discovered by the next request's retries.
-    pub fn health_check(&mut self, timeout: Duration) -> HealthReport {
-        let mut report = HealthReport::default();
-        let mut pending: HashMap<usize, u64> = HashMap::new();
-        for slot in 0..self.slots.len() {
-            if self.slots[slot].is_none() {
-                continue;
-            }
-            let seq = self.next_ping_seq;
-            self.next_ping_seq += 1;
-            let send = self.slots[slot]
-                .as_mut()
-                .expect("checked occupied")
-                .handle
-                .send(&Frame::Ping { seq });
-            match send {
-                Ok(()) => {
-                    report.pings_sent += 1;
-                    pending.insert(slot, seq);
-                }
-                Err(_) => self.drop_slot(slot),
-            }
-        }
-        let deadline = Instant::now() + timeout;
-        while !pending.is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.events_rx.recv_timeout(deadline - now) {
-                Ok(WorkerEvent { slot, epoch, kind }) => {
-                    let slot = slot as usize;
-                    let current = self
-                        .slots
-                        .get(slot)
-                        .and_then(Option::as_ref)
-                        .map(|st| st.epoch);
-                    if current != Some(epoch) {
-                        continue;
-                    }
-                    match kind {
-                        EventKind::Frame(frame) => {
-                            self.stats.frames_received += 1;
-                            if let Some(st) = self.slots[slot].as_mut() {
-                                st.last_seen = Instant::now();
-                            }
-                            if let Frame::Pong { seq } = frame {
-                                if pending.get(&slot) == Some(&seq) {
-                                    pending.remove(&slot);
-                                    report.pongs_received += 1;
-                                }
-                            }
-                        }
-                        EventKind::Exited(_) => {
-                            self.stats.deaths_eof += 1;
-                            self.drop_slot(slot);
-                            pending.remove(&slot);
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => break,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("host holds an event sender; channel cannot disconnect")
-                }
-            }
-        }
-        // a worker that would not answer within the timeout is treated
-        // as wedged and killed; spare (hedge) slots stay empty
-        for slot in pending.into_keys() {
-            self.kill_slot(slot);
-        }
-        for slot in 0..self.config.shards {
-            if self.slots[slot].is_none() && self.spawn_slot(slot).is_ok() {
-                report.workers_replaced += 1;
-            }
-        }
-        self.publish_metrics();
-        report
     }
 
     /// Runs `scenario` (compiled from the spec `text` the workers
@@ -645,6 +468,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
         trace: Option<(u64, u64)>,
     ) -> Result<ScenarioReply, HostError> {
         self.stats.requests += 1;
+        self.drain_idle_events();
         let n = self.config.shards;
         let degraded = || scenario_reply(scenario.run_on(session, &LocalShards(n), None));
 
@@ -659,7 +483,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
             self.stats.breaker_probes += 1;
         }
 
-        // ensure a full primary fleet; if the transport cannot produce
+        // ensure a full fleet; if the transport cannot produce
         // workers at all, serve in-process rather than failing the
         // request — and let the breaker count the failure
         for slot in 0..n {
@@ -684,14 +508,9 @@ impl<S: WorkerSpawner> ShardHost<S> {
         };
         let mut attempts = vec![0u32; n];
         let mut shard_results: Vec<Option<Vec<ExpResult>>> = vec![None; n];
-        // hedging state: one hedge attempt per shard per request, armed
-        // once the fastest shard's latency is known
-        let hedge_cfg = self.config.hedge;
-        let mut hedged = vec![false; n];
-        let mut hedge_deadline: Option<Instant> = None;
 
-        for slot in 0..n {
-            self.dispatch_shard(slot, task, &mut attempts)?;
+        for shard in 0..n {
+            self.dispatch_shard(shard, task, &mut attempts)?;
         }
 
         while shard_results.iter().any(Option::is_none) {
@@ -702,40 +521,13 @@ impl<S: WorkerSpawner> ShardHost<S> {
                     return Err(HostError::DeadlineExceeded);
                 }
             }
-            // hedge stragglers: every shard still outstanding past the
-            // hedge deadline gets one re-dispatch to its spare slot,
-            // budget permitting (first result wins; shard winners are
-            // bit-identical by construction, so this is always safe)
-            if let Some(hd) = hedge_deadline {
-                if now >= hd {
-                    for shard in 0..n {
-                        if shard_results[shard].is_none() && !hedged[shard] {
-                            hedged[shard] = true;
-                            let budgeted = self.hedge_tokens.as_mut().is_some_and(|b| b.try_take());
-                            if budgeted {
-                                self.dispatch_hedge(shard, task);
-                            }
-                        }
-                    }
-                }
-            }
-            // wake at the earliest of: request deadline, hedge
-            // deadline, first possible heartbeat expiry of a slot that
-            // still owes a result
+            // wake at the earliest of: request deadline, first possible
+            // heartbeat expiry of a slot that still owes a result
             let mut wake = deadline;
-            if let Some(hd) = hedge_deadline {
-                if (0..n).any(|s| shard_results[s].is_none() && !hedged[s]) {
-                    wake = Some(wake.map_or(hd, |w| w.min(hd)));
-                }
-            }
-            for (slot, st) in self.slots.iter().enumerate() {
-                let shard = slot % n;
-                let engaged = slot < n || hedged[shard];
-                if engaged && shard_results[shard].is_none() {
-                    if let Some(st) = st {
-                        let hb = st.last_seen + self.config.heartbeat_timeout;
-                        wake = Some(wake.map_or(hb, |w| w.min(hb)));
-                    }
+            for (st, result) in self.slots.iter().zip(&shard_results) {
+                if let (Some(st), None) = (st, result) {
+                    let hb = st.last_seen + self.config.heartbeat_timeout;
+                    wake = Some(wake.map_or(hb, |w| w.min(hb)));
                 }
             }
             let wait = wake
@@ -746,22 +538,15 @@ impl<S: WorkerSpawner> ShardHost<S> {
             let event = self.events_rx.recv_timeout(wait);
             match event {
                 Ok(WorkerEvent { slot, epoch, kind }) => {
-                    let slot = slot as usize;
-                    let shard = slot % n;
-                    let is_hedge = slot >= n;
-                    let current = self
-                        .slots
-                        .get(slot)
-                        .and_then(Option::as_ref)
-                        .map(|st| st.epoch);
-                    if current != Some(epoch) {
+                    let shard = slot as usize;
+                    if !self.is_current(shard, epoch) {
                         continue; // a superseded worker's last gasp
                     }
                     match kind {
                         EventKind::Frame(frame) => {
                             self.stats.frames_received += 1;
                             let kill_due = {
-                                let st = self.slots[slot].as_mut().expect("epoch-checked");
+                                let st = self.slots[shard].as_mut().expect("epoch-checked");
                                 st.last_seen = Instant::now();
                                 st.frames_since_dispatch += 1;
                                 st.kill_after.is_some_and(|m| st.frames_since_dispatch >= m)
@@ -771,54 +556,34 @@ impl<S: WorkerSpawner> ShardHost<S> {
                                     if id == task_id && shard_results[shard].is_none() =>
                                 {
                                     if let Some(o) = &self.obs {
-                                        let st = self.slots[slot].as_ref().expect("epoch-checked");
+                                        let st = self.slots[shard].as_ref().expect("epoch-checked");
                                         // idle = dispatch round trip minus
-                                        // worker busy time; hedges send
-                                        // no Stats, so only primaries count
-                                        if !is_hedge {
-                                            let earliest =
-                                                st.dispatched_nanos.saturating_add(st.busy_nanos);
-                                            let label = shard.to_string();
-                                            o.hub
-                                                .registry()
-                                                .counter(
-                                                    "sparseloop_fleet_idle_nanos_total",
-                                                    &[("shard", &label)],
-                                                )
-                                                .add(o.hub.now_nanos().saturating_sub(earliest));
-                                        }
-                                        let span_kind = if is_hedge {
-                                            SpanKind::HedgeDispatch
-                                        } else {
-                                            SpanKind::ShardDispatch
-                                        };
+                                        // worker busy time
+                                        let earliest =
+                                            st.dispatched_nanos.saturating_add(st.busy_nanos);
+                                        let label = shard.to_string();
+                                        o.hub
+                                            .registry()
+                                            .counter(
+                                                "sparseloop_fleet_idle_nanos_total",
+                                                &[("shard", &label)],
+                                            )
+                                            .add(o.hub.now_nanos().saturating_sub(earliest));
                                         let (rid, roundtrip) = trace.unwrap_or((0, 0));
                                         o.hub.span_with_id(
                                             rid,
                                             st.dispatch_span_id,
                                             roundtrip,
-                                            span_kind,
+                                            SpanKind::ShardDispatch,
                                             Some(shard as u32),
                                             st.dispatched_nanos,
                                         );
                                     }
-                                    if is_hedge {
-                                        self.stats.hedge_wins += 1;
-                                    }
                                     shard_results[shard] = Some(results);
-                                    if hedge_deadline.is_none() {
-                                        if let Some(h) = hedge_cfg {
-                                            let delay = start
-                                                .elapsed()
-                                                .mul_f64(h.latency_factor.max(1.0))
-                                                .max(h.min_delay);
-                                            hedge_deadline = Some(start + delay);
-                                        }
-                                    }
                                 }
                                 Frame::Stats {
                                     id,
-                                    shard,
+                                    shard: stats_shard,
                                     compile_nanos,
                                     search_nanos,
                                     generated,
@@ -826,12 +591,14 @@ impl<S: WorkerSpawner> ShardHost<S> {
                                     trace_request,
                                     trace_parent,
                                 } if id == task_id => {
-                                    self.slots[slot].as_mut().expect("epoch-checked").busy_nanos =
-                                        compile_nanos.saturating_add(search_nanos);
+                                    self.slots[shard]
+                                        .as_mut()
+                                        .expect("epoch-checked")
+                                        .busy_nanos = compile_nanos.saturating_add(search_nanos);
                                     self.observe_worker_stats(
                                         trace_request,
                                         trace_parent,
-                                        shard,
+                                        stats_shard,
                                         (compile_nanos, search_nanos),
                                         (generated, evaluated),
                                     );
@@ -846,8 +613,8 @@ impl<S: WorkerSpawner> ShardHost<S> {
                             }
                             if kill_due {
                                 self.stats.kills_injected += 1;
-                                self.kill_slot(slot);
-                                if !is_hedge && shard_results[shard].is_none() {
+                                self.kill_slot(shard);
+                                if shard_results[shard].is_none() {
                                     let why = "injected kill".to_string();
                                     self.redispatch(shard, task, &mut attempts, why)?;
                                 }
@@ -855,11 +622,8 @@ impl<S: WorkerSpawner> ShardHost<S> {
                         }
                         EventKind::Exited(why) => {
                             self.stats.deaths_eof += 1;
-                            self.drop_slot(slot);
-                            // a dead hedge worker is just a lost bet —
-                            // the primary attempt is still in flight, so
-                            // hedge deaths never consume retries
-                            if !is_hedge && shard_results[shard].is_none() {
+                            self.drop_slot(shard);
+                            if shard_results[shard].is_none() {
                                 let why = why.unwrap_or_else(|| "worker exited".to_string());
                                 self.redispatch(shard, task, &mut attempts, why)?;
                             }
@@ -867,24 +631,19 @@ impl<S: WorkerSpawner> ShardHost<S> {
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // heartbeat audit: engaged slots silent past the
-                    // timeout are presumed dead and killed for real
-                    for slot in 0..self.slots.len() {
-                        let shard = slot % n;
-                        let is_hedge = slot >= n;
-                        if shard_results[shard].is_some() || (is_hedge && !hedged[shard]) {
-                            continue;
-                        }
-                        let silent = self.slots[slot].as_ref().is_some_and(|st| {
-                            st.last_seen.elapsed() > self.config.heartbeat_timeout
-                        });
+                    // heartbeat audit: slots that owe a result and stayed
+                    // silent past the timeout are presumed dead and
+                    // killed for real
+                    for (shard, result) in shard_results.iter().enumerate() {
+                        let silent = result.is_none()
+                            && self.slots[shard].as_ref().is_some_and(|st| {
+                                st.last_seen.elapsed() > self.config.heartbeat_timeout
+                            });
                         if silent {
                             self.stats.deaths_heartbeat_timeout += 1;
-                            self.kill_slot(slot);
-                            if !is_hedge {
-                                let why = "heartbeat timeout".to_string();
-                                self.redispatch(shard, task, &mut attempts, why)?;
-                            }
+                            self.kill_slot(shard);
+                            let why = "heartbeat timeout".to_string();
+                            self.redispatch(shard, task, &mut attempts, why)?;
                         }
                     }
                 }
@@ -908,6 +667,34 @@ impl<S: WorkerSpawner> ShardHost<S> {
         // the fleet reply's wall time covers dispatch as well as merge
         outcome.wall_seconds = start.elapsed().as_secs_f64();
         Ok(scenario_reply(outcome))
+    }
+
+    /// Books the events that arrived while the host sat idle, exactly
+    /// as the request loop books them. A worker that died meanwhile
+    /// leaves its slot empty, so the request respawns it before
+    /// dispatch instead of paying a retry and a backoff sleep for it.
+    fn drain_idle_events(&mut self) {
+        while let Ok(WorkerEvent { slot, epoch, kind }) = self.events_rx.try_recv() {
+            let slot = slot as usize;
+            if !self.is_current(slot, epoch) {
+                continue;
+            }
+            match kind {
+                EventKind::Frame(_) => self.stats.frames_received += 1,
+                EventKind::Exited(_) => {
+                    self.stats.deaths_eof += 1;
+                    self.drop_slot(slot);
+                }
+            }
+        }
+    }
+
+    /// Whether `epoch` is the live worker in `slot`.
+    fn is_current(&self, slot: usize, epoch: u64) -> bool {
+        self.slots
+            .get(slot)
+            .and_then(Option::as_ref)
+            .is_some_and(|st| st.epoch == epoch)
     }
 
     fn spawn_slot(&mut self, slot: usize) -> std::io::Result<()> {
@@ -935,7 +722,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
         Ok(())
     }
 
-    /// Sends the shard's task to its primary slot, (re)spawning as
+    /// Sends the shard's task to its slot, (re)spawning as
     /// needed; spawn/send failures consume retry attempts with backoff.
     fn dispatch_shard(
         &mut self,
@@ -983,48 +770,30 @@ impl<S: WorkerSpawner> ShardHost<S> {
         self.dispatch_shard(shard, task, attempts)
     }
 
-    /// Best-effort re-dispatch of a straggler shard to its spare slot.
-    /// Failures are swallowed: a hedge that cannot start just leaves
-    /// the primary attempt racing alone, and hedges never consume
-    /// retries or backoff.
-    fn dispatch_hedge(&mut self, shard: usize, task: Dispatch<'_>) {
-        let slot = self.config.shards + shard;
-        if self.slots[slot].is_none() && self.spawn_slot(slot).is_err() {
-            return;
-        }
-        if self.send_task(slot, task).is_err() {
-            self.drop_slot(slot);
-            return;
-        }
-        self.stats.hedges_dispatched += 1;
-    }
-
-    /// Sends the task for `slot`'s shard to its (spawned) worker and
+    /// Sends the task for `shard` to its (spawned) worker and
     /// stamps the slot's dispatch. Each dispatch attempt gets a fresh
     /// span id; the worker parents its phase spans under it via the
     /// task's trace context, and the span itself is recorded at result
     /// receipt (retries therefore show as sibling dispatches).
-    fn send_task(&mut self, slot: usize, task: Dispatch<'_>) -> std::io::Result<()> {
+    fn send_task(&mut self, shard: usize, task: Dispatch<'_>) -> std::io::Result<()> {
         let (trace_request, dispatch_span) = match (&self.obs, task.trace) {
             (Some(o), Some((rid, _))) => (rid, o.hub.next_span_id()),
             _ => (0, 0),
         };
         let frame = Frame::Task {
             id: task.task_id,
-            shard: (slot % self.config.shards) as u32,
+            shard: shard as u32,
             shards: self.config.shards as u32,
             heartbeat_ms: self.config.heartbeat_ms,
             spec: task.spec.to_string(),
             // ask for a phase-timing Stats frame only when someone is
-            // listening, and never from a hedge: the primary already
-            // reports this shard, and a second Stats frame would
-            // double-count the histograms
-            want_stats: self.obs.is_some() && slot < self.config.shards,
+            // listening
+            want_stats: self.obs.is_some(),
             trace_request,
             trace_parent: dispatch_span,
         };
         let dispatched_nanos = self.obs.as_ref().map_or(0, |o| o.hub.now_nanos());
-        let st = self.slots[slot].as_mut().expect("caller spawned the slot");
+        let st = self.slots[shard].as_mut().expect("caller spawned the slot");
         st.frames_since_dispatch = 0;
         st.last_seen = Instant::now();
         st.dispatched_nanos = dispatched_nanos;
@@ -1424,8 +1193,10 @@ mod tests {
         for (i, c) in FLEET_COUNTERS.iter().enumerate() {
             assert_eq!(c.read(&stats), i as u64 + 1, "{}{:?}", c.name, c.labels);
         }
-        // no field left at zero: every field has a row
-        assert!(!format!("{stats:?}").contains(": 0"), "{stats:?}");
+        // every field but the always-zero `hedges_dispatched` has a row
+        let debug = format!("{stats:?}");
+        assert_eq!(debug.matches(": 0").count(), 1, "{debug}");
+        assert!(debug.contains("hedges_dispatched: 0"), "{debug}");
         let mut doubled = stats;
         doubled.absorb(&stats);
         assert!(FLEET_COUNTERS
@@ -1716,33 +1487,5 @@ mod tests {
             "closed gauge"
         );
         assert_metrics_match_stats(&host, "breaker");
-    }
-
-    #[test]
-    fn hedged_dispatch_takes_first_result_bit_identically() {
-        // shard 1's primary worker is a deterministic 2s straggler; a
-        // hedge to the spare slot must win long before it finishes,
-        // without changing a single bit of the reply
-        let text = sparseloop_spec::emit_scenario(&small_scenario());
-        let want = reference_reply(&text, 2);
-        let plan = FaultPlan::none().with(1, WorkerFault::SlowFrames { delay_ms: 2_000 });
-        let cfg = HostConfig::default()
-            .with_shards(2)
-            .with_heartbeat(10, Duration::from_secs(10))
-            .with_retries(2, Duration::from_millis(2))
-            .with_fault_plan(plan)
-            .with_hedging(HedgeConfig::default());
-        let mut host = ShardHost::new(cfg, ThreadSpawner);
-        let started = Instant::now();
-        let got = run(&mut host, &text).unwrap();
-        let elapsed = started.elapsed();
-        assert_bit_identical(&got, &want, "hedged");
-        assert!(
-            elapsed < Duration::from_secs(2),
-            "hedge must beat the 2s straggler, took {elapsed:?}"
-        );
-        let stats = host.stats();
-        assert!(stats.hedges_dispatched >= 1, "stats: {stats:?}");
-        assert!(stats.hedge_wins >= 1, "stats: {stats:?}");
     }
 }
