@@ -555,9 +555,9 @@ impl Model {
 
     /// The model's search driver ([`Mapper::search_sharded_counted`]):
     /// the candidate stream is walked in `shards` disjoint,
-    /// collectively exhaustive sub-streams (split on the outermost
-    /// factorization dimensions, see [`Mapspace::shards`]) evaluated
-    /// concurrently, and shard winners merge under the deterministic
+    /// collectively exhaustive sub-streams (shard `s` owns every
+    /// `shards`-th stream position from `s`, see [`Mapspace::shards`])
+    /// evaluated concurrently, and shard winners merge under the deterministic
     /// `(objective, candidate position)` reduction — results are
     /// bit-identical at any shard count; `shards <= 1` is one sequential
     /// walk. The run's counters are returned even when no candidate is
@@ -598,17 +598,6 @@ impl Model {
         shards: usize,
     ) -> (Option<sparseloop_mapping::ShardWinner>, SearchStats) {
         mapper.search_shard_counted(space, &self.evaluator(objective), shard, shards)
-    }
-
-    /// Convenience: builds the default all-temporal mapspace for this
-    /// model and searches it.
-    pub fn search_default(
-        &self,
-        mapper: Mapper,
-        objective: Objective,
-    ) -> Option<(Mapping, Evaluation)> {
-        let space = Mapspace::all_temporal(self.workload.einsum(), &self.arch);
-        self.search(&space, mapper, objective)
     }
 }
 
@@ -826,8 +815,9 @@ mod tests {
     #[test]
     fn search_finds_valid_mapping() {
         let m = model(0.5);
+        let space = Mapspace::all_temporal(m.workload().einsum(), m.arch());
         let (best, eval) = m
-            .search_default(Mapper::Exhaustive { limit: 2000 }, Objective::Edp)
+            .search(&space, Mapper::Exhaustive { limit: 2000 }, Objective::Edp)
             .unwrap();
         best.validate(m.workload().einsum(), m.arch()).unwrap();
         assert!(eval.edp > 0.0);

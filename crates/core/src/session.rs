@@ -148,8 +148,8 @@ pub trait ShardExecutor: Sync {
 }
 
 /// The in-process executor: each search walks its stream in this many
-/// shards on scoped threads ([`Mapper::search_shards`], one census per
-/// search); `<= 1` is one sequential walk.
+/// shards on scoped threads ([`Mapper::search_shards`]); `<= 1` is one
+/// sequential walk.
 #[derive(Debug, Clone, Copy)]
 pub struct LocalShards(pub usize);
 
@@ -590,7 +590,8 @@ mod tests {
             .map(|_| {
                 let (w, safs) = layer(0.25);
                 let m = Model::new(w, arch(), safs);
-                m.search_default(Mapper::Exhaustive { limit: 500 }, Objective::Edp)
+                let space = Mapspace::all_temporal(m.workload().einsum(), m.arch());
+                m.search(&space, Mapper::Exhaustive { limit: 500 }, Objective::Edp)
                     .unwrap();
                 m.format_cache_stats().misses
             })

@@ -8,7 +8,7 @@ use sparseloop_core::{
     dataflow, sparse, EvalError, EvalScratch, Model, Objective, SafSpec, Workload,
 };
 use sparseloop_density::DensityModelSpec;
-use sparseloop_mapping::{CandidateEvaluator, Mapper, Mapspace, SampleStrategy};
+use sparseloop_mapping::{CandidateEvaluator, Mapper, Mapspace};
 use sparseloop_tensor::einsum::{DimId, Einsum, TensorKind};
 
 fn arch2() -> sparseloop_arch::Architecture {
@@ -351,7 +351,6 @@ proptest! {
                 enumerate: 120,
                 samples: 60,
                 seed: 11,
-                sampling: SampleStrategy::Uniform,
             }
         } else {
             Mapper::Exhaustive { limit: 250 }

@@ -13,10 +13,6 @@ pub const DEFAULT_MAPPER: Mapper = Mapper::Hybrid {
     enumerate: 256,
     samples: 128,
     seed: 0xD0E5,
-    // uniform draws keep every registered scenario's recorded results
-    // stable; opt into SampleStrategy::Halton for better coverage per
-    // sample on new experiments
-    sampling: sparseloop_mapping::SampleStrategy::Uniform,
 };
 
 /// A fully-bound design point: architecture + SAFs for a specific

@@ -23,11 +23,10 @@ pub mod wire;
 
 pub use loops::{Loop, LoopKind, Mapping, MappingBuilder, MappingError};
 pub use mapper::{
-    merge_shard_results, CandidateEvaluator, Mapper, SampleStrategy, SearchResult, SearchStats,
-    ShardWinner, WorkerEvaluator,
+    merge_shard_results, CandidateEvaluator, Mapper, SearchResult, SearchStats, ShardWinner,
+    WorkerEvaluator,
 };
 pub use mapspace::{
-    factorizations, CandidateKey, ChangeDepth, EnumerateIter, HaltonSampleIter, Mapspace,
-    MapspaceShard, SampleIter,
+    factorizations, CandidateKey, ChangeDepth, EnumerateIter, Mapspace, MapspaceShard, SampleIter,
 };
 pub use wire::{WireError, WireReader, WireWriter};

@@ -17,21 +17,20 @@
 //! obviously-invalid candidates (e.g. oversized tiles) before the full
 //! objective runs.
 //!
-//! There is one loop: a worker walks one keyed candidate stream and
-//! keeps the `(objective, key)` minimum. A sequential search is one
-//! walk over the whole stream; a threaded search walks `n` disjoint
-//! shards ([`Mapspace::shards`]) concurrently
-//! ([`Mapper::search_shards`]); a multi-process search runs
-//! [`Mapper::search_shard_counted`] per worker process. Every mode
-//! reduces its walks with [`merge_shard_results`] (in process,
-//! [`Mapper::search_sharded_counted`] does), and shard keys order
-//! exactly like the unsharded stream, so all of them return
-//! bit-identical winners and counters.
+//! There is one walk: a worker walks one shard of the strategy's
+//! keyed candidate stream and keeps the `(objective, key)` minimum.
+//! Shard `s` of `n` owns every enumerated stream position `p` with
+//! `p % n == s` ([`Mapspace::shards`]); shard 0 then draws the sample
+//! tail. A sequential search is shard 0 of 1; a threaded search walks
+//! `n` shards concurrently ([`Mapper::search_shards`]); a multi-process
+//! search runs [`Mapper::search_shard_counted`] per worker process.
+//! Every mode reduces its walks with [`merge_shard_results`] (in
+//! process, [`Mapper::search_sharded_counted`] does), and keys are
+//! stream positions, so all of them return bit-identical winners and
+//! counters.
 
 use crate::loops::Mapping;
-use crate::mapspace::{
-    CandidateKey, ChangeDepth, EnumerateIter, HaltonSampleIter, Mapspace, MapspaceShard, SampleIter,
-};
+use crate::mapspace::{CandidateKey, ChangeDepth, EnumerateIter, Mapspace, SampleIter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -167,20 +166,6 @@ impl<F: FnMut(&Mapping) -> Option<f64>> WorkerEvaluator for FnWorker<F> {
     }
 }
 
-/// How [`Mapper::Hybrid`] draws its sample tail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SampleStrategy {
-    /// Independent uniform draws from a seeded RNG
-    /// ([`Mapspace::iter_sample`]).
-    #[default]
-    Uniform,
-    /// Low-discrepancy Halton draws: consecutive samples spread evenly
-    /// over the factorization space instead of clustering
-    /// ([`Mapspace::iter_sample_halton`]), so a fixed sample budget
-    /// covers more distinct candidates.
-    Halton,
-}
-
 /// Mapspace search strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mapper {
@@ -206,11 +191,8 @@ pub enum Mapper {
         enumerate: usize,
         /// Additional samples.
         samples: usize,
-        /// Sample seed (RNG seed for uniform draws, sequence offset for
-        /// Halton draws).
+        /// RNG seed of the sample draws.
         seed: u64,
-        /// How the sample tail is drawn.
-        sampling: SampleStrategy,
     },
 }
 
@@ -235,30 +217,7 @@ impl Mapper {
         &self,
         space: &'a Mapspace,
     ) -> Box<dyn Iterator<Item = (ChangeDepth, Mapping)> + Send + 'a> {
-        match *self {
-            Mapper::Exhaustive { limit } => {
-                let mut it = space.iter_enumerate(limit);
-                Box::new(std::iter::from_fn(move || it.next_delta()))
-            }
-            Mapper::Random { samples, seed } => Box::new(
-                space
-                    .iter_sample(samples, StdRng::seed_from_u64(seed))
-                    .map(|m| (ChangeDepth::Reset, m)),
-            ),
-            Mapper::Hybrid {
-                enumerate,
-                samples,
-                seed,
-                sampling,
-            } => {
-                let mut stream = SampleTail::new(space, enumerate, samples, seed, sampling);
-                Box::new(std::iter::from_fn(move || {
-                    stream
-                        .next_prefix()
-                        .or_else(|| stream.next_sample().map(|m| (ChangeDepth::Reset, m)))
-                }))
-            }
-        }
+        Box::new(ShardStream::new(*self, space, 0, 1).map(|(_, depth, m)| (depth, m)))
     }
 
     /// Runs the search with a plain closure objective (no precheck),
@@ -271,7 +230,7 @@ impl Mapper {
     where
         F: FnMut(&Mapping) -> Option<f64>,
     {
-        let (best, stats) = self.walk_stream(space, &mut FnWorker(objective));
+        let (best, stats) = self.walk_shard(space, &mut FnWorker(objective), 0, 1);
         finish(best, stats).0
     }
 
@@ -284,10 +243,10 @@ impl Mapper {
     /// should see that work.
     ///
     /// Winners and counters are **bit-identical** at any shard count:
-    /// shard candidates carry globally comparable [`CandidateKey`]s
-    /// whose order is exactly the unsharded stream order, so the
+    /// every candidate's [`CandidateKey`] is its stream position, so the
     /// lexicographic minimum of `(value, key)` is the first strict
-    /// minimum a sequential scan keeps.
+    /// minimum a sequential scan keeps, and each shard counts only the
+    /// positions it owns.
     pub fn search_sharded_counted<E: CandidateEvaluator + ?Sized>(
         &self,
         space: &Mapspace,
@@ -300,13 +259,11 @@ impl Mapper {
     /// Every walk of [`search_sharded_counted`](Mapper::search_sharded_counted),
     /// unmerged: one raw `(local winner, counters)` per shard, evaluated
     /// concurrently — shard 0 on the calling thread, every other shard
-    /// on a scoped thread of its own, one census for the whole search.
-    /// `shards <= 1` is one sequential walk over the whole stream, with
-    /// no census and no spawn. A hybrid strategy's seeded sample tail
-    /// runs after shard 0's share of the prefix, on shard 0's worker,
-    /// deduplicated against the full prefix exactly like the unsharded
-    /// stream. A pure random strategy is one seeded sequence with
-    /// nothing to shard and always runs sequentially.
+    /// on a scoped thread of its own. `shards <= 1` is one sequential
+    /// walk, with no spawn. Shard `s` evaluates the enumerated stream
+    /// positions `p` with `p % shards == s`; shard 0 then draws the
+    /// seeded sample tail of a hybrid or random strategy, deduplicated
+    /// against the whole prefix exactly like the unsharded stream.
     ///
     /// A panicking walk re-raises its own payload on the caller, after
     /// every other shard has finished.
@@ -316,16 +273,14 @@ impl Mapper {
         evaluator: &E,
         shards: usize,
     ) -> Vec<(Option<ShardWinner>, SearchStats)> {
-        let Some(limit) = self.enumeration_limit().filter(|_| shards > 1) else {
-            return vec![self.walk_stream(space, &mut *evaluator.worker())];
-        };
-        let mut own = space.shards(shards, limit).into_iter();
-        let first = own.next().expect("at least two shards");
+        let shards = shards.max(1);
         std::thread::scope(|s| {
-            let rest: Vec<_> = own
-                .map(|shard| s.spawn(move || self.walk_shard(space, evaluator, shard, false)))
+            let rest: Vec<_> = (1..shards)
+                .map(|k| {
+                    s.spawn(move || self.walk_shard(space, &mut *evaluator.worker(), k, shards))
+                })
                 .collect();
-            let first = self.walk_shard(space, evaluator, first, true);
+            let first = self.walk_shard(space, &mut *evaluator.worker(), 0, shards);
             // join explicitly: the scope's implicit join would replace a
             // shard's panic payload with a generic message
             let rest = rest
@@ -336,23 +291,19 @@ impl Mapper {
     }
 
     /// Evaluates **one** shard of the sharded search on this process,
-    /// returning its raw local winner (objective value, globally
-    /// comparable [`CandidateKey`], mapping) and counters — the
-    /// per-worker half of a multi-process sharded search. Feeding every
-    /// shard's return through [`merge_shard_results`] reproduces
+    /// returning its raw local winner (objective value, stream-position
+    /// [`CandidateKey`], mapping) and counters — the per-worker half of
+    /// a multi-process sharded search. Feeding every shard's return
+    /// through [`merge_shard_results`] reproduces
     /// [`search_sharded_counted`](Mapper::search_sharded_counted)
     /// bit-identically (winner, objective, and summed stats), because
-    /// both walk the same disjoint sub-streams through the same loop.
+    /// both run the same walk per shard.
     ///
-    /// Division of labor by strategy:
-    ///
-    /// * `Exhaustive` (and `Hybrid` with no samples) — shard `shard` of
-    ///   the enumerated stream.
-    /// * `Hybrid` — shard `shard` of the enumerated prefix; shard 0
-    ///   additionally owns the (inherently sequential) seeded sample
-    ///   tail.
-    /// * `Random` — one seeded sequence with nothing to shard: shard 0
-    ///   walks it whole; other shards return empty.
+    /// Shard `shard` evaluates every `shards`-th enumerated candidate,
+    /// starting at position `shard`; shard 0 additionally owns the
+    /// (inherently sequential) seeded sample tail. A `Random` strategy
+    /// enumerates nothing, so its whole stream is shard 0's tail and
+    /// the other shards return empty.
     ///
     /// Panics if `shard >= shards` or `shards == 0`.
     pub fn search_shard_counted<E: CandidateEvaluator + ?Sized>(
@@ -364,78 +315,52 @@ impl Mapper {
     ) -> (Option<ShardWinner>, SearchStats) {
         assert!(shards > 0, "shard count must be positive");
         assert!(shard < shards, "shard index {shard} out of {shards}");
-        match self.enumeration_limit() {
-            Some(limit) => {
-                let own = space.shards(shards, limit).swap_remove(shard);
-                self.walk_shard(space, evaluator, own, shard == 0)
-            }
-            None if shard == 0 => self.walk_stream(space, &mut *evaluator.worker()),
-            None => (None, SearchStats::default()),
-        }
+        self.walk_shard(space, &mut *evaluator.worker(), shard, shards)
     }
 
-    /// The enumerated stream's length cap, or `None` for a strategy
-    /// with no enumeration to shard.
-    fn enumeration_limit(&self) -> Option<usize> {
+    /// The enumeration cap, sample count and sample seed: `Exhaustive`
+    /// draws no samples, `Random` enumerates nothing.
+    fn budget(&self) -> (usize, usize, u64) {
         match *self {
-            Mapper::Exhaustive { limit } => Some(limit),
-            Mapper::Random { .. } => None,
-            Mapper::Hybrid { enumerate, .. } => Some(enumerate),
+            Mapper::Exhaustive { limit } => (limit, 0, 0),
+            Mapper::Random { samples, seed } => (0, samples, seed),
+            Mapper::Hybrid {
+                enumerate,
+                samples,
+                seed,
+            } => (enumerate, samples, seed),
         }
     }
 
-    /// The strategy's whole candidate stream through one worker, keyed
-    /// like a sample tail: sampled keys order by stream position.
-    fn walk_stream(
+    /// The one search loop, over shard `shard` of `shards` of the
+    /// candidate stream: precheck → evaluate → keep the `(value, key)`
+    /// minimum → count. Keys are stream positions, so the kept candidate
+    /// is the first strict minimum whatever way the stream was split.
+    fn walk_shard(
         &self,
         space: &Mapspace,
         worker: &mut dyn WorkerEvaluator,
+        shard: usize,
+        shards: usize,
     ) -> (Option<ShardWinner>, SearchStats) {
         let mut best = None;
         let mut stats = SearchStats::default();
-        let items = self.delta_candidates(space).enumerate();
-        let items = items.map(|(i, (depth, m))| (CandidateKey::sampled(i as u64), depth, m));
-        walk(items, worker, &mut best, &mut stats);
-        (best, stats)
-    }
-
-    /// One shard of the enumerated stream through one worker, followed —
-    /// when the shard `owns_tail` (shard 0) of a hybrid strategy — by the
-    /// seeded sample tail on the same worker. The prefix was walked in shards, so the tail
-    /// regenerates it (generation only) to rebuild the dedup set and the
-    /// cover check the unsharded stream maintains as it goes.
-    fn walk_shard<E: CandidateEvaluator + ?Sized>(
-        &self,
-        space: &Mapspace,
-        evaluator: &E,
-        mut own: MapspaceShard<'_>,
-        owns_tail: bool,
-    ) -> (Option<ShardWinner>, SearchStats) {
-        let mut best = None;
-        let mut stats = SearchStats::default();
-        let mut worker = evaluator.worker();
-        walk(
-            std::iter::from_fn(|| own.next_delta()),
-            &mut *worker,
-            &mut best,
-            &mut stats,
-        );
-        if let Mapper::Hybrid {
-            enumerate,
-            samples,
-            seed,
-            sampling,
-        } = *self
-        {
-            if owns_tail && samples > 0 {
-                let mut tail = SampleTail::new(space, enumerate, samples, seed, sampling);
-                tail.skip_prefix();
-                // sampled keys order after every enumerated key, matching
-                // the tail's stream position; draws share no prefix
-                let draws = std::iter::from_fn(|| tail.next_sample())
-                    .enumerate()
-                    .map(|(i, m)| (CandidateKey::sampled(i as u64), ChangeDepth::Reset, m));
-                walk(draws, &mut *worker, &mut best, &mut stats);
+        for (key, depth, m) in ShardStream::new(*self, space, shard, shards) {
+            stats.generated += 1;
+            if !worker.precheck(&m, depth) {
+                stats.pruned += 1;
+                continue;
+            }
+            match worker.evaluate(&m, depth) {
+                // NaN objectives are counted invalid: they are unordered,
+                // which would make the winner depend on evaluation order
+                Some(v) if !v.is_nan() => {
+                    stats.evaluated += 1;
+                    if beats(v, key, &best) {
+                        best = Some((v, key, m));
+                    }
+                }
+                _ => stats.invalid += 1,
             }
         }
         (best, stats)
@@ -467,140 +392,114 @@ pub fn merge_shard_results(
     finish(best, stats)
 }
 
-/// The hybrid strategy's candidate source: an enumerated prefix, then
-/// seeded draws that skip whatever the prefix already yielded —
-/// re-evaluating a mapping enumeration already scored wastes the sample
-/// budget without changing the winner. Every hybrid search path draws
-/// its tail through this one type, so they cannot disagree on what a
-/// duplicate is or when the tail runs.
+/// Shard `shard` of `shards` of a strategy's keyed candidate stream: the
+/// enumerated positions the shard owns, then — on shard 0 — the seeded
+/// sample tail.
+struct ShardStream<'a> {
+    prefix: EnumerateIter<'a>,
+    /// Shard 0's sample tail, when the strategy draws samples.
+    tail: Option<SampleTail<'a>>,
+}
+
+impl<'a> ShardStream<'a> {
+    fn new(mapper: Mapper, space: &'a Mapspace, shard: usize, shards: usize) -> Self {
+        let (enumerate, samples, seed) = mapper.budget();
+        ShardStream {
+            prefix: space.iter_shard(enumerate, shard, shards),
+            tail: (shard == 0 && samples > 0).then(|| SampleTail {
+                space,
+                seen: HashSet::new(),
+                regenerate: shards > 1,
+                draws: None,
+                drawn: 0,
+                key: Vec::new(),
+                enumerate,
+                samples,
+                seed,
+            }),
+        }
+    }
+}
+
+impl Iterator for ShardStream<'_> {
+    type Item = (CandidateKey, ChangeDepth, Mapping);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if let Some((depth, m)) = self.prefix.next_delta() {
+            if let Some(tail) = self.tail.as_mut().filter(|t| !t.regenerate) {
+                tail.remember(&self.prefix);
+            }
+            return Some((self.prefix.position(), depth, m));
+        }
+        let (key, m) = self.tail.as_mut()?.next(&self.prefix)?;
+        Some((key, ChangeDepth::Reset, m))
+    }
+}
+
+/// The sample tail: seeded draws that skip whatever the enumerated
+/// prefix yielded — re-evaluating a mapping enumeration already scored
+/// wastes the sample budget without changing the winner.
 ///
 /// Candidates are compared by dedup key (the per-slot factors the
 /// iterators already hold, see [`EnumerateIter::last_key`]), never by
 /// building, cloning or hashing mappings; memory is O(`enumerate`).
 struct SampleTail<'a> {
     space: &'a Mapspace,
-    prefix: EnumerateIter<'a>,
-    /// Dedup keys of the prefix candidates yielded or skipped so far.
+    /// Dedup keys of the enumerated prefix.
     seen: HashSet<Vec<u64>>,
-    /// The seeded draws, started by the first
-    /// [`next_sample`](SampleTail::next_sample).
-    draws: Option<Draws<'a>>,
+    /// The walk's prefix is one strided shard of several, so `seen`
+    /// cannot fill as it goes: the tail regenerates the whole prefix
+    /// (generation only, no mappings) when it starts.
+    regenerate: bool,
+    /// The seeded draws, started by the first [`next`](SampleTail::next).
+    draws: Option<SampleIter<'a, StdRng>>,
+    /// Candidates the tail has yielded.
+    drawn: u64,
     /// Key buffer, reused across candidates.
     key: Vec<u64>,
     enumerate: usize,
     samples: usize,
     seed: u64,
-    sampling: SampleStrategy,
 }
 
-/// The seeded draws behind a [`SampleTail`].
-enum Draws<'a> {
-    Uniform(SampleIter<'a, StdRng>),
-    Halton(HaltonSampleIter<'a>),
-}
-
-impl<'a> SampleTail<'a> {
-    fn new(
-        space: &'a Mapspace,
-        enumerate: usize,
-        samples: usize,
-        seed: u64,
-        sampling: SampleStrategy,
-    ) -> Self {
-        SampleTail {
-            space,
-            prefix: space.iter_enumerate(enumerate),
-            seen: HashSet::new(),
-            draws: None,
-            key: Vec::new(),
-            enumerate,
-            samples,
-            seed,
-            sampling,
-        }
+impl SampleTail<'_> {
+    /// Adds the prefix candidate `prefix` last yielded to the dedup set.
+    fn remember(&mut self, prefix: &EnumerateIter<'_>) {
+        prefix.last_key(&mut self.key);
+        self.seen.insert(self.key.clone());
     }
 
-    /// The next enumerated candidate, remembered for the tail's dedup.
-    fn next_prefix(&mut self) -> Option<(ChangeDepth, Mapping)> {
-        let next = self.prefix.next_delta()?;
-        self.remember();
-        Some(next)
-    }
-
-    /// Runs the prefix dry without building its mappings (generation
-    /// only): what a search that evaluated the prefix elsewhere — in
-    /// shards, in other processes — does before drawing the tail.
-    fn skip_prefix(&mut self) {
-        while self.prefix.advance().is_some() {
-            self.remember();
-        }
-    }
-
-    fn remember(&mut self) {
-        // without a tail to filter, the set would be dead weight
-        if self.samples > 0 {
-            self.prefix.last_key(&mut self.key);
-            self.seen.insert(self.key.clone());
-        }
-    }
-
-    /// The next sampled candidate the prefix did not yield; call once
-    /// the prefix has run dry. Yields nothing when the prefix *covered*
-    /// the space: every draw would dedup away, so the tail's
-    /// `20 × samples` draw budget would be pure waste (the cover check
-    /// is free — the enumeration stream knows whether its counter
-    /// wrapped). `enumerate == 0` is the pure-sampling degenerate:
+    /// The next sampled candidate the prefix did not yield, keyed by its
+    /// index in the tail; call once the walk's own `prefix` has run dry.
+    /// Yields nothing when the prefix *covered* the space: every draw
+    /// would dedup away, so the tail's `20 × samples` draw budget would
+    /// be pure waste. The cover check is free — every shard steps the
+    /// counter over the whole prefix, so any one of them knows whether
+    /// it wrapped. `enumerate == 0` (a `Random` strategy) has no prefix:
     /// exhaustion then means "no prefix", not "covered", so the tail
     /// always runs.
-    fn next_sample(&mut self) -> Option<Mapping> {
-        if self.samples == 0 || (self.enumerate > 0 && self.prefix.space_exhausted()) {
-            return None;
-        }
-        let (space, samples, seed) = (self.space, self.samples, self.seed);
-        let draws = self.draws.get_or_insert_with(|| match self.sampling {
-            SampleStrategy::Uniform => {
-                Draws::Uniform(space.iter_sample(samples, StdRng::seed_from_u64(seed)))
+    fn next(&mut self, prefix: &EnumerateIter<'_>) -> Option<(CandidateKey, Mapping)> {
+        if self.draws.is_none() {
+            if self.enumerate > 0 && prefix.space_exhausted() {
+                return None;
             }
-            SampleStrategy::Halton => Draws::Halton(space.iter_sample_halton(samples, seed)),
-        });
-        loop {
-            let m = match draws {
-                Draws::Uniform(it) => it.next().inspect(|_| it.last_key(&mut self.key)),
-                Draws::Halton(it) => it.next().inspect(|_| it.last_key(&mut self.key)),
-            }?;
-            if !self.seen.contains(&self.key) {
-                return Some(m);
-            }
-        }
-    }
-}
-
-/// The one search loop: precheck → evaluate → keep the `(value, key)`
-/// minimum → count, for every `(key, depth, candidate)` of one stream in
-/// order. Keys must order like stream positions, so the kept candidate
-/// is the first strict minimum whatever way the stream was split.
-fn walk(
-    items: impl Iterator<Item = (CandidateKey, ChangeDepth, Mapping)>,
-    worker: &mut dyn WorkerEvaluator,
-    best: &mut Option<ShardWinner>,
-    stats: &mut SearchStats,
-) {
-    for (key, depth, m) in items {
-        stats.generated += 1;
-        if !worker.precheck(&m, depth) {
-            stats.pruned += 1;
-            continue;
-        }
-        match worker.evaluate(&m, depth) {
-            // NaN objectives are counted invalid: they are unordered,
-            // which would make the winner depend on evaluation order
-            Some(v) if !v.is_nan() => {
-                stats.evaluated += 1;
-                if beats(v, key, best) {
-                    *best = Some((v, key, m));
+            let space = self.space;
+            if self.regenerate {
+                let mut whole = space.iter_enumerate(self.enumerate);
+                while whole.advance().is_some() {
+                    self.remember(&whole);
                 }
             }
-            _ => stats.invalid += 1,
+            self.draws = Some(space.iter_sample(self.samples, StdRng::seed_from_u64(self.seed)));
+        }
+        let draws = self.draws.as_mut().expect("draws started above");
+        loop {
+            let m = draws.next()?;
+            draws.last_key(&mut self.key);
+            if !self.seen.contains(&self.key) {
+                self.drawn += 1;
+                return Some((CandidateKey::sampled(self.drawn - 1), m));
+            }
         }
     }
 }
@@ -754,7 +653,6 @@ mod tests {
             enumerate: 10,
             samples: 10,
             seed: 1,
-            sampling: SampleStrategy::Uniform,
         }
         .search(&space, toy_objective)
         .unwrap();
@@ -772,7 +670,6 @@ mod tests {
             enumerate: 40,
             samples: 500,
             seed: 3,
-            sampling: SampleStrategy::Uniform,
         };
         let stream: Vec<Mapping> = mapper.candidates(&space).collect();
         assert!(stream.len() > 40, "tail must contribute candidates");
@@ -795,7 +692,6 @@ mod tests {
             enumerate: 64,
             samples: 1_000_000,
             seed: 9,
-            sampling: SampleStrategy::Uniform,
         };
         let stream: Vec<(ChangeDepth, Mapping)> = covered.delta_candidates(&space).collect();
         assert_eq!(stream.len(), 64, "no sampled candidate can be new");
@@ -827,7 +723,6 @@ mod tests {
             enumerate: 0,
             samples: 16,
             seed: 2,
-            sampling: SampleStrategy::Uniform,
         }
         .candidates(&space)
         .collect();
@@ -841,7 +736,6 @@ mod tests {
             enumerate: 63, // one short of the 64-candidate space
             samples: 200,
             seed: 5,
-            sampling: SampleStrategy::Uniform,
         };
         let stream: Vec<Mapping> = mapper.candidates(&space).collect();
         assert!(
@@ -925,7 +819,7 @@ mod tests {
     }
 
     /// The driver's threaded walk (`shards` > 1) against its sequential
-    /// walk (one shard: no census, no spawn) on the same evaluator.
+    /// walk (one shard, no spawn) on the same evaluator.
     fn assert_par_matches_sequential<E: CandidateEvaluator>(
         mapper: Mapper,
         space: &Mapspace,
@@ -973,7 +867,6 @@ mod tests {
                 enumerate: 64,
                 samples: 64,
                 seed: 5,
-                sampling: SampleStrategy::Uniform,
             },
         ] {
             assert_par_matches_sequential(mapper, &space, &objective, 4);
@@ -1000,8 +893,8 @@ mod tests {
     fn search_sharded_matches_par_search_exhaustive() {
         let space = setup();
         let objective = |m: &Mapping| toy_objective(m);
-        // limits both above and *below* the space size: the census must
-        // reproduce the exact global cutoff
+        // limits both above and *below* the space size: every shard must
+        // stop at the exact global cutoff
         for limit in [7, 100, 100_000] {
             for shards in [1, 2, 3, 7, 8] {
                 assert_matches_reference(Mapper::Exhaustive { limit }, &space, &objective, shards);
@@ -1018,13 +911,11 @@ mod tests {
                 enumerate: 64,
                 samples: 64,
                 seed: 5,
-                sampling: SampleStrategy::Uniform,
             },
             Mapper::Hybrid {
                 enumerate: 32,
                 samples: 100,
                 seed: 11,
-                sampling: SampleStrategy::Halton,
             },
             Mapper::Random {
                 samples: 200,
@@ -1046,7 +937,6 @@ mod tests {
                 enumerate: 40,
                 samples: 60,
                 seed: 7,
-                sampling: SampleStrategy::Uniform,
             },
         ] {
             for shards in [1, 2, 3, 4] {
@@ -1075,16 +965,26 @@ mod tests {
         }
     }
 
-    /// Counts the workers a search opens.
-    struct CountingWorkers(AtomicUsize);
+    /// Counts the workers a search opens and the candidates they are
+    /// handed.
+    #[derive(Default)]
+    struct Counting {
+        workers: AtomicUsize,
+        candidates: AtomicUsize,
+    }
 
-    impl CandidateEvaluator for CountingWorkers {
+    impl CandidateEvaluator for Counting {
+        fn precheck(&self, _m: &Mapping) -> bool {
+            self.candidates.fetch_add(1, Ordering::Relaxed);
+            true
+        }
+
         fn evaluate(&self, m: &Mapping) -> Option<f64> {
             toy_objective(m)
         }
 
         fn worker(&self) -> Box<dyn WorkerEvaluator + '_> {
-            self.0.fetch_add(1, Ordering::Relaxed);
+            self.workers.fetch_add(1, Ordering::Relaxed);
             Box::new(StatelessWorker(self))
         }
     }
@@ -1093,27 +993,57 @@ mod tests {
     fn each_walk_opens_one_worker() {
         // one worker per walked shard: an unsharded hybrid search keeps
         // its sample tail on the prefix's worker, a sharded one puts it
-        // on shard 0's, and a random search never fans out
+        // on shard 0's; a random search is shard 0's tail, and its other
+        // shards walk an empty prefix
         let space = setup();
         let hybrid = Mapper::Hybrid {
             enumerate: 40,
             samples: 60,
             seed: 7,
-            sampling: SampleStrategy::Uniform,
         };
         let random = Mapper::Random {
             samples: 200,
             seed: 9,
         };
-        for (mapper, shards, workers) in [(hybrid, 1, 1), (hybrid, 3, 3), (random, 3, 1)] {
-            let counter = CountingWorkers(AtomicUsize::new(0));
+        for (mapper, shards, workers) in [(hybrid, 1, 1), (hybrid, 3, 3), (random, 3, 3)] {
+            let counter = Counting::default();
             let (result, stats) = mapper.search_sharded_counted(&space, &counter, shards);
             assert!(result.is_some());
             assert!(stats.generated > 40, "{mapper:?}: the sample tail ran");
             assert_eq!(
-                counter.0.into_inner(),
+                counter.workers.into_inner(),
                 workers,
                 "workers opened at {shards} shards by {mapper:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_shard_walks_the_prefix_once_then_the_tail() {
+        // one shard walks the enumerated prefix once, remembering it for
+        // the tail's dedup as it goes: the worker sees the P prefix
+        // candidates, then the draws the prefix did not yield
+        let space = setup();
+        for (enumerate, samples, seed) in [(40, 60, 7), (10, 10, 1), (0, 30, 4)] {
+            let mapper = Mapper::Hybrid {
+                enumerate,
+                samples,
+                seed,
+            };
+            let prefix: Vec<Mapping> = space.iter_enumerate(enumerate).collect();
+            let tail = space
+                .iter_sample(samples, StdRng::seed_from_u64(seed))
+                .filter(|m| !prefix.contains(m))
+                .count();
+            let counter = Counting::default();
+            let (_, stats) = mapper.search_sharded_counted(&space, &counter, 1);
+            let label = format!("{mapper:?}");
+            assert!(tail > 0, "{label}: the tail runs");
+            assert_eq!(stats.generated, prefix.len() + tail, "{label}");
+            assert_eq!(
+                counter.candidates.into_inner(),
+                prefix.len() + tail,
+                "{label}"
             );
         }
     }
@@ -1166,22 +1096,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_halton_tail_skips_enumerated_prefix() {
-        let space = setup();
-        let mapper = Mapper::Hybrid {
-            enumerate: 200,
-            samples: 300,
-            seed: 3,
-            sampling: SampleStrategy::Halton,
-        };
-        let stream: Vec<Mapping> = mapper.candidates(&space).collect();
-        let (prefix, tail) = stream.split_at(stream.len().min(200));
-        for m in tail {
-            assert!(!prefix.contains(m), "halton sample repeats prefix");
-        }
-    }
-
-    #[test]
     fn per_shard_merge_matches_in_process_sharded_search() {
         // the multi-process contract: running search_shard_counted for
         // every shard index (as worker processes would) and merging must
@@ -1197,19 +1111,16 @@ mod tests {
                 enumerate: 64,
                 samples: 64,
                 seed: 5,
-                sampling: SampleStrategy::Uniform,
             },
             Mapper::Hybrid {
                 enumerate: 32,
                 samples: 100,
                 seed: 11,
-                sampling: SampleStrategy::Halton,
             },
             Mapper::Hybrid {
                 enumerate: 100,
                 samples: 50,
                 seed: 2,
-                sampling: SampleStrategy::Uniform,
             },
             Mapper::Random {
                 samples: 200,
@@ -1217,7 +1128,7 @@ mod tests {
             },
         ] {
             let (whole, whole_stats) = mapper.search_sharded_counted(&space, &objective, 3);
-            for shards in [1, 2, 3] {
+            for shards in [1, 2, 3, 4] {
                 let parts =
                     (0..shards).map(|k| mapper.search_shard_counted(&space, &objective, k, shards));
                 let (merged, stats) = merge_shard_results(parts);
@@ -1267,7 +1178,6 @@ mod tests {
             enumerate: 40,
             samples: 60,
             seed: 7,
-            sampling: SampleStrategy::Uniform,
         };
         let (whole, whole_stats) = mapper.search_sharded_counted(&space, &objective, 3);
         let mut parts = Vec::new();

@@ -103,34 +103,6 @@ fn prime_factors(mut n: u64) -> Vec<u64> {
     out
 }
 
-/// The first `count` primes (the Halton sampler's per-decision bases).
-fn first_primes(count: usize) -> Vec<u64> {
-    let mut primes: Vec<u64> = Vec::with_capacity(count);
-    let mut candidate = 2u64;
-    while primes.len() < count {
-        if primes.iter().all(|p| !candidate.is_multiple_of(*p)) {
-            primes.push(candidate);
-        }
-        candidate += 1;
-    }
-    primes
-}
-
-/// Radical inverse (van der Corput sequence) of `i` in `base`: the digits
-/// of `i` mirrored around the radix point, a low-discrepancy point in
-/// `[0, 1)`.
-fn radical_inverse(mut i: u64, base: u64) -> f64 {
-    let inv = 1.0 / base as f64;
-    let mut f = inv;
-    let mut r = 0.0;
-    while i > 0 {
-        r += f * (i % base) as f64;
-        i /= base;
-        f *= inv;
-    }
-    r
-}
-
 /// Lazy, memoizing stream of the ordered factorizations of `n` into
 /// `caps.len()` positive factors, factor `j` at most `caps[j]`, produced
 /// in exactly the order [`factorizations`] returns them (its list with
@@ -278,15 +250,17 @@ struct Slot {
 }
 
 /// The outermost position at which a candidate differs from the
-/// previously yielded candidate of the same stream.
+/// previously yielded candidate of the same walk.
 ///
-/// The deterministic enumeration streams ([`Mapspace::iter_enumerate`],
+/// The deterministic enumeration walks ([`Mapspace::iter_enumerate`],
 /// [`Mapspace::shards`]) emit candidates in lexicographic factorization
 /// order, so consecutive candidates usually share a long outer-loop
 /// prefix. Each yielded candidate carries its `ChangeDepth` so an
 /// incremental evaluator can reuse everything derived from the shared
 /// prefix (per-level tile bounds, occupancies, format analyses) and
-/// recompute only from the first changed loop inward.
+/// recompute only from the first changed loop inward. A shard yields
+/// every `n`-th stream position, and its depths compare against the
+/// shard's own previous candidate, not the stream positions it skipped.
 ///
 /// **Contract** (what an evaluator may rely on): for
 /// `ChangeDepth::At { level, loop_pos }`,
@@ -301,13 +275,13 @@ struct Slot {
 ///   the tile held at any level at-or-above `level` (the projection of
 ///   the loops at-and-below it) is also unchanged.
 ///
-/// `Reset` marks stream seams — the first candidate of a stream or
+/// `Reset` marks walk seams — the first candidate of a stream or
 /// shard, and every sampled (non-enumerated) draw — where no prefix may
 /// be assumed and a consumer must recompute from scratch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChangeDepth {
-    /// No relation to the previously yielded candidate: stream start,
-    /// shard seam, or a sampled draw. Consumers recompute everything.
+    /// No relation to the previously yielded candidate: walk start or a
+    /// sampled draw. Consumers recompute everything.
     Reset,
     /// The first difference from the previous candidate.
     At {
@@ -496,8 +470,7 @@ impl Mapspace {
 
     /// Whether per-slot factors respect every level's spatial fanout
     /// budget — the validity test every candidate passes before its
-    /// mapping is built (and the shard census applies to count
-    /// candidates without paying for their construction). One pass:
+    /// mapping is built. One pass:
     /// slots are grouped by level, so a running product per level
     /// suffices; it saturates rather than wraps, so bounds whose product
     /// exceeds `u64::MAX` read as over budget, not as some small number.
@@ -582,8 +555,22 @@ impl Mapspace {
     ///
     /// [`enumerate`]: Mapspace::enumerate
     pub fn iter_enumerate(&self, limit: usize) -> EnumerateIter<'_> {
+        self.iter_shard(limit, 0, 1)
+    }
+
+    /// Shard `shard` of `shards` of [`iter_enumerate`]`(limit)`: the
+    /// stream positions `p` with `p % shards == shard`. The walk passes
+    /// every position of the stream but builds mappings for its own only.
+    ///
+    /// [`iter_enumerate`]: Mapspace::iter_enumerate
+    pub(crate) fn iter_shard(
+        &self,
+        limit: usize,
+        shard: usize,
+        shards: usize,
+    ) -> EnumerateIter<'_> {
         let plan = self.plan();
-        let mut counter = Counter::new(self, &plan, self.num_dims);
+        let mut counter = Counter::new(self, &plan);
         let mut factors = vec![1u64; plan.slots.len()];
         let exhausted = !plan.feasible || limit == 0 || counter.empty;
         if !exhausted {
@@ -596,6 +583,8 @@ impl Mapspace {
             factors,
             have_prev: false,
             produced: 0,
+            next_owned: shard,
+            stride: shards,
             limit,
             exhausted,
             plan,
@@ -650,219 +639,33 @@ impl Mapspace {
         self.iter_sample(count, rng).collect()
     }
 
-    /// Streaming low-discrepancy (Halton) sampling of up to `count`
-    /// mappings.
-    ///
-    /// Each draw assigns the prime factors of every dimension's bound to
-    /// that dimension's loop slots using one radical-inverse coordinate
-    /// per `(dimension, prime)` decision — consecutive sample indices
-    /// therefore spread over the factorization space far more evenly
-    /// than independent uniform draws, which cluster and repeat. The
-    /// sequence is a pure function of `(space, count, seed)`:
-    /// reproducible like [`iter_sample`](Mapspace::iter_sample), with
-    /// the same draw-budget semantics (stops after `count` valid
-    /// mappings or `20 × count` attempts).
-    pub fn iter_sample_halton(&self, count: usize, seed: u64) -> HaltonSampleIter<'_> {
-        let plan = self.plan();
-        let dim_primes: Vec<Vec<u64>> = (0..self.num_dims)
-            .map(|d| {
-                if plan.per_dim[d].is_empty() {
-                    Vec::new()
-                } else {
-                    prime_factors(self.dim_bounds[d])
-                }
-            })
-            .collect();
-        let decisions: usize = dim_primes.iter().map(Vec::len).sum();
-        HaltonSampleIter {
-            space: self,
-            factors: vec![1u64; plan.slots.len()],
-            plan,
-            bases: first_primes(decisions),
-            dim_primes,
-            // offset the sequence by the seed (kept small so radical
-            // inverses stay cheap); +1 skips the all-zeros point
-            offset: (seed % (1 << 16)) + 1,
-            produced: 0,
-            attempts: 0,
-            count,
-        }
-    }
-
     /// Partitions [`iter_enumerate`]`(limit)`'s candidate stream into
-    /// `n` disjoint, collectively exhaustive shards.
+    /// `n` disjoint, collectively exhaustive shards: shard `s` owns every
+    /// stream position `p` with `p % n == s`.
     ///
-    /// The split runs along the *outermost* factorization dimensions:
-    /// the slowest-varying counter digits form a block space (grown one
-    /// dimension at a time until it holds at least `n` blocks), and
-    /// shard `i` owns blocks `i, i + n, i + 2n, …` — so the union of
-    /// all shards' candidates is exactly the unsharded stream, each
-    /// candidate appearing in exactly one shard.
+    /// Each shard yields `(`[`CandidateKey`]`, Mapping)` pairs keyed by
+    /// stream position, so sorting the union of all shards by key
+    /// reproduces `iter_enumerate(limit)`'s exact sequence, and a sharded
+    /// search reduces per-shard winners with the same `(objective,
+    /// key)` rule as the unsharded walk — bit-identical winners at any
+    /// shard count.
     ///
-    /// Each shard yields `(`[`CandidateKey`]`, Mapping)` pairs whose
-    /// keys are **globally comparable across shards**: sorting the union
-    /// by key reproduces `iter_enumerate(limit)`'s exact sequence, and a
-    /// sharded search can therefore reduce per-shard winners with the
-    /// same deterministic `(objective, candidate position)` rule as the
-    /// unsharded parallel search — bit-identical winners at any shard
-    /// count.
-    ///
-    /// A finite `limit` is honored *exactly*: a cheap census pass
-    /// (candidate generation without mapping construction) counts
-    /// produced candidates per block so every shard knows which of its
-    /// candidates fall inside the global first-`limit` prefix. The
-    /// census costs one extra generation walk of at most `limit`
-    /// candidates; pass `usize::MAX` to skip it when the whole space is
-    /// wanted.
-    ///
-    /// Cost note: unlike the fully lazy [`iter_enumerate`], the *block*
-    /// dimensions' ordered factorization lists are materialized eagerly
-    /// (block decoding needs random access across shards). The suffix
-    /// only grows until it holds `n` blocks, so this is bounded by the
-    /// outermost dimension(s) actually split on — constrain the
-    /// outermost temporal order if an astronomically composite bound
-    /// ends up there.
+    /// Shards need no coordination: each one steps the enumeration
+    /// counter over the whole stream up to `limit` and builds the
+    /// mappings of its own positions only, so `n` shards generate the
+    /// prefix `n` times over (generation is the cheap half of a
+    /// candidate; evaluation and mapping construction are split).
     ///
     /// [`iter_enumerate`]: Mapspace::iter_enumerate
     pub fn shards(&self, n: usize, limit: usize) -> Vec<MapspaceShard<'_>> {
         let n = n.max(1);
-        let plan = self.plan();
-        let empty = || (0..n).map(|_| MapspaceShard::empty(self)).collect();
-        if !plan.feasible || limit == 0 {
-            return empty();
-        }
-        // grow the block space from the outermost dimension inward until
-        // it offers at least n blocks (or swallows every dimension)
-        let mut split = self.num_dims;
-        let mut blocks: u64 = 1;
-        let mut outer_rev: Vec<Vec<Vec<u64>>> = Vec::new();
-        while split > 0 && blocks < n as u64 {
-            split -= 1;
-            let list = if plan.per_dim[split].is_empty() {
-                vec![Vec::new()]
-            } else {
-                factorizations(self.dim_bounds[split], plan.per_dim[split].len(), None)
-            };
-            blocks = blocks.saturating_mul(list.len() as u64);
-            outer_rev.push(list);
-        }
-        outer_rev.reverse(); // now ordered by dim index: split, split+1, …
-        let outer = Arc::new(BlockSpace {
-            split,
-            lists: outer_rev,
-        });
-        let census = Counter::new(self, &plan, split);
-        if census.empty {
-            return empty();
-        }
-        let base = (limit < usize::MAX)
-            .then(|| Arc::new(self.shard_census(&plan, &outer, census, blocks, limit)));
         (0..n)
-            .map(|s| {
-                let plan = plan.clone();
-                let num_slots = plan.slots.len();
-                MapspaceShard {
-                    space: self,
-                    counter: Counter::new(self, &plan, split),
-                    plan,
-                    outer: Arc::clone(&outer),
-                    blocks: (s as u64..blocks).step_by(n).collect(),
-                    base: base.clone(),
-                    limit,
-                    next_block: 0,
-                    cur_block_id: 0,
-                    factors: vec![1u64; num_slots],
-                    last: vec![1u64; num_slots],
-                    have_prev: false,
-                    rank: 0,
-                    block_active: false,
-                    done: false,
-                }
-            })
+            .map(|s| MapspaceShard(self.iter_shard(limit, s, n)))
             .collect()
-    }
-
-    /// Counts produced (fanout-valid) candidates per block, in global
-    /// stream order, saturating once the cumulative count reaches
-    /// `limit`. Returns each block's *base*: the number of candidates
-    /// the unsharded stream produces before the block starts (clamped to
-    /// `limit`, so blocks entirely past the cutoff read `base == limit`).
-    fn shard_census(
-        &self,
-        plan: &SlotPlan,
-        outer: &BlockSpace,
-        mut counter: Counter,
-        blocks: u64,
-        limit: usize,
-    ) -> Vec<usize> {
-        let mut factors = vec![1u64; plan.slots.len()];
-        let mut base = Vec::with_capacity(blocks as usize);
-        let mut cum = 0usize;
-        for b in 0..blocks {
-            base.push(cum.min(limit));
-            if cum >= limit || !outer.enter(b, plan, &mut counter, &mut factors) {
-                continue;
-            }
-            loop {
-                if self.fanout_ok(&plan.slots, &factors) {
-                    cum += 1;
-                    if cum >= limit {
-                        break;
-                    }
-                }
-                if !counter.step(plan, &mut factors) {
-                    break;
-                }
-            }
-        }
-        base
-    }
-}
-
-/// The block half of a sharded enumeration: the eager factorization
-/// lists of the suffix dims `split..`, whose cross product (dimension
-/// `split` varying fastest, matching the global counter) numbers the
-/// blocks.
-struct BlockSpace {
-    /// Dim index where the block (suffix) space begins; dims below it
-    /// form the within-block cross product.
-    split: usize,
-    lists: Vec<Vec<Vec<u64>>>,
-}
-
-impl BlockSpace {
-    /// Writes block `id`'s suffix-dim factors and rewinds `counter` to
-    /// the block's first position. `false` when one of the block's
-    /// factorizations overruns a spatial cap: the block holds no
-    /// candidate and nothing need walk it.
-    fn enter(
-        &self,
-        mut id: u64,
-        plan: &SlotPlan,
-        counter: &mut Counter,
-        factors: &mut [u64],
-    ) -> bool {
-        for (i, list) in self.lists.iter().enumerate() {
-            let len = list.len() as u64;
-            let f = &list[(id % len) as usize];
-            id /= len;
-            let d = self.split + i;
-            if plan.per_dim[d]
-                .iter()
-                .zip(f)
-                .any(|(&s, &v)| v > plan.caps[s])
-            {
-                return false;
-            }
-            plan.write_dim(factors, d, f);
-        }
-        counter.rewind(plan, factors);
-        true
     }
 }
 
 /// Slot layout shared by the candidate iterators.
-#[derive(Clone)]
 struct SlotPlan {
     slots: Vec<Slot>,
     /// Slot indices owned by each dimension.
@@ -902,12 +705,10 @@ impl SlotPlan {
     }
 }
 
-/// Mixed-radix counter over the capped factorization streams of dims
-/// `0..streams.len()` (dim 0 varies fastest) that keeps a per-slot
-/// factor buffer in step: moving a digit rewrites that dimension's slots
-/// and no others. Shared by the enumeration iterator, the shard census,
-/// and the shards themselves — one definition, so they cannot drift
-/// apart.
+/// Mixed-radix counter over the capped factorization streams of every
+/// dimension (dim 0 varies fastest) that keeps a per-slot factor buffer
+/// in step: moving a digit rewrites that dimension's slots and no
+/// others.
 struct Counter {
     streams: Vec<FactorizationStream>,
     choice: Vec<usize>,
@@ -917,8 +718,8 @@ struct Counter {
 }
 
 impl Counter {
-    fn new(space: &Mapspace, plan: &SlotPlan, dims: usize) -> Self {
-        let mut streams: Vec<FactorizationStream> = (0..dims)
+    fn new(space: &Mapspace, plan: &SlotPlan) -> Self {
+        let mut streams: Vec<FactorizationStream> = (0..space.num_dims)
             .map(|d| {
                 let caps = plan.per_dim[d].iter().map(|&s| plan.caps[s]).collect();
                 FactorizationStream::new(space.dim_bounds[d], caps)
@@ -927,7 +728,7 @@ impl Counter {
         // index 0 pre-materialized, so `rewind` is always addressable
         let empty = streams.iter_mut().any(|s| s.get(0).is_none());
         Counter {
-            choice: vec![0; dims],
+            choice: vec![0; space.num_dims],
             streams,
             empty,
         }
@@ -958,7 +759,8 @@ impl Counter {
 }
 
 /// Lazy deterministic mapspace enumeration
-/// (see [`Mapspace::iter_enumerate`]).
+/// (see [`Mapspace::iter_enumerate`]), or one strided shard of it (see
+/// [`Mapspace::shards`]).
 pub struct EnumerateIter<'a> {
     space: &'a Mapspace,
     plan: SlotPlan,
@@ -971,7 +773,12 @@ pub struct EnumerateIter<'a> {
     /// Factors of the last *yielded* candidate (delta baseline).
     last: Vec<u64>,
     have_prev: bool,
+    /// Stream positions passed so far, yielded or not.
     produced: usize,
+    /// The next stream position this walk yields; after it, the walk
+    /// passes `stride - 1` positions before yielding again.
+    next_owned: usize,
+    stride: usize,
     limit: usize,
     exhausted: bool,
 }
@@ -1009,13 +816,16 @@ impl EnumerateIter<'_> {
         while !self.exhausted && self.produced < self.limit {
             let mut found = None;
             if self.space.fanout_ok(&self.plan.slots, &self.factors) {
-                found = Some(if self.have_prev {
-                    change_depth(&self.plan.slots, &self.last, &self.factors)
-                } else {
-                    ChangeDepth::Reset
-                });
-                self.last.copy_from_slice(&self.factors);
-                self.have_prev = true;
+                if self.produced == self.next_owned {
+                    found = Some(if self.have_prev {
+                        change_depth(&self.plan.slots, &self.last, &self.factors)
+                    } else {
+                        ChangeDepth::Reset
+                    });
+                    self.last.copy_from_slice(&self.factors);
+                    self.have_prev = true;
+                    self.next_owned += self.stride;
+                }
                 self.produced += 1;
             }
             // the counter moves on before the candidate is handed out, so
@@ -1033,6 +843,15 @@ impl EnumerateIter<'_> {
     /// mappings, across every iterator of one space).
     pub(crate) fn last_key(&self, key: &mut Vec<u64>) {
         self.plan.key_of(&self.last, key);
+    }
+
+    /// The stream position of the last yielded candidate, as its
+    /// [`CandidateKey`].
+    pub(crate) fn position(&self) -> CandidateKey {
+        CandidateKey {
+            block: 0,
+            rank: (self.next_owned - self.stride) as u64,
+        }
     }
 }
 
@@ -1373,21 +1192,21 @@ impl<R: Rng> Iterator for SampleIter<'_, R> {
     }
 }
 
-/// Globally comparable position of a sharded candidate in the unsharded
-/// enumeration order (see [`Mapspace::shards`]).
+/// A candidate's position in its strategy's stream, comparable across
+/// shards (see [`Mapspace::shards`]).
 ///
-/// Sorting by `(block, rank)` reproduces [`Mapspace::iter_enumerate`]'s
-/// exact output order: `block` is the mixed-radix value of the outermost
-/// (slowest-varying) factorization choices and `rank` counts produced
-/// candidates within the block — candidates of earlier blocks always
-/// precede candidates of later blocks in the unsharded stream. Sampled
-/// candidates (a hybrid search's tail) use [`CandidateKey::sampled`],
-/// which orders after every enumerated candidate.
+/// The enumerated candidate at position `p` of
+/// [`Mapspace::iter_enumerate`]'s output has key `{ block: 0, rank: p }`;
+/// sampled candidates (a hybrid search's tail) use
+/// [`CandidateKey::sampled`], which orders after every enumerated
+/// candidate. Sorting by key therefore reproduces the stream order,
+/// however the stream was sharded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CandidateKey {
-    /// Block id (outermost factorization choices, mixed-radix).
+    /// `0` for an enumerated candidate, `u64::MAX` for a sampled one.
     pub block: u64,
-    /// Produced-candidate index within the block.
+    /// Stream position among the enumerated candidates, or draw index
+    /// among the sampled ones.
     pub rank: u64,
 }
 
@@ -1404,132 +1223,19 @@ impl CandidateKey {
     }
 }
 
-/// One shard of a sharded enumeration: a disjoint sub-stream of
-/// [`Mapspace::iter_enumerate`]'s candidates tagged with globally
-/// comparable [`CandidateKey`]s (see [`Mapspace::shards`]).
-pub struct MapspaceShard<'a> {
-    space: &'a Mapspace,
-    plan: SlotPlan,
-    /// The suffix-dim block space (shared by the shards).
-    outer: Arc<BlockSpace>,
-    /// Block ids owned by this shard, ascending.
-    blocks: Vec<u64>,
-    /// Per-block global base index from the census (`None`: no output
-    /// limit was requested).
-    base: Option<Arc<Vec<usize>>>,
-    limit: usize,
-    /// Counter over the within-block dims.
-    counter: Counter,
-    /// Index into `blocks` of the next block to enter.
-    next_block: usize,
-    cur_block_id: u64,
-    /// Per-slot factors at the counter's position.
-    factors: Vec<u64>,
-    /// Factors of the last yielded candidate (delta baseline).
-    last: Vec<u64>,
-    have_prev: bool,
-    rank: u64,
-    block_active: bool,
-    done: bool,
-}
+/// One shard of a sharded enumeration: every `n`-th candidate of
+/// [`Mapspace::iter_enumerate`]'s stream, keyed by stream position (see
+/// [`Mapspace::shards`]).
+pub struct MapspaceShard<'a>(EnumerateIter<'a>);
 
-impl<'a> MapspaceShard<'a> {
-    /// A shard holding no candidates (empty space or zero limit).
-    fn empty(space: &'a Mapspace) -> Self {
-        let plan = space.plan();
-        MapspaceShard {
-            space,
-            counter: Counter::new(space, &plan, 0),
-            plan,
-            outer: Arc::new(BlockSpace {
-                split: 0,
-                lists: Vec::new(),
-            }),
-            blocks: Vec::new(),
-            base: None,
-            limit: 0,
-            next_block: 0,
-            cur_block_id: 0,
-            factors: Vec::new(),
-            last: Vec::new(),
-            have_prev: false,
-            rank: 0,
-            block_active: false,
-            done: true,
-        }
-    }
-
+impl MapspaceShard<'_> {
     /// Like [`Iterator::next`], additionally reporting where the yielded
     /// candidate first differs from the shard's previously yielded one
     /// (see [`ChangeDepth`]). The shard's first candidate reports
-    /// [`ChangeDepth::Reset`] — shard seams never assume a prefix, so a
-    /// sharded evaluation stays bit-identical to the unsharded one.
+    /// [`ChangeDepth::Reset`].
     pub fn next_delta(&mut self) -> Option<(CandidateKey, ChangeDepth, Mapping)> {
-        let (key, depth) = self.advance()?;
-        let mapping = self.space.build_mapping(&self.plan, &self.last);
-        Some((key, depth, mapping))
-    }
-
-    /// Moves to the shard's next candidate, leaving its factors in
-    /// `self.last`.
-    fn advance(&mut self) -> Option<(CandidateKey, ChangeDepth)> {
-        while !self.done {
-            if !self.block_active {
-                let Some(&b) = self.blocks.get(self.next_block) else {
-                    break;
-                };
-                // bases are nondecreasing in the block id: once one of
-                // this shard's blocks starts at the cutoff, all its
-                // later blocks do too
-                if self.base_of(b).is_some_and(|base| base >= self.limit) {
-                    break;
-                }
-                self.next_block += 1;
-                if !self
-                    .outer
-                    .enter(b, &self.plan, &mut self.counter, &mut self.factors)
-                {
-                    continue;
-                }
-                self.cur_block_id = b;
-                self.rank = 0;
-                self.block_active = true;
-            }
-            let mut found = None;
-            if self.space.fanout_ok(&self.plan.slots, &self.factors) {
-                // exact global output-limit semantics: past this
-                // candidate's unsharded stream position, every remaining
-                // candidate of this shard sits even later in the stream
-                let base = self.base_of(self.cur_block_id);
-                if base.is_some_and(|base| base + self.rank as usize >= self.limit) {
-                    break;
-                }
-                let depth = if self.have_prev {
-                    change_depth(&self.plan.slots, &self.last, &self.factors)
-                } else {
-                    ChangeDepth::Reset
-                };
-                let key = CandidateKey {
-                    block: self.cur_block_id,
-                    rank: self.rank,
-                };
-                found = Some((key, depth));
-                self.last.copy_from_slice(&self.factors);
-                self.have_prev = true;
-                self.rank += 1;
-            }
-            self.block_active = self.counter.step(&self.plan, &mut self.factors);
-            if found.is_some() {
-                return found;
-            }
-        }
-        self.done = true;
-        None
-    }
-
-    /// The census base of block `b` (`None`: no output limit).
-    fn base_of(&self, b: u64) -> Option<usize> {
-        self.base.as_ref().map(|base| base[b as usize])
+        let (depth, mapping) = self.0.next_delta()?;
+        Some((self.0.position(), depth, mapping))
     }
 }
 
@@ -1538,61 +1244,6 @@ impl Iterator for MapspaceShard<'_> {
 
     fn next(&mut self) -> Option<(CandidateKey, Mapping)> {
         self.next_delta().map(|(key, _, m)| (key, m))
-    }
-}
-
-/// Lazy low-discrepancy mapspace sampling
-/// (see [`Mapspace::iter_sample_halton`]).
-pub struct HaltonSampleIter<'a> {
-    space: &'a Mapspace,
-    plan: SlotPlan,
-    /// Per-dim prime factors (with multiplicity) of the dimension bound.
-    dim_primes: Vec<Vec<u64>>,
-    /// One distinct Halton base per `(dim, prime)` decision.
-    bases: Vec<u64>,
-    /// Per-slot factors of the current draw.
-    factors: Vec<u64>,
-    offset: u64,
-    produced: usize,
-    attempts: usize,
-    count: usize,
-}
-
-impl HaltonSampleIter<'_> {
-    /// The dedup key of the last yielded candidate (see
-    /// [`EnumerateIter::last_key`]).
-    pub(crate) fn last_key(&self, key: &mut Vec<u64>) {
-        self.plan.key_of(&self.factors, key);
-    }
-}
-
-impl Iterator for HaltonSampleIter<'_> {
-    type Item = Mapping;
-
-    fn next(&mut self) -> Option<Mapping> {
-        if !self.plan.feasible {
-            return None;
-        }
-        while self.produced < self.count && self.attempts < self.count.saturating_mul(20) {
-            let index = self.offset + self.attempts as u64;
-            self.attempts += 1;
-            self.factors.fill(1);
-            let mut bases = self.bases.iter();
-            for (slots, primes) in self.plan.per_dim.iter().zip(&self.dim_primes) {
-                for (&p, &base) in primes.iter().zip(&mut bases) {
-                    // one low-discrepancy coordinate per prime-factor
-                    // placement: stratified slot assignment
-                    let h = radical_inverse(index, base);
-                    let pos = ((h * slots.len() as f64) as usize).min(slots.len() - 1);
-                    self.factors[slots[pos]] *= p;
-                }
-            }
-            if self.space.fanout_ok(&self.plan.slots, &self.factors) {
-                self.produced += 1;
-                return Some(self.space.build_mapping(&self.plan, &self.factors));
-            }
-        }
-        None
     }
 }
 
@@ -1893,6 +1544,31 @@ mod tests {
     }
 
     #[test]
+    fn shard_keys_are_strided_stream_positions() {
+        // shard s of n owns exactly the stream positions p with
+        // p % n == s, and its keys are those positions
+        let e = Einsum::matmul(8, 8, 8);
+        let a = arch();
+        let space = Mapspace::all_temporal(&e, &a).with_spatial_dims(1, vec![DimId(1)]);
+        let total = space.iter_enumerate(usize::MAX).count();
+        for limit in [1, 7, 100, usize::MAX] {
+            let p = total.min(limit) as u64;
+            for n in [1, 2, 3, 7] {
+                let mut ranks = Vec::new();
+                for (s, shard) in space.shards(n, limit).into_iter().enumerate() {
+                    for (key, _) in shard {
+                        assert_eq!(key.block, 0, "n={n} limit={limit}");
+                        assert_eq!(key.rank % n as u64, s as u64, "n={n} limit={limit}");
+                        ranks.push(key.rank);
+                    }
+                }
+                ranks.sort_unstable();
+                assert_eq!(ranks, (0..p).collect::<Vec<_>>(), "n={n} limit={limit}");
+            }
+        }
+    }
+
+    #[test]
     fn shards_of_infeasible_space_are_empty() {
         let e = Einsum::matmul(4, 4, 4);
         let a = arch();
@@ -1915,45 +1591,6 @@ mod tests {
     }
 
     #[test]
-    fn halton_samples_are_valid_and_deterministic() {
-        let e = Einsum::matmul(16, 16, 16);
-        let a = arch();
-        let space = Mapspace::all_temporal(&e, &a).with_spatial_dims(1, vec![DimId(0)]);
-        let first: Vec<Mapping> = space.iter_sample_halton(50, 9).collect();
-        let second: Vec<Mapping> = space.iter_sample_halton(50, 9).collect();
-        assert_eq!(first, second, "halton draws must be reproducible");
-        assert!(!first.is_empty());
-        for m in &first {
-            m.validate(&e, &a).unwrap();
-        }
-        // a different seed shifts the sequence
-        let other: Vec<Mapping> = space.iter_sample_halton(50, 10).collect();
-        assert_ne!(first, other);
-    }
-
-    #[test]
-    fn halton_covers_more_distinct_candidates_than_uniform() {
-        // the low-discrepancy point is even coverage: over the same draw
-        // budget the Halton tail should reach at least as many distinct
-        // factorizations as independent uniform draws
-        let e = Einsum::matmul(36, 36, 36);
-        let a = arch();
-        let space = Mapspace::all_temporal(&e, &a);
-        let distinct = |it: &mut dyn Iterator<Item = Mapping>| {
-            it.map(|m| m.nests().to_vec())
-                .collect::<std::collections::HashSet<_>>()
-        };
-        let halton = distinct(&mut space.iter_sample_halton(200, 3));
-        let uniform = distinct(&mut space.iter_sample(200, StdRng::seed_from_u64(3)));
-        assert!(
-            halton.len() + 10 >= uniform.len(),
-            "halton {} vs uniform {}",
-            halton.len(),
-            uniform.len()
-        );
-    }
-
-    #[test]
     fn infeasible_space_yields_nothing() {
         // no slots for any dim but nonunit bounds -> empty space
         let e = Einsum::matmul(4, 4, 4);
@@ -1963,7 +1600,6 @@ mod tests {
             .with_temporal_order(1, vec![]);
         assert_eq!(space.iter_enumerate(10).count(), 0);
         assert_eq!(space.iter_sample(10, StdRng::seed_from_u64(0)).count(), 0);
-        assert_eq!(space.iter_sample_halton(10, 0).count(), 0);
     }
 
     #[test]
@@ -2203,8 +1839,8 @@ mod tests {
     #[test]
     fn a_dimension_that_fits_no_slot_empties_every_stream() {
         // a dimension of 8 whose only slot is spatial under fanout 4: its
-        // capped stream holds nothing, whether it is a within-block
-        // dimension (first) or a block dimension (last) of the shards
+        // capped stream holds nothing, whether it is the fastest (first)
+        // or the slowest (last) digit of the counter
         for bounds in [[8u64, 6], [6, 8]] {
             let tight = bounds.iter().position(|&b| b == 8).unwrap();
             let space = raw_space(
@@ -2224,7 +1860,6 @@ mod tests {
                 }
             }
             assert_eq!(space.iter_sample(16, StdRng::seed_from_u64(1)).count(), 0);
-            assert_eq!(space.iter_sample_halton(16, 1).count(), 0);
         }
     }
 }

@@ -212,7 +212,8 @@ proptest! {
     /// Shard streams report the same `ChangeDepth` contract within each
     /// shard, and every shard's first candidate reports `Reset` (the
     /// seam where no prefix may be assumed) — so sharded evaluation
-    /// never reuses state across shard boundaries.
+    /// never reuses state across shard boundaries. Limit 0 is a
+    /// `Random` strategy's prefix: no shard yields anything.
     #[test]
     fn shard_change_depths_hold_within_shards(
         m in 1u64..9, n in 1u64..9, k in 1u64..9,
@@ -227,30 +228,36 @@ proptest! {
             .build()
             .unwrap();
         let space = Mapspace::all_temporal(&e, &arch).with_spatial_dims(1, vec![DimId(0)]);
-        for mut shard in space.shards(shards, limit) {
-            let mut prev: Option<sparseloop_mapping::Mapping> = None;
-            while let Some((_, depth, mapping)) = shard.next_delta() {
-                match (depth, &prev) {
-                    (ChangeDepth::Reset, None) => {}
-                    (ChangeDepth::Reset, Some(_)) => {
-                        prop_assert!(false, "Reset must only open a shard");
+        // the sampled limit, then a Random strategy's empty prefix
+        for limit in [limit, 0] {
+            let mut yielded = 0;
+            for mut shard in space.shards(shards, limit) {
+                let mut prev: Option<sparseloop_mapping::Mapping> = None;
+                while let Some((_, depth, mapping)) = shard.next_delta() {
+                    match (depth, &prev) {
+                        (ChangeDepth::Reset, None) => {}
+                        (ChangeDepth::Reset, Some(_)) => {
+                            prop_assert!(false, "Reset must only open a shard");
+                        }
+                        (ChangeDepth::At { .. }, None) => {
+                            prop_assert!(false, "a shard's first candidate must Reset");
+                        }
+                        (ChangeDepth::At { level, loop_pos }, Some(p)) => {
+                            let pf = p.flattened();
+                            let cf = mapping.flattened();
+                            prop_assert_eq!(
+                                &pf[..loop_pos.min(pf.len())],
+                                &cf[..loop_pos.min(cf.len())]
+                            );
+                            prop_assert!(pf.get(loop_pos) != cf.get(loop_pos));
+                            prop_assert_eq!(&p.nests()[..level], &mapping.nests()[..level]);
+                        }
                     }
-                    (ChangeDepth::At { .. }, None) => {
-                        prop_assert!(false, "a shard's first candidate must Reset");
-                    }
-                    (ChangeDepth::At { level, loop_pos }, Some(p)) => {
-                        let pf = p.flattened();
-                        let cf = mapping.flattened();
-                        prop_assert_eq!(
-                            &pf[..loop_pos.min(pf.len())],
-                            &cf[..loop_pos.min(cf.len())]
-                        );
-                        prop_assert!(pf.get(loop_pos) != cf.get(loop_pos));
-                        prop_assert_eq!(&p.nests()[..level], &mapping.nests()[..level]);
-                    }
+                    prev = Some(mapping);
+                    yielded += 1;
                 }
-                prev = Some(mapping);
             }
+            prop_assert!(limit > 0 || yielded == 0, "an empty prefix yields nothing");
         }
     }
 }

@@ -13,6 +13,12 @@
 //! stays bit-identical under any worker-failure schedule, because a
 //! lost shard is simply recomputed.
 //!
+//! Worker `k` of `n` evaluates every `n`-th enumerated candidate of each
+//! search, starting at stream position `k`, and worker 0 also draws the
+//! seeded sample tail. Shards need no coordination — each generates the
+//! whole enumerated prefix and builds only its own candidates — so the
+//! workers' loads differ by about the tail.
+//!
 //! Supervision policy:
 //!
 //! * **Death detection** — a worker is dead when its frame stream ends

@@ -14,7 +14,7 @@ use sparseloop_core::{ActionOpt, Objective, SafSpec};
 use sparseloop_designs::scenario::MappingPolicy;
 use sparseloop_designs::{DesignPoint, Experiment, Scenario};
 use sparseloop_format::{FormatLevel, RankFormat, TensorFormat};
-use sparseloop_mapping::{Loop, Mapper, Mapping, Mapspace, SampleStrategy};
+use sparseloop_mapping::{Loop, Mapper, Mapping, Mapspace};
 use sparseloop_tensor::einsum::{
     Dim, DimId, Einsum, ProjectionTerm, RankProjection, TensorKind, TensorSpec,
 };
@@ -781,25 +781,11 @@ impl<'a> Compiler<'a> {
                 })
             }
             "hybrid" => {
-                self.deny_unknown(m, &["strategy", "enumerate", "samples", "seed", "sampling"])?;
-                let sampling = match self.get(m, "sampling") {
-                    Some(s) => match self.str_value(s)? {
-                        "uniform" => SampleStrategy::Uniform,
-                        "halton" => SampleStrategy::Halton,
-                        other => {
-                            return Err(self.err(
-                                s.span,
-                                format!("unknown sampling {other:?} (expected uniform or halton)"),
-                            ))
-                        }
-                    },
-                    None => SampleStrategy::Uniform,
-                };
+                self.deny_unknown(m, &["strategy", "enumerate", "samples", "seed"])?;
                 Ok(Mapper::Hybrid {
                     enumerate: self.usize_value(self.req(m, node.span, "enumerate")?)?,
                     samples: self.usize_value(self.req(m, node.span, "samples")?)?,
                     seed: self.u64_value(self.req(m, node.span, "seed")?)?,
-                    sampling,
                 })
             }
             other => Err(self.err(
@@ -1184,7 +1170,7 @@ experiments:
     workload: tiny
     search:
       objective: edp
-      mapper: {strategy: hybrid, enumerate: 16, samples: 4, seed: 7, sampling: uniform}
+      mapper: {strategy: hybrid, enumerate: 16, samples: 4, seed: 7}
       mapspace:
         temporal_order:
           - [m, n, k]

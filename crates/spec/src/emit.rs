@@ -16,7 +16,7 @@ use sparseloop_core::{ActionOpt, Objective, SafSpec};
 use sparseloop_designs::scenario::MappingPolicy;
 use sparseloop_designs::{Experiment, Scenario};
 use sparseloop_format::{RankFormat, TensorFormat};
-use sparseloop_mapping::{LoopKind, Mapper, Mapping, Mapspace, SampleStrategy};
+use sparseloop_mapping::{LoopKind, Mapper, Mapping, Mapspace};
 use sparseloop_tensor::einsum::{Einsum, TensorKind};
 use sparseloop_workloads::Layer;
 use std::collections::HashMap;
@@ -344,16 +344,9 @@ fn mapper_flow(mapper: &Mapper) -> String {
             enumerate,
             samples,
             seed,
-            sampling,
-        } => {
-            let sampling = match sampling {
-                SampleStrategy::Uniform => "uniform",
-                SampleStrategy::Halton => "halton",
-            };
-            format!(
-                "{{strategy: hybrid, enumerate: {enumerate}, samples: {samples}, seed: {seed}, sampling: {sampling}}}"
-            )
-        }
+        } => format!(
+            "{{strategy: hybrid, enumerate: {enumerate}, samples: {samples}, seed: {seed}}}"
+        ),
     }
 }
 

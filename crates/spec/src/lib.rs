@@ -62,7 +62,7 @@
 //!     workload: tiny
 //!     search:
 //!       objective: edp
-//!       mapper: {strategy: hybrid, enumerate: 256, samples: 128, seed: 7, sampling: uniform}
+//!       mapper: {strategy: hybrid, enumerate: 256, samples: 128, seed: 7}
 //!       mapspace:
 //!         temporal_order:
 //!           - [m, n, k]

@@ -31,7 +31,6 @@ fn searched_mapping_beats_naive_mapping() {
                 enumerate: 512,
                 samples: 256,
                 seed: 7,
-                sampling: sparseloop_mapping::SampleStrategy::Uniform,
             },
             Objective::Edp,
         )
@@ -63,12 +62,13 @@ fn capacity_constraints_prune_candidates() {
         arch,
         sparseloop_core::SafSpec::dense(),
     );
-    if let Some((mapping, eval)) = model.search_default(
+    let space = Mapspace::all_temporal(&layer.einsum, model.arch());
+    if let Some((mapping, eval)) = model.search(
+        &space,
         Mapper::Hybrid {
             enumerate: 1024,
             samples: 512,
             seed: 3,
-            sampling: sparseloop_mapping::SampleStrategy::Uniform,
         },
         Objective::Edp,
     ) {

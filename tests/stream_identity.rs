@@ -12,9 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparseloop_arch::{Architecture, LevelId};
 use sparseloop_designs::{MappingPolicy, ScenarioRegistry};
-use sparseloop_mapping::{
-    factorizations, ChangeDepth, Loop, Mapper, Mapping, Mapspace, SampleStrategy,
-};
+use sparseloop_mapping::{factorizations, ChangeDepth, Loop, Mapper, Mapping, Mapspace};
 use sparseloop_tensor::einsum::{DimId, Einsum};
 use std::collections::HashSet;
 
@@ -219,10 +217,9 @@ fn registry_search_streams_equal_the_reference_pipeline() {
                 enumerate,
                 samples,
                 seed,
-                sampling: SampleStrategy::Uniform,
             } = *mapper
             else {
-                panic!("{}: registry searches are uniform hybrids", exp.label);
+                panic!("{}: registry searches are hybrids", exp.label);
             };
             let reference = Reference::new(space, &exp.layer.einsum, &exp.design.arch);
             let got: Vec<(ChangeDepth, Mapping)> = mapper.delta_candidates(space).collect();
