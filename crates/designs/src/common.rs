@@ -174,7 +174,6 @@ pub fn matmul_mapping_3level(
 /// filter dims stay innermost, output channels may go spatial below the
 /// given level.
 pub fn conv_mapspace(e: &Einsum, arch: &Architecture, spatial_level: usize) -> Mapspace {
-    let dims: Vec<DimId> = (0..e.dims().len()).map(DimId).collect();
     let mut space = Mapspace::all_temporal(e, arch);
     // output channels (m) and input channels (c) are the natural spatial
     // candidates in conv accelerators
@@ -185,7 +184,6 @@ pub fn conv_mapspace(e: &Einsum, arch: &Architecture, spatial_level: usize) -> M
     if !spatial.is_empty() {
         space = space.with_spatial_dims(spatial_level, spatial);
     }
-    let _ = dims;
     space
 }
 

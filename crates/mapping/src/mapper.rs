@@ -33,7 +33,6 @@ use crate::loops::Mapping;
 use crate::mapspace::{CandidateKey, ChangeDepth, EnumerateIter, Mapspace, SampleIter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 use std::panic::resume_unwind;
 
 /// Statistics from one mapper run.
@@ -183,9 +182,11 @@ pub enum Mapper {
     },
     /// Enumerate up to a cap, then top up with samples — a simple
     /// hybrid that works well on medium mapspaces. Samples that duplicate
-    /// an enumerated candidate are dropped from the stream (the strategy
-    /// keeps a set of the enumerated prefix, so memory is O(`enumerate`)),
-    /// ensuring sampled draws only ever explore beyond the prefix.
+    /// an enumerated candidate are dropped from the stream, ensuring
+    /// sampled draws only ever explore beyond the prefix. A draw repeats
+    /// the prefix iff its stream position precedes where the prefix walk
+    /// stopped, so the test keeps no set: memory stays O(1) in
+    /// `enumerate`.
     Hybrid {
         /// Enumeration cap.
         enumerate: usize,
@@ -263,7 +264,8 @@ impl Mapper {
     /// walk, with no spawn. Shard `s` evaluates the enumerated stream
     /// positions `p` with `p % shards == s`; shard 0 then draws the
     /// seeded sample tail of a hybrid or random strategy, deduplicated
-    /// against the whole prefix exactly like the unsharded stream.
+    /// against the whole prefix exactly like the unsharded stream (its
+    /// walk stepped the counter over every prefix position).
     ///
     /// A panicking walk re-raises its own payload on the caller, after
     /// every other shard has finished.
@@ -406,13 +408,10 @@ impl<'a> ShardStream<'a> {
         let (enumerate, samples, seed) = mapper.budget();
         ShardStream {
             prefix: space.iter_shard(enumerate, shard, shards),
-            tail: (shard == 0 && samples > 0).then(|| SampleTail {
+            tail: (shard == 0 && samples > 0).then_some(SampleTail {
                 space,
-                seen: HashSet::new(),
-                regenerate: shards > 1,
                 draws: None,
                 drawn: 0,
-                key: Vec::new(),
                 enumerate,
                 samples,
                 seed,
@@ -426,9 +425,6 @@ impl Iterator for ShardStream<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         if let Some((depth, m)) = self.prefix.next_delta() {
-            if let Some(tail) = self.tail.as_mut().filter(|t| !t.regenerate) {
-                tail.remember(&self.prefix);
-            }
             return Some((self.prefix.position(), depth, m));
         }
         let (key, m) = self.tail.as_mut()?.next(&self.prefix)?;
@@ -440,39 +436,30 @@ impl Iterator for ShardStream<'_> {
 /// prefix yielded — re-evaluating a mapping enumeration already scored
 /// wastes the sample budget without changing the winner.
 ///
-/// Candidates are compared by dedup key (the per-slot factors the
-/// iterators already hold, see [`EnumerateIter::last_key`]), never by
-/// building, cloning or hashing mappings; memory is O(`enumerate`).
+/// Every draw is fanout-valid, so it sits at some position of the
+/// enumeration counter's walk, and the prefix is every valid position
+/// the walk passed before it stopped. Equal per-slot factors are equal
+/// mappings (a level lists a dimension at most once per loop kind), so
+/// a draw is a repeat iff the walk passed its factors
+/// ([`EnumerateIter::passed`]): an O(slots) test that keeps no set and
+/// builds no mapping for a repeat. Shard 0 of several asks its own
+/// strided walk, which stepped the counter over every prefix position.
 struct SampleTail<'a> {
     space: &'a Mapspace,
-    /// Dedup keys of the enumerated prefix.
-    seen: HashSet<Vec<u64>>,
-    /// The walk's prefix is one strided shard of several, so `seen`
-    /// cannot fill as it goes: the tail regenerates the whole prefix
-    /// (generation only, no mappings) when it starts.
-    regenerate: bool,
     /// The seeded draws, started by the first [`next`](SampleTail::next).
     draws: Option<SampleIter<'a, StdRng>>,
     /// Candidates the tail has yielded.
     drawn: u64,
-    /// Key buffer, reused across candidates.
-    key: Vec<u64>,
     enumerate: usize,
     samples: usize,
     seed: u64,
 }
 
 impl SampleTail<'_> {
-    /// Adds the prefix candidate `prefix` last yielded to the dedup set.
-    fn remember(&mut self, prefix: &EnumerateIter<'_>) {
-        prefix.last_key(&mut self.key);
-        self.seen.insert(self.key.clone());
-    }
-
     /// The next sampled candidate the prefix did not yield, keyed by its
     /// index in the tail; call once the walk's own `prefix` has run dry.
     /// Yields nothing when the prefix *covered* the space: every draw
-    /// would dedup away, so the tail's `20 × samples` draw budget would
+    /// would be a repeat, so the tail's `20 × samples` draw budget would
     /// be pure waste. The cover check is free — every shard steps the
     /// counter over the whole prefix, so any one of them knows whether
     /// it wrapped. `enumerate == 0` (a `Random` strategy) has no prefix:
@@ -483,24 +470,14 @@ impl SampleTail<'_> {
             if self.enumerate > 0 && prefix.space_exhausted() {
                 return None;
             }
-            let space = self.space;
-            if self.regenerate {
-                let mut whole = space.iter_enumerate(self.enumerate);
-                while whole.advance().is_some() {
-                    self.remember(&whole);
-                }
-            }
-            self.draws = Some(space.iter_sample(self.samples, StdRng::seed_from_u64(self.seed)));
+            self.draws = Some(
+                self.space
+                    .iter_sample(self.samples, StdRng::seed_from_u64(self.seed)),
+            );
         }
-        let draws = self.draws.as_mut().expect("draws started above");
-        loop {
-            let m = draws.next()?;
-            draws.last_key(&mut self.key);
-            if !self.seen.contains(&self.key) {
-                self.drawn += 1;
-                return Some((CandidateKey::sampled(self.drawn - 1), m));
-            }
-        }
+        let m = self.draws.as_mut()?.next_where(|f| !prefix.passed(f))?;
+        self.drawn += 1;
+        Some((CandidateKey::sampled(self.drawn - 1), m))
     }
 }
 
@@ -1020,9 +997,9 @@ mod tests {
 
     #[test]
     fn one_shard_walks_the_prefix_once_then_the_tail() {
-        // one shard walks the enumerated prefix once, remembering it for
-        // the tail's dedup as it goes: the worker sees the P prefix
-        // candidates, then the draws the prefix did not yield
+        // one shard walks the enumerated prefix once and the tail tests
+        // each draw against where that walk stopped: the worker sees the
+        // P prefix candidates, then the draws the prefix did not yield
         let space = setup();
         for (enumerate, samples, seed) in [(40, 60, 7), (10, 10, 1), (0, 30, 4)] {
             let mapper = Mapper::Hybrid {

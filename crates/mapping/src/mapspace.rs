@@ -365,13 +365,19 @@ impl Mapspace {
 
     /// Restricts level `l`'s temporal loops to the given dims, in the
     /// given outermost-first order.
+    ///
+    /// Panics if `dims` lists a dimension twice.
     pub fn with_temporal_order(mut self, level: usize, dims: Vec<DimId>) -> Self {
+        assert_distinct(level, &dims);
         self.temporal_order[level] = dims;
         self
     }
 
     /// Allows the given dims to be distributed spatially below `level`.
+    ///
+    /// Panics if `dims` lists a dimension twice.
     pub fn with_spatial_dims(mut self, level: usize, dims: Vec<DimId>) -> Self {
+        assert_distinct(level, &dims);
         self.spatial_dims[level] = dims;
         self
     }
@@ -514,20 +520,10 @@ impl Mapspace {
                 }
             })
             .collect();
-        let class = slots
-            .iter()
-            .map(|s| {
-                slots
-                    .iter()
-                    .position(|t| t == s)
-                    .expect("slot equals itself") as u64
-            })
-            .collect();
         SlotPlan {
             slots,
             per_dim,
             caps,
-            class,
             feasible,
             keep: Arc::new(self.keep.clone()),
         }
@@ -665,6 +661,15 @@ impl Mapspace {
     }
 }
 
+/// Panics if `dims` lists a dimension twice: a level's loops of one kind
+/// are a permutation, so equal per-slot factors are equal mappings.
+fn assert_distinct(level: usize, dims: &[DimId]) {
+    for (i, d) in dims.iter().enumerate() {
+        let twice = dims[..i].contains(d);
+        assert!(!twice, "level {level} lists dimension {} twice", d.0);
+    }
+}
+
 /// Slot layout shared by the candidate iterators.
 struct SlotPlan {
     slots: Vec<Slot>,
@@ -673,9 +678,6 @@ struct SlotPlan {
     /// Per slot, the most one factor may put there: the level's fanout
     /// for a spatial slot, unbounded for a temporal one.
     caps: Vec<u64>,
-    /// Per slot, the index of the first slot with the same level, dim
-    /// and kind (itself, unless a constraint lists a dim twice).
-    class: Vec<u64>,
     /// False when some dimension with bound > 1 has no slot.
     feasible: bool,
     /// Bypass configuration shared by every generated mapping.
@@ -687,20 +689,6 @@ impl SlotPlan {
     fn write_dim(&self, factors: &mut [u64], d: usize, f: &[u64]) {
         for (&slot, &v) in self.per_dim[d].iter().zip(f) {
             factors[slot] = v;
-        }
-    }
-
-    /// The dedup key of a candidate's per-slot factors: equal keys ⇔
-    /// equal mappings. Factor-1 slots vanish from a mapping, and twin
-    /// slots (same level, dim and kind) build the same loop, so the key
-    /// lists `(class, factor)` for the non-unit slots — the mapping's
-    /// loop nests, without building or hashing the mapping.
-    fn key_of(&self, factors: &[u64], key: &mut Vec<u64>) {
-        key.clear();
-        for (&class, &f) in self.class.iter().zip(factors) {
-            if f > 1 {
-                key.extend([class, f]);
-            }
         }
     }
 }
@@ -805,14 +793,6 @@ impl EnumerateIter<'_> {
     /// [`ChangeDepth`]). The first candidate reports
     /// [`ChangeDepth::Reset`].
     pub fn next_delta(&mut self) -> Option<(ChangeDepth, Mapping)> {
-        let depth = self.advance()?;
-        Some((depth, self.space.build_mapping(&self.plan, &self.last)))
-    }
-
-    /// [`next_delta`](EnumerateIter::next_delta) without building the
-    /// mapping: the candidate is left as its per-slot factors (see
-    /// [`last_key`](EnumerateIter::last_key)).
-    pub(crate) fn advance(&mut self) -> Option<ChangeDepth> {
         while !self.exhausted && self.produced < self.limit {
             let mut found = None;
             if self.space.fanout_ok(&self.plan.slots, &self.factors) {
@@ -832,17 +812,28 @@ impl EnumerateIter<'_> {
             // a stream that just yielded its space's last candidate
             // already knows it is exhausted
             self.exhausted = !self.counter.step(&self.plan, &mut self.factors);
-            if found.is_some() {
-                return found;
+            if let Some(depth) = found {
+                return Some((depth, self.space.build_mapping(&self.plan, &self.last)));
             }
         }
         None
     }
 
-    /// The dedup key of the last yielded candidate (equal keys ⇔ equal
-    /// mappings, across every iterator of one space).
-    pub(crate) fn last_key(&self, key: &mut Vec<u64>) {
-        self.plan.key_of(&self.last, key);
+    /// Whether this walk has stepped the counter past the position of
+    /// the fanout-valid per-slot `factors`, i.e. whether the stream so
+    /// far holds that candidate: every passed position is in it or
+    /// fanout-invalid. Positions order by digit, the last dimension most
+    /// significant, and a dimension's capped stream orders its
+    /// factorizations lexicographically by slot. O(slots). A walk that
+    /// never started passed nothing; one that wrapped covered the space,
+    /// and a caller must not ask it.
+    pub(crate) fn passed(&self, factors: &[u64]) -> bool {
+        debug_assert!(!self.exhausted || self.produced == 0, "walk wrapped");
+        let order = self.plan.per_dim.iter().rev().flatten();
+        order
+            .map(|&s| factors[s].cmp(&self.factors[s]))
+            .find(|o| o.is_ne())
+            .is_some_and(|o| o.is_lt())
     }
 
     /// The stream position of the last yielded candidate, as its
@@ -1167,17 +1158,10 @@ pub struct SampleIter<'a, R: Rng> {
 }
 
 impl<R: Rng> SampleIter<'_, R> {
-    /// The dedup key of the last yielded candidate (see
-    /// [`EnumerateIter::last_key`]).
-    pub(crate) fn last_key(&self, key: &mut Vec<u64>) {
-        self.plan.key_of(&self.draw.factors, key);
-    }
-}
-
-impl<R: Rng> Iterator for SampleIter<'_, R> {
-    type Item = Mapping;
-
-    fn next(&mut self) -> Option<Mapping> {
+    /// The next valid draw whose per-slot factors `keep` accepts: the
+    /// draws and their budget are [`Iterator::next`]'s, and a draw `keep`
+    /// rejects builds no mapping.
+    pub(crate) fn next_where(&mut self, keep: impl Fn(&[u64]) -> bool) -> Option<Mapping> {
         if !self.plan.feasible {
             return None;
         }
@@ -1185,10 +1169,20 @@ impl<R: Rng> Iterator for SampleIter<'_, R> {
             self.attempts += 1;
             if self.draw.attempt(self.space, &self.plan, &mut self.rng) {
                 self.produced += 1;
-                return Some(self.space.build_mapping(&self.plan, &self.draw.factors));
+                if keep(&self.draw.factors) {
+                    return Some(self.space.build_mapping(&self.plan, &self.draw.factors));
+                }
             }
         }
         None
+    }
+}
+
+impl<R: Rng> Iterator for SampleIter<'_, R> {
+    type Item = Mapping;
+
+    fn next(&mut self) -> Option<Mapping> {
+        self.next_where(|_| true)
     }
 }
 
@@ -1261,6 +1255,15 @@ mod tests {
             .compute(ComputeSpec::new("MAC", 4))
             .build()
             .unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "lists dimension 0 twice")]
+    fn a_level_lists_a_dimension_once_per_loop_kind() {
+        let e = Einsum::matmul(4, 4, 4);
+        let _ = Mapspace::all_temporal(&e, &arch())
+            .with_spatial_dims(1, vec![DimId(0)])
+            .with_temporal_order(1, vec![DimId(0), DimId(1), DimId(0)]);
     }
 
     #[test]

@@ -1,9 +1,42 @@
 //! Property-based tests for mappings and mapspaces.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sparseloop_arch::{ArchitectureBuilder, ComputeSpec, StorageLevel};
-use sparseloop_mapping::{factorizations, ChangeDepth, Mapspace};
+use sparseloop_mapping::{
+    factorizations, CandidateEvaluator, ChangeDepth, Loop, Mapper, Mapping, Mapspace,
+    WorkerEvaluator,
+};
 use sparseloop_tensor::einsum::{DimId, Einsum};
+use std::collections::HashSet;
+use std::sync::Mutex;
+
+/// Records the candidates one search walk is handed, in order, and
+/// prunes them all.
+#[derive(Default)]
+struct Recorder(Mutex<Vec<Mapping>>);
+
+impl CandidateEvaluator for Recorder {
+    fn evaluate(&self, _: &Mapping) -> Option<f64> {
+        None
+    }
+
+    fn worker(&self) -> Box<dyn WorkerEvaluator + '_> {
+        Box::new(self)
+    }
+}
+
+impl WorkerEvaluator for &Recorder {
+    fn precheck(&mut self, m: &Mapping, _: ChangeDepth) -> bool {
+        self.0.lock().unwrap().push(m.clone());
+        false
+    }
+
+    fn evaluate(&mut self, _: &Mapping, _: ChangeDepth) -> Option<f64> {
+        None
+    }
+}
 
 proptest! {
     /// Every ordered factorization multiplies back to n, and the count of
@@ -258,6 +291,69 @@ proptest! {
                 }
             }
             prop_assert!(limit > 0 || yielded == 0, "an empty prefix yields nothing");
+        }
+    }
+
+    /// The hybrid stream against a set-based oracle: the whole
+    /// enumerated prefix, then every draw of the seeded sampler whose
+    /// mapping the prefix does not hold (the oracle keys mappings by
+    /// their nests; every mapping of one space shares its bypasses).
+    /// Per shard, shard `s` of `n` walks the prefix positions
+    /// `p % n == s` in order and shard 0 then walks the tail — so the
+    /// shards merged by key are the oracle's stream. `enumerate` is 0,
+    /// below the space size or at/above it.
+    #[test]
+    fn hybrid_shards_equal_the_set_dedup_oracle(
+        m in 1u64..9, n in 1u64..9, k in 1u64..9,
+        fanout in 1u64..5,
+        spatial in 0usize..3,
+        order in 0usize..6,
+        cap in 0usize..3,
+        below in 0usize..1000,
+        samples in 1usize..60,
+        seed in any::<u64>(),
+    ) {
+        let e = Einsum::matmul(m, n, k);
+        let arch = ArchitectureBuilder::new("t")
+            .level(StorageLevel::new("L0"))
+            .level(StorageLevel::new("L1"))
+            .compute(ComputeSpec::new("MAC", fanout))
+            .build()
+            .unwrap();
+        let (a, b, c) = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)][order];
+        let spatial_dims = [vec![], vec![DimId(1)], vec![DimId(2), DimId(0)]][spatial].clone();
+        let space = Mapspace::all_temporal(&e, &arch)
+            .with_temporal_order(1, vec![DimId(a), DimId(b), DimId(c)])
+            .with_spatial_dims(1, spatial_dims);
+        let size = space.iter_enumerate(usize::MAX).count();
+        let enumerate = match cap {
+            0 => 0,
+            1 if size > 1 => 1 + below % (size - 1),
+            1 => 0,
+            _ => size + below % 3,
+        };
+        let prefix: Vec<Mapping> = space.iter_enumerate(enumerate).collect();
+        let seen: HashSet<Vec<Vec<Loop>>> = prefix.iter().map(|m| m.nests().to_vec()).collect();
+        let tail: Vec<Mapping> = space
+            .iter_sample(samples, StdRng::seed_from_u64(seed))
+            .filter(|m| !seen.contains(m.nests()))
+            .collect();
+        let mapper = Mapper::Hybrid { enumerate, samples, seed };
+        for shards in 1..=3 {
+            for shard in 0..shards {
+                let recorder = Recorder::default();
+                mapper.search_shard_counted(&space, &recorder, shard, shards);
+                let mut want: Vec<&Mapping> = prefix.iter().skip(shard).step_by(shards).collect();
+                if shard == 0 {
+                    want.extend(&tail);
+                }
+                let got = recorder.0.into_inner().unwrap();
+                prop_assert!(
+                    got.iter().eq(want.iter().copied()),
+                    "shard {} of {}, enumerate {} of {}, {} draws kept",
+                    shard, shards, enumerate, size, tail.len()
+                );
+            }
         }
     }
 }

@@ -816,6 +816,13 @@ impl<'a> Compiler<'a> {
                         format!("unknown dimension {name:?} (dims: {})", dim_names(einsum)),
                     ));
                 };
+                if dims.contains(&id) {
+                    // a level's loops of one kind are a permutation
+                    return Err(self.err(
+                        d.span,
+                        format!("dimension {name:?} listed twice on one level"),
+                    ));
+                }
                 dims.push(id);
             }
             Ok(dims)
@@ -1249,6 +1256,28 @@ experiments:
         let bad = MINI.replace("for k in 8]", "for k in 4]");
         let e = compile_str(&bad).unwrap_err();
         assert!(e.message.contains("invalid mapping"), "{e}");
+    }
+
+    #[test]
+    fn dimension_listed_twice_on_a_level_is_positioned() {
+        // Buf's temporal_order row, then its spatial_dims row
+        for (from, to) in [
+            (
+                "- [m, n, k]\n        spatial",
+                "- [m, n, m]\n        spatial",
+            ),
+            ("- [n]\n", "- [n, m, m]\n"),
+        ] {
+            let bad = MINI.replacen(from, to, 1);
+            assert_ne!(bad, MINI, "{from}");
+            // the offending entry: the row's second `m`
+            let at = bad.find(to).unwrap() + to.find("m]").unwrap();
+            let line = bad[..at].matches('\n').count() + 1;
+            let col = at - bad[..at].rfind('\n').unwrap();
+            let e = compile_str(&bad).unwrap_err();
+            assert!(e.message.contains("listed twice"), "{e}");
+            assert_eq!((e.span.line, e.span.col), (line, col), "{e}");
+        }
     }
 
     #[test]

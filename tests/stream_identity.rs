@@ -5,16 +5,20 @@
 //! factorization lists walked by a mixed-radix counter, one
 //! `gen_range`-driven peel per prime, a levels × slots fanout check,
 //! dedup by comparing mappings — written against public API only, and
-//! holds `Mapper::delta_candidates` to it on every search experiment of
-//! the scenario registry.
+//! holds `Mapper::delta_candidates`, and each shard of a 3-shard search,
+//! to it on every search experiment of the scenario registry.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparseloop_arch::{Architecture, LevelId};
 use sparseloop_designs::{MappingPolicy, ScenarioRegistry};
-use sparseloop_mapping::{factorizations, ChangeDepth, Loop, Mapper, Mapping, Mapspace};
+use sparseloop_mapping::{
+    factorizations, CandidateEvaluator, ChangeDepth, Loop, Mapper, Mapping, Mapspace,
+    WorkerEvaluator,
+};
 use sparseloop_tensor::einsum::{DimId, Einsum};
 use std::collections::HashSet;
+use std::sync::Mutex;
 
 /// One loop slot: `(level, dim, spatial)`.
 type Slot = (usize, DimId, bool);
@@ -204,6 +208,72 @@ fn divisors_above_one(n: u64) -> Vec<u64> {
     out
 }
 
+/// Records the candidates each search walk is handed, one list per
+/// walk, and prunes them all.
+#[derive(Default)]
+struct Recorder(Mutex<Vec<Vec<Mapping>>>);
+
+/// A walk's worker: records into list `.1` of its [`Recorder`].
+struct Walk<'a>(&'a Recorder, usize);
+
+impl CandidateEvaluator for Recorder {
+    fn evaluate(&self, _: &Mapping) -> Option<f64> {
+        None
+    }
+
+    fn worker(&self) -> Box<dyn WorkerEvaluator + '_> {
+        let mut walks = self.0.lock().unwrap();
+        walks.push(Vec::new());
+        Box::new(Walk(self, walks.len() - 1))
+    }
+}
+
+impl WorkerEvaluator for Walk<'_> {
+    fn precheck(&mut self, m: &Mapping, _: ChangeDepth) -> bool {
+        self.0 .0.lock().unwrap()[self.1].push(m.clone());
+        false
+    }
+
+    fn evaluate(&mut self, _: &Mapping, _: ChangeDepth) -> Option<f64> {
+        None
+    }
+}
+
+/// The walks of `mapper.search_shards(space, _, 3)` are the reference
+/// stream split by position: shard `s` holds the prefix positions
+/// `p % 3 == s`, in order, and shard 0 then holds the sample tail.
+fn assert_shards_split_the_stream(
+    label: &str,
+    mapper: &Mapper,
+    space: &Mapspace,
+    want: &[(ChangeDepth, Mapping)],
+    prefix: usize,
+) {
+    let recorder = Recorder::default();
+    mapper.search_shards(space, &recorder, 3);
+    // the walks open in any order: match each to the shard it equals
+    let mut walks = recorder.0.into_inner().unwrap();
+    assert_eq!(walks.len(), 3, "{label}: one walk per shard");
+    for shard in 0..3 {
+        let mut expected: Vec<&Mapping> = want[..prefix]
+            .iter()
+            .skip(shard)
+            .step_by(3)
+            .map(|(_, m)| m)
+            .collect();
+        if shard == 0 {
+            expected.extend(want[prefix..].iter().map(|(_, m)| m));
+        }
+        let Some(i) = walks
+            .iter()
+            .position(|w| w.iter().eq(expected.iter().copied()))
+        else {
+            panic!("{label}: no walk yields shard {shard} of 3");
+        };
+        walks.swap_remove(i);
+    }
+}
+
 #[test]
 fn registry_search_streams_equal_the_reference_pipeline() {
     let mut experiments = 0;
@@ -228,6 +298,9 @@ fn registry_search_streams_equal_the_reference_pipeline() {
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g, w, "{}/{} candidate {i}", scenario.name(), exp.label);
             }
+            let label = format!("{}/{}", scenario.name(), exp.label);
+            let prefix = reference.enumerate(enumerate).len();
+            assert_shards_split_the_stream(&label, mapper, space, &want, prefix);
             // the pure strategies, on a seed the registry does not use
             let random = Mapper::Random {
                 samples: 16,
