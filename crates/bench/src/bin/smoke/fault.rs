@@ -4,7 +4,8 @@
 //!
 //! * parent-side SIGKILL at every frame offset 0..4,
 //! * worker death at every checkpoint (startup, after the handshake,
-//!   after compute but before the result frame),
+//!   after compute but before the result frame), each booked as exactly
+//!   one EOF death,
 //! * a heartbeat stall, a corrupted result frame, a dropped result
 //!   frame,
 //! * slowed frames ([`WorkerFault::SlowFrames`]): late results that must
@@ -36,6 +37,10 @@ struct Case {
     expect_restarts: bool,
     /// The death must have been detected by heartbeat silence.
     expect_heartbeat_timeout: bool,
+    /// Exactly this many deaths must be booked as the frame stream
+    /// ending, whether the parent saw the end of stream or a failed
+    /// send first.
+    expect_eof_deaths: Option<u64>,
 }
 
 impl Case {
@@ -46,6 +51,7 @@ impl Case {
             plan,
             expect_restarts: false,
             expect_heartbeat_timeout: false,
+            expect_eof_deaths: None,
         }
     }
 
@@ -59,17 +65,28 @@ impl Case {
         self
     }
 
-    fn check_stats(&self, stats: &HostStats) -> Option<&'static str> {
+    fn eof_deaths(mut self, deaths: u64) -> Self {
+        self.expect_eof_deaths = Some(deaths);
+        self
+    }
+
+    fn check_stats(&self, stats: &HostStats) -> Option<String> {
         if stats.degraded != 0 {
-            return Some("request degraded to in-process (workers never ran)");
+            return Some("request degraded to in-process (workers never ran)".into());
         }
         if self.expect_restarts && stats.restarts == 0 {
-            return Some("fault injected but no worker death was survived");
+            return Some("fault injected but no worker death was survived".into());
         }
         if self.expect_heartbeat_timeout && stats.deaths_heartbeat_timeout == 0 {
-            return Some("silent worker was never timed out by heartbeat audit");
+            return Some("silent worker was never timed out by heartbeat audit".into());
         }
-        None
+        match self.expect_eof_deaths {
+            Some(want) if stats.deaths_eof != want => Some(format!(
+                "{} EOF deaths booked, want {want}",
+                stats.deaths_eof
+            )),
+            _ => None,
+        }
     }
 }
 
@@ -89,7 +106,11 @@ fn cases() -> Vec<Case> {
     ] {
         for slot in [0u32, 1] {
             let plan = FaultPlan::none().with(slot, WorkerFault::DieAt(die));
-            cases.push(Case::new(format!("worker dies {tag} (slot {slot})"), 2, plan).restarts());
+            cases.push(
+                Case::new(format!("worker dies {tag} (slot {slot})"), 2, plan)
+                    .restarts()
+                    .eof_deaths(1),
+            );
         }
     }
     let stall = FaultPlan::none().with(1, WorkerFault::StallBeforeResult);
@@ -154,7 +175,7 @@ pub fn run(failures: &mut Vec<String>) {
             Err(e) => Some(format!("request did not resolve: {e}")),
             Ok(reply) => reply_drift(&references[case.shards - 2], &reply)
                 .map(|why| format!("NON-BIT-IDENTICAL: {why}"))
-                .or_else(|| case.check_stats(&stats).map(String::from)),
+                .or_else(|| case.check_stats(&stats)),
         };
         row(&[
             case.name.clone(),

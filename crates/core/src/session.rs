@@ -167,9 +167,11 @@ impl ShardExecutor for LocalShards {
 }
 
 /// Shards already walked elsewhere — by worker processes, each running
-/// [`Model::search_shard_counted`]: `self.0[k][i]` is shard `k`'s raw
-/// result for job `i`. A shard with no entry for a job contributes
-/// nothing.
+/// [`Model::search_shard_counted`]: `self.0[k][i]` is worker `k`'s raw
+/// part of job `i`, one logical shard of its stream. Which worker walked
+/// which logical shard does not matter: the parts are merged by
+/// `(value, key)` and their stats summed. A worker with no entry for a
+/// job contributes nothing.
 #[derive(Debug, Clone)]
 pub struct ReturnedShards(pub Vec<Vec<(Option<ShardWinner>, SearchStats)>>);
 

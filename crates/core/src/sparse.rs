@@ -427,16 +427,11 @@ pub(crate) fn analyze_into(
                     .checked_shl(l.0 as u32)
                     .expect("at most 64 tensors supported in leader sets");
                 einsum.tensor_tile_shape_into(l, &de.reuse_bounds, shape);
-                surv_here *= 1.0 - workload.prob_tile_empty_with(l, shape, rank_buf);
-            }
-            if !any_cross {
-                continue;
-            }
-            // per-leader survival at this granularity, kept at the finest
-            // level seen (for deduplicated compute classification)
-            for l in cross() {
-                einsum.tensor_tile_shape_into(l, &de.reuse_bounds, shape);
                 let s_l = 1.0 - workload.prob_tile_empty_with(l, shape, rank_buf);
+                surv_here *= s_l;
+                // per-leader survival at this granularity, kept at the
+                // finest level seen (for deduplicated compute
+                // classification)
                 let map = match saf.action {
                     ActionOpt::Skip => &mut tracker.skip_leader_surv,
                     ActionOpt::Gate => &mut tracker.gate_leader_surv,
@@ -445,6 +440,9 @@ pub(crate) fn analyze_into(
                 if s_l < *entry {
                     *entry = s_l;
                 }
+            }
+            if !any_cross {
+                continue;
             }
             let (surv_map, frac_slot) = match saf.action {
                 ActionOpt::Skip => (&mut tracker.skip_surv, &mut local_skip),
@@ -467,15 +465,15 @@ pub(crate) fn analyze_into(
         }
 
         // --- representation format -------------------------------------
-        let format = safs.format_at(de.level, t).cloned();
-        let compressed = format.as_ref().map(|f| f.is_compressed()).unwrap_or(false);
+        let format = safs.format_at(de.level, t);
+        let compressed = format.is_some_and(TensorFormat::is_compressed);
         let model = workload.density(t);
         let analyze_tile = |f: &TensorFormat, shape: &[u64]| match cache {
             Some(view) => view.analyze(de.level, t, f, shape, model.as_ref()),
             None => f.analyze(shape, model.as_ref()),
         };
         let (occ_words, occ_meta, max_words, max_meta, md_per_read_tile, md_per_fill_tile) =
-            match &format {
+            match format {
                 Some(f) => {
                     let held = analyze_tile(f, &de.tile_shape);
                     let child = analyze_tile(f, &de.child_tile_shape);

@@ -22,6 +22,7 @@ use crate::protocol::{
     read_frame, write_frame, write_frame_raw, ExpResult, Frame, ProtocolError, PROTOCOL_VERSION,
 };
 use sparseloop_core::{EvalSession, JobPlan};
+use sparseloop_designs::Scenario;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
@@ -160,23 +161,66 @@ struct TaskPhases {
     evaluated: u64,
 }
 
-/// Compiles `spec` and evaluates this worker's shard of every search
-/// experiment; fixed-mapping experiments are [`ExpResult::Skipped`]
-/// (the parent evaluates them locally — no candidate stream to shard).
-/// A compile error is a deterministic failure.
+/// Most compiled specs a worker keeps. A fleet serves a handful of
+/// distinct scenarios over and over; the bound only stops a stream of
+/// distinct specs from growing a worker without limit.
+const SPEC_CACHE_CAPACITY: usize = 64;
+
+/// The worker's compiled scenarios, keyed by their exact spec text and
+/// evicted oldest-first once [`SPEC_CACHE_CAPACITY`] are held. A spec
+/// that fails to compile is never cached, so it fails again, the same
+/// way, every time it is sent.
+#[derive(Default)]
+struct SpecCache(VecDeque<(String, Scenario)>);
+
+impl SpecCache {
+    /// The scenario `spec` compiles to, compiling it on a miss.
+    fn get_or_compile(&mut self, spec: &str) -> Result<&Scenario, String> {
+        let at = match self.0.iter().position(|(text, _)| text == spec) {
+            Some(at) => at,
+            None => {
+                let scenario = sparseloop_spec::compile_str(spec)
+                    .map_err(|e| e.to_string())?
+                    .into_scenario();
+                if self.0.len() == SPEC_CACHE_CAPACITY {
+                    self.0.pop_front();
+                }
+                self.0.push_back((spec.to_string(), scenario));
+                self.0.len() - 1
+            }
+        };
+        Ok(&self.0[at].1)
+    }
+}
+
+/// Compiles `spec` (through the worker's cache) and walks one shard of
+/// every search experiment; fixed-mapping experiments are
+/// [`ExpResult::Skipped`] (the parent evaluates them locally — no
+/// candidate stream to shard). A compile error is a deterministic
+/// failure.
+///
+/// Worker `worker` of `shards` walks logical shard `(worker + j) %
+/// shards` of its `j`-th search experiment. Logical shard 0 also draws
+/// the seeded sample tail, so the tails rotate across the workers
+/// instead of all landing on worker 0. The parent merges every worker's
+/// part of an experiment by `(value, key)` and sums the stats, so the
+/// rotation never shows in the reply.
 fn run_task(
+    specs: &mut SpecCache,
     spec: &str,
-    shard: usize,
+    worker: usize,
     shards: usize,
 ) -> Result<(Vec<ExpResult>, TaskPhases), String> {
     let mut phases = TaskPhases::default();
     let compile_start = std::time::Instant::now();
-    let scenario = sparseloop_spec::compile_str(spec)
-        .map_err(|e| e.to_string())?
-        .into_scenario();
+    let scenario = specs.get_or_compile(spec)?;
     phases.compile_nanos = elapsed_nanos(compile_start);
+    if worker >= shards {
+        return Err(format!("shard index {worker} out of {shards}"));
+    }
     let session = EvalSession::new();
     let mut results = Vec::new();
+    let mut searches = 0;
     let search_start = std::time::Instant::now();
     for exp in scenario.experiments() {
         let job = exp.job();
@@ -187,6 +231,8 @@ fn run_task(
                 mapper,
                 objective,
             } => {
+                let shard = (worker + searches) % shards;
+                searches += 1;
                 let model = session.model(job.workload, job.arch, job.safs);
                 let (winner, stats) =
                     model.search_shard_counted(&space, mapper, objective, shard, shards);
@@ -226,6 +272,7 @@ where
     W: Write + Send + 'static,
 {
     let mut fault = fault;
+    let mut specs = SpecCache::default();
     let writer = Arc::new(Mutex::new(writer));
     if matches!(fault, Some(WorkerFault::DieAt(DiePoint::Startup))) {
         return;
@@ -282,7 +329,7 @@ where
                     })
                 });
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_task(&spec, shard as usize, shards as usize)
+                    run_task(&mut specs, &spec, shard as usize, shards as usize)
                 }));
                 drop(alive);
                 if let Some(h) = heartbeater {
@@ -666,12 +713,242 @@ mod tests {
         let mut handle = ThreadSpawner.spawn(0, 1, None, tx).unwrap();
         // hello
         let _ = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        handle.send(&task(3, 0, BAD_SPEC)).unwrap();
-        match rx.recv_timeout(Duration::from_secs(5)).unwrap().kind {
-            EventKind::Frame(Frame::TaskFailed { id: 3, .. }) => {}
-            other => panic!("expected deterministic failure, got {other:?}"),
+        // a failed compile is not cached: the resend fails the same way
+        let mut messages = Vec::new();
+        for id in [3, 4] {
+            handle.send(&task(id, 0, BAD_SPEC)).unwrap();
+            match next_frame(&rx) {
+                Frame::TaskFailed { id: got, message } if got == id => messages.push(message),
+                other => panic!("task {id}: expected deterministic failure, got {other:?}"),
+            }
         }
+        assert_eq!(messages[0], messages[1]);
         handle.kill();
+    }
+
+    #[test]
+    fn spec_cache_compiles_each_text_once() {
+        let mut specs = SpecCache::default();
+        let text = spmspm_spec(4, Some(16));
+        let first: *const Scenario = specs.get_or_compile(&text).unwrap();
+        let again: *const Scenario = specs.get_or_compile(&text).unwrap();
+        assert_eq!(specs.0.len(), 1);
+        assert!(std::ptr::eq(first, again), "a hit must not recompile");
+
+        // one byte apart: its own entry and its own answer
+        let at = text.find("density: 0.5").expect("emitted density") + "density: 0.".len();
+        let mut tweaked = text.clone().into_bytes();
+        tweaked[at] = b'6';
+        let tweaked = String::from_utf8(tweaked).unwrap();
+        let (ours, _) = run_task(&mut specs, &text, 0, 1).unwrap();
+        let (theirs, _) = run_task(&mut specs, &tweaked, 0, 1).unwrap();
+        assert_eq!(specs.0.len(), 2);
+        assert_ne!(ours, theirs, "a denser operand must change the search");
+        let fresh = |spec: &str| run_task(&mut SpecCache::default(), spec, 0, 1).unwrap().0;
+        assert_eq!(ours, fresh(&text));
+        assert_eq!(theirs, fresh(&tweaked));
+
+        for _ in 0..2 {
+            assert!(specs.get_or_compile(BAD_SPEC).is_err());
+        }
+        assert_eq!(specs.0.len(), 2, "a failed compile is never cached");
+    }
+
+    #[test]
+    fn spec_cache_holds_at_most_its_capacity() {
+        let mut specs = SpecCache::default();
+        let text = spmspm_spec(4, None);
+        let named = |i: usize| text.replacen("tiny", &format!("tiny{i}"), 1);
+        for i in 0..SPEC_CACHE_CAPACITY + 3 {
+            let scenario = specs.get_or_compile(&named(i)).unwrap();
+            assert_eq!(scenario.name(), format!("tiny{i}"));
+            assert!(specs.0.len() <= SPEC_CACHE_CAPACITY);
+        }
+        assert_eq!(specs.0.len(), SPEC_CACHE_CAPACITY);
+        // the oldest entries went first
+        assert!(specs
+            .0
+            .iter()
+            .all(|(t, _)| *t != named(0) && *t != named(2)));
+        assert!(specs.0.iter().any(|(t, _)| *t == named(3)));
+    }
+
+    /// Enumerated prefix of every [`hybrid_scenario`] search: far short
+    /// of its mapspace, so each search draws a sample tail.
+    const TAIL_PREFIX: usize = 8;
+
+    /// Four hybrid searches that each draw a sample tail, with a
+    /// fixed-mapping experiment second (it takes no turn in the
+    /// rotation).
+    fn hybrid_scenario() -> sparseloop_designs::Scenario {
+        use sparseloop_designs::{Experiment, MappingPolicy, Scenario};
+        use sparseloop_mapping::{Mapper, Mapspace};
+        Scenario::new("tails", "hybrid searches with sample tails", || {
+            let mut exps = Vec::new();
+            for (j, dim) in [6u64, 8, 10, 12].into_iter().enumerate() {
+                let layer = sparseloop_workloads::spmspm(dim, dim, dim, 0.5, 0.3);
+                let dp = sparseloop_designs::fig1::bitmask_design(&layer.einsum);
+                let space = Mapspace::all_temporal(&layer.einsum, &dp.arch);
+                if j == 1 {
+                    let mapping = space.enumerate(1).remove(0);
+                    let (dp, layer) = (dp.clone(), layer.clone());
+                    exps.push(Experiment::fixed("tails@fixed", dp, layer, mapping));
+                }
+                let mut exp = Experiment::search(format!("tails@{dim}"), dp, layer, space);
+                if let MappingPolicy::Search { mapper, .. } = &mut exp.policy {
+                    *mapper = Mapper::Hybrid {
+                        enumerate: TAIL_PREFIX,
+                        samples: 6,
+                        seed: j as u64 + 1,
+                    };
+                }
+                exps.push(exp);
+            }
+            exps
+        })
+    }
+
+    /// Logical shard `s` of `shards` of every search experiment of
+    /// `scenario`, walked in process, in experiment order.
+    fn logical_shards(
+        scenario: &sparseloop_designs::Scenario,
+        mapper_of: impl Fn(sparseloop_mapping::Mapper) -> sparseloop_mapping::Mapper,
+        s: usize,
+        shards: usize,
+    ) -> Vec<ExpResult> {
+        let session = EvalSession::new();
+        let mut walks = Vec::new();
+        for exp in scenario.experiments() {
+            let job = exp.job();
+            if let JobPlan::Search {
+                space,
+                mapper,
+                objective,
+            } = job.plan
+            {
+                let model = session.model(job.workload, job.arch, job.safs);
+                let (winner, stats) =
+                    model.search_shard_counted(&space, mapper_of(mapper), objective, s, shards);
+                walks.push(match winner {
+                    Some((value, key, mapping)) => ExpResult::Winner {
+                        value,
+                        key,
+                        stats,
+                        mapping,
+                    },
+                    None => ExpResult::NoWinner { stats },
+                });
+            }
+        }
+        walks
+    }
+
+    fn stats_of(result: &ExpResult) -> sparseloop_mapping::SearchStats {
+        match result {
+            ExpResult::Winner { stats, .. } | ExpResult::NoWinner { stats } => *stats,
+            ExpResult::Skipped => panic!("a search experiment came back skipped"),
+        }
+    }
+
+    #[test]
+    fn worker_walks_a_rotated_logical_shard_per_search() {
+        let text = sparseloop_spec::emit_scenario(&hybrid_scenario());
+        let scenario = sparseloop_spec::compile_str(&text).unwrap().into_scenario();
+        for shards in [2usize, 3] {
+            let walks: Vec<_> = (0..shards)
+                .map(|s| logical_shards(&scenario, |m| m, s, shards))
+                .collect();
+            for worker in 0..shards {
+                let (results, _) =
+                    run_task(&mut SpecCache::default(), &text, worker, shards).unwrap();
+                assert!(matches!(results[1], ExpResult::Skipped));
+                let searches: Vec<_> = results
+                    .iter()
+                    .filter(|r| !matches!(r, ExpResult::Skipped))
+                    .collect();
+                assert_eq!(searches.len(), 4);
+                for (j, got) in searches.into_iter().enumerate() {
+                    let want = &walks[(worker + j) % shards][j];
+                    assert_eq!(got, want, "worker {worker}/{shards}, search {j}");
+                }
+            }
+        }
+        let refused = run_task(&mut SpecCache::default(), &text, 2, 2);
+        assert!(refused.is_err(), "a worker index past the shard count");
+    }
+
+    #[test]
+    fn every_worker_draws_some_sample_tail() {
+        use sparseloop_mapping::Mapper;
+        let text = sparseloop_spec::emit_scenario(&hybrid_scenario());
+        let scenario = sparseloop_spec::compile_str(&text).unwrap().into_scenario();
+        // logical shard 0's prefix share is the larger one; a walk that
+        // generated more than it drew a tail
+        let prefix_only = logical_shards(
+            &scenario,
+            |_| Mapper::Exhaustive { limit: TAIL_PREFIX },
+            0,
+            2,
+        );
+        // the workers that drew each search's tail
+        let mut owners = vec![Vec::new(); prefix_only.len()];
+        for worker in 0..2 {
+            let (tx, rx) = mpsc::channel();
+            let mut handle = ThreadSpawner.spawn(worker, 1, None, tx).unwrap();
+            assert!(matches!(next_frame(&rx), Frame::Hello { .. }));
+            let mut frame = task(9, 0, text.clone());
+            if let Frame::Task { shard, shards, .. } = &mut frame {
+                (*shard, *shards) = (worker, 2);
+            }
+            handle.send(&frame).unwrap();
+            let results = match next_frame(&rx) {
+                Frame::TaskDone { results, .. } => results,
+                other => panic!("worker {worker}: expected TaskDone, got {other:?}"),
+            };
+            handle.kill();
+            let searches = results.iter().filter(|r| !matches!(r, ExpResult::Skipped));
+            for (j, (got, prefix)) in searches.zip(&prefix_only).enumerate() {
+                if stats_of(got).generated > stats_of(prefix).generated {
+                    owners[j].push(worker);
+                }
+            }
+        }
+        assert!(
+            owners.iter().all(|o| o.len() == 1),
+            "one tail per search: {owners:?}"
+        );
+        for worker in 0..2 {
+            assert!(
+                owners.contains(&vec![worker]),
+                "worker {worker} drew no tail: {owners:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rotated_fleet_matches_the_in_process_run() {
+        use crate::supervisor::{HostConfig, ShardHost};
+        let text = sparseloop_spec::emit_scenario(&hybrid_scenario());
+        let scenario = sparseloop_spec::compile_str(&text).unwrap().into_scenario();
+        for shards in [2usize, 3] {
+            let want =
+                crate::service::scenario_reply(scenario.run(&EvalSession::new(), Some(shards)));
+            let config = HostConfig::default()
+                .with_shards(shards)
+                .with_heartbeat(10, Duration::from_secs(5));
+            let mut host = ShardHost::new(config, ThreadSpawner);
+            // twice: the second request hits every worker's spec cache
+            for round in 0..2 {
+                let got = host
+                    .run(&scenario, &text, &EvalSession::new(), None)
+                    .unwrap();
+                assert_eq!(
+                    crate::service::reply_drift(&want, &got),
+                    None,
+                    "shards={shards} round={round}"
+                );
+            }
+        }
     }
 
     /// Spec text of a one-experiment spMspM scenario on a `dim`³ layer:

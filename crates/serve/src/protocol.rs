@@ -84,7 +84,8 @@ pub enum Frame {
     Task {
         /// Request id; echoed in every worker response.
         id: u64,
-        /// The shard index this worker owns.
+        /// The worker's index: its `j`-th search experiment walks
+        /// logical shard `(shard + j) % shards`.
         shard: u32,
         /// Total shard count of the request.
         shards: u32,

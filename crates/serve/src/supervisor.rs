@@ -13,11 +13,19 @@
 //! stays bit-identical under any worker-failure schedule, because a
 //! lost shard is simply recomputed.
 //!
-//! Worker `k` of `n` evaluates every `n`-th enumerated candidate of each
-//! search, starting at stream position `k`, and worker 0 also draws the
-//! seeded sample tail. Shards need no coordination — each generates the
-//! whole enumerated prefix and builds only its own candidates — so the
-//! workers' loads differ by about the tail.
+//! Logical shard `s` of `n` of a search evaluates every `n`-th enumerated
+//! candidate, starting at stream position `s`, and logical shard 0 also
+//! draws the seeded sample tail. Worker `k` walks logical shard
+//! `(k + j) % n` of its `j`-th search experiment, so the tails rotate
+//! across the workers. Shards need no coordination — each generates the
+//! whole enumerated prefix and builds only its own candidates — so a
+//! worker's load is its share of the prefixes plus the tails it drew.
+//! The merge cannot tell which worker walked which logical shard, and a
+//! re-dispatched worker `k` walks the same ones again.
+//!
+//! Each worker keeps the scenarios it compiled, keyed by exact spec
+//! text, so a spec served again costs it a lookup instead of a
+//! compile.
 //!
 //! Supervision policy:
 //!
@@ -207,7 +215,7 @@ pub struct HostStats {
     /// Workers spawned (first spawns + restarts).
     pub spawns: u64,
     /// Worker deaths survived (each triggers a backoff + respawn).
-    /// Also counts spawn/send failures and injected kills, so
+    /// Also counts spawn failures and injected kills, so
     /// `restarts >= deaths_eof + deaths_heartbeat_timeout` need not
     /// hold as an equality.
     pub restarts: u64,
@@ -215,7 +223,9 @@ pub struct HostStats {
     pub redispatches: u64,
     /// Deaths observed as the worker's frame stream ending: clean EOF,
     /// pipe error, or a corrupt frame — the worker is gone or
-    /// unusable either way.
+    /// unusable either way. A task that cannot be sent because the
+    /// worker is already gone counts here too, once: whichever of the
+    /// failed send and the end of stream is seen first books the death.
     pub deaths_eof: u64,
     /// Deaths declared by the heartbeat audit: an outstanding slot
     /// silent past [`HostConfig::heartbeat_timeout`], killed by the
@@ -744,6 +754,10 @@ impl<S: WorkerSpawner> ShardHost<S> {
                 }
             }
             if let Err(e) = self.send_task(slot, task) {
+                // the send failed because the worker's stream already
+                // ended: the same death its `Exited` event would report,
+                // which the epoch check now discards as stale
+                self.stats.deaths_eof += 1;
                 self.drop_slot(slot);
                 self.retire_attempt(slot, attempts, e.to_string(), task.deadline)?;
                 continue;
@@ -1067,6 +1081,24 @@ mod tests {
                     "die={die:?} slot={slot}: a death must have been survived"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_startup_death_is_booked_once_whichever_side_sees_it_first() {
+        // the worker dies before its task is sent: either the send fails
+        // on the dead pipe or the send lands and the stream's end follows
+        let text = sparseloop_spec::emit_scenario(&small_scenario());
+        for run_no in 0..30 {
+            let plan = FaultPlan::none().with(0, WorkerFault::DieAt(DiePoint::Startup));
+            let mut host = ShardHost::new(fast_config(2).with_fault_plan(plan), ThreadSpawner);
+            run(&mut host, &text).unwrap();
+            let stats = host.stats();
+            assert_eq!(
+                (stats.deaths_eof, stats.restarts),
+                (1, 1),
+                "run {run_no}: {stats:?}"
+            );
         }
     }
 
