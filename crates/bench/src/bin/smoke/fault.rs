@@ -2,16 +2,21 @@
 //! [`ShardHost`] and drives a deterministic failure matrix through
 //! them:
 //!
-//! * parent-side SIGKILL at every frame offset 0..4,
-//! * worker death at every checkpoint (startup, after the handshake,
-//!   after compute but before the result frame), each booked as exactly
-//!   one EOF death,
+//! * SIGKILL at every frame offset 0..4,
+//! * the worker's stream ending at every checkpoint (startup, after the
+//!   handshake, after compute in place of the result frame), each
+//!   booked as exactly one EOF death,
 //! * a heartbeat stall, a corrupted result frame, a dropped result
 //!   frame,
 //! * slowed frames ([`WorkerFault::SlowFrames`]): late results that must
 //!   ride through untouched,
 //! * seeded pseudo-random schedules ([`FaultPlan::from_seed`]), so the
 //!   gate sweeps failure combinations nobody hand-picked.
+//!
+//! The parent executes every fault: the supervisor delivers the
+//! SIGKILLs, and the thread reading each worker's frame stream ends,
+//! swallows, delays or corrupts what it forwards. The workers run the
+//! unmodified production binary.
 //!
 //! Every request must complete, and its merged winners must be
 //! bit-identical to the in-process `Scenario::run` reference. Every

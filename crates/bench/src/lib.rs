@@ -2,15 +2,14 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation (`src/bin/`; the README maps each to its paper figure),
-//! plus Criterion micro-benchmarks.
+//! plus the `smoke` gate and the `sparseloop` CLI. Speed is measured by
+//! slbench (`benchmark/`), not here.
 //!
 //! Run an experiment with e.g.
 //! `cargo run --release -p sparseloop-bench --bin fig01_format_tradeoff`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparseloop_core::{Model, Workload};
-use sparseloop_mapping::{Mapper, Mapspace};
 use sparseloop_tensor::einsum::TensorKind;
 use sparseloop_tensor::{point::Shape, SparseTensor};
 use sparseloop_workloads::Layer;
@@ -101,27 +100,6 @@ pub fn concrete_tensors(layer: &Layer, seed: u64) -> Vec<SparseTensor> {
         .collect()
 }
 
-/// The fixed capacity-constrained search scenario of the `bench_mapper`
-/// criterion benches.
-///
-/// spMspM 64x64x64 at 50% density on the Fig. 1 bitmask design with the
-/// buffer shrunk to 1024 words (a realistic on-chip size, so tiling
-/// actually fights for capacity and the precheck has work to do).
-pub fn tight_search_scenario() -> (Model, Mapspace, Mapper) {
-    let layer = sparseloop_workloads::spmspm(64, 64, 64, 0.5, 0.5);
-    let dp = sparseloop_designs::fig1::bitmask_design(&layer.einsum);
-    let mut levels = dp.arch.levels().to_vec();
-    levels[1].capacity_words = Some(1024);
-    let arch = sparseloop_arch::Architecture::new("tight", levels, dp.arch.compute().clone());
-    let model = Model::new(
-        Workload::new(layer.einsum.clone(), layer.densities.clone()),
-        arch.clone(),
-        dp.safs.clone(),
-    );
-    let space = Mapspace::all_temporal(&layer.einsum, &arch);
-    (model, space, Mapper::Exhaustive { limit: 4000 })
-}
-
 /// Writes a metrics snapshot as Prometheus-style text
 /// (`sparseloop stats --metrics-snapshot`), failing the run on I/O
 /// errors: an unwritable snapshot is a broken contract, not a warning.
@@ -131,21 +109,6 @@ pub fn write_metrics_snapshot(path: &std::path::Path, snap: &sparseloop_obs::Met
         std::process::exit(1);
     }
     println!("metrics snapshot written to {}", path.display());
-}
-
-#[cfg(test)]
-mod scenario_tests {
-    use super::*;
-
-    #[test]
-    fn tight_scenario_prunes_candidates() {
-        let (model, space, mapper) = tight_search_scenario();
-        let (result, stats) =
-            model.search_sharded_counted(&space, mapper, sparseloop_core::Objective::Edp, 1);
-        assert!(result.is_some(), "scenario must contain valid mappings");
-        assert!(stats.pruned > 0, "the tight buffer must reject some tiles");
-        assert!(stats.evaluated > 0);
-    }
 }
 
 #[cfg(test)]

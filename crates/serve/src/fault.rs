@@ -2,47 +2,44 @@
 //!
 //! Robustness claims are only as good as the failures they were tested
 //! against. This module describes failures *declaratively* — a
-//! [`FaultPlan`] maps worker slots to a [`WorkerFault`] — and the rest
-//! of the serving stack (worker loop, supervisor) executes them at
-//! fixed, deterministic checkpoints. The same plan therefore produces
+//! [`FaultPlan`] maps worker slots to a [`WorkerFault`] — and the
+//! parent side of the serving stack (the worker-stream reader, the
+//! supervisor) executes them at fixed, deterministic checkpoints. The same plan therefore produces
 //! the same failure schedule on every run, which is what lets the
 //! fault-injection tests assert *bit-identical* merged winners rather
 //! than "it didn't crash".
 //!
-//! Two delivery paths exist:
+//! Every fault is delivered by the parent, so a worker only ever runs
+//! the production loop:
 //!
-//! * **Worker-side faults** ([`WorkerFault::DieAt`],
+//! * **Stream faults** ([`WorkerFault::DieAt`],
 //!   [`StallBeforeResult`](WorkerFault::StallBeforeResult),
 //!   [`CorruptResult`](WorkerFault::CorruptResult),
 //!   [`DropResult`](WorkerFault::DropResult),
-//!   [`SlowFrames`](WorkerFault::SlowFrames)) are executed by the
-//!   worker loop itself. For real processes they travel in the
-//!   [`FAULT_ENV`] environment variable; in-thread workers receive them
-//!   directly.
-//! * **Parent-side kills** ([`WorkerFault::KillAfterFrames`]) are
-//!   executed by the supervisor: it counts frames received from the
-//!   slot since dispatch and delivers a real kill (SIGKILL for
-//!   processes) once the count is reached — the worker gets no chance
-//!   to clean up, which is exactly the point.
+//!   [`SlowFrames`](WorkerFault::SlowFrames)) are executed on the
+//!   parent's end of the worker's frame stream, by the reader thread
+//!   both spawners run: it ends, swallows, delays or corrupts the
+//!   worker's frames exactly as a faulting worker would have sent them.
+//! * **Kills** ([`WorkerFault::KillAfterFrames`]) are executed by the
+//!   supervisor: it counts frames received from the slot since
+//!   dispatch and delivers a real kill (SIGKILL for processes) once the
+//!   count is reached — the worker gets no chance to clean up, which
+//!   is exactly the point.
 //!
 //! Faults apply to a slot's *first* spawn only; restarted workers come
 //! up clean, so every injected failure is recoverable by supervision.
 
 use std::collections::HashMap;
 
-/// Environment variable carrying a worker-side fault to a spawned
-/// process (value format: [`WorkerFault::to_env`]).
-pub const FAULT_ENV: &str = "SPARSELOOP_WORKER_FAULT";
-
-/// Deterministic checkpoints at which a worker can be told to die.
+/// Deterministic checkpoints at which a worker's stream can end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiePoint {
-    /// Exit before sending anything (spawn looks successful, then the
-    /// pipe is dead).
+    /// Before anything arrives (spawn looks successful, then the worker
+    /// is dead).
     Startup,
-    /// Exit right after the `Hello` handshake (dies while idle).
+    /// Right after the `Hello` handshake (dies while idle).
     AfterHello,
-    /// Exit after computing a task but before sending its result (the
+    /// After the first task is computed, in place of its result (the
     /// most expensive place to lose a worker).
     BeforeResult,
 }
@@ -50,62 +47,33 @@ pub enum DiePoint {
 /// One injected failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerFault {
-    /// Worker exits silently at the given checkpoint.
+    /// The worker's stream ends cleanly at the given checkpoint; the
+    /// supervisor books the death and drops the worker.
     DieAt(DiePoint),
-    /// Worker computes its task, then stalls without sending the result
-    /// or further heartbeats — exercises the heartbeat-timeout path.
+    /// The worker computes its task, then its stream goes silent: no
+    /// result, no further heartbeats — exercises the heartbeat-timeout
+    /// path.
     StallBeforeResult,
-    /// Worker sends its result frame with one payload byte flipped
-    /// after checksumming — exercises the corrupt-frame path.
+    /// The worker's first result frame arrives with one payload byte
+    /// flipped after checksumming — exercises the corrupt-frame path.
     CorruptResult,
-    /// Worker silently discards its result frame and goes back to
-    /// waiting for commands — the parent sees heartbeats stop with no
-    /// death signal and must time the slot out.
+    /// The worker's first result frame (and the `Stats` ahead of it) is
+    /// silently discarded while the worker waits for commands — the
+    /// parent sees heartbeats stop with no death signal and must time
+    /// the slot out.
     DropResult,
     /// Parent kills the worker (SIGKILL for processes) once it has
     /// received this many frames from it since task dispatch.
     KillAfterFrames(u32),
-    /// Worker computes its task, then *delays* (never drops) its result
-    /// frames by this many milliseconds, silently — a deterministic
-    /// straggler that is late but alive. The delay must stay under the
-    /// host's heartbeat timeout to ride through without a restart.
+    /// The worker's first result frames arrive *late* (never dropped)
+    /// by this many milliseconds, with nothing in between — a
+    /// deterministic straggler that is late but alive. The delay must
+    /// stay under the host's heartbeat timeout to ride through without
+    /// a restart.
     SlowFrames {
-        /// Delay before the result frames are written, milliseconds.
+        /// Delay before the result frames are forwarded, milliseconds.
         delay_ms: u64,
     },
-}
-
-impl WorkerFault {
-    /// Serializes a *worker-side* fault for [`FAULT_ENV`]; `None` for
-    /// parent-side faults (they never travel to the worker).
-    pub fn to_env(self) -> Option<String> {
-        match self {
-            WorkerFault::DieAt(DiePoint::Startup) => Some("die:startup".into()),
-            WorkerFault::DieAt(DiePoint::AfterHello) => Some("die:hello".into()),
-            WorkerFault::DieAt(DiePoint::BeforeResult) => Some("die:result".into()),
-            WorkerFault::StallBeforeResult => Some("stall".into()),
-            WorkerFault::CorruptResult => Some("corrupt".into()),
-            WorkerFault::DropResult => Some("drop".into()),
-            WorkerFault::SlowFrames { delay_ms } => Some(format!("slow:{delay_ms}")),
-            WorkerFault::KillAfterFrames(_) => None,
-        }
-    }
-
-    /// Parses a [`FAULT_ENV`] value written by [`to_env`](Self::to_env).
-    pub fn from_env(value: &str) -> Option<WorkerFault> {
-        match value {
-            "die:startup" => Some(WorkerFault::DieAt(DiePoint::Startup)),
-            "die:hello" => Some(WorkerFault::DieAt(DiePoint::AfterHello)),
-            "die:result" => Some(WorkerFault::DieAt(DiePoint::BeforeResult)),
-            "stall" => Some(WorkerFault::StallBeforeResult),
-            "corrupt" => Some(WorkerFault::CorruptResult),
-            "drop" => Some(WorkerFault::DropResult),
-            _ => {
-                let delay_ms = value.strip_prefix("slow:")?.parse().ok()?;
-                Some(WorkerFault::SlowFrames { delay_ms })
-            }
-        }
-    }
 }
 
 /// A deterministic schedule of injected failures, keyed by worker slot.
@@ -181,25 +149,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_roundtrip_for_worker_side_faults() {
-        let faults = [
-            WorkerFault::DieAt(DiePoint::Startup),
-            WorkerFault::DieAt(DiePoint::AfterHello),
-            WorkerFault::DieAt(DiePoint::BeforeResult),
-            WorkerFault::StallBeforeResult,
-            WorkerFault::CorruptResult,
-            WorkerFault::DropResult,
-            WorkerFault::SlowFrames { delay_ms: 35 },
-        ];
-        for f in faults {
-            let env = f.to_env().expect("worker-side fault serializes");
-            assert_eq!(WorkerFault::from_env(&env), Some(f));
-        }
-        assert_eq!(WorkerFault::KillAfterFrames(2).to_env(), None);
-        assert_eq!(WorkerFault::from_env("nonsense"), None);
-    }
 
     #[test]
     fn plans_consume_faults_once() {

@@ -60,10 +60,12 @@
 //! orphaned shard with exponential backoff; deterministic failures are
 //! never retried; unspawnable fleets degrade to in-process execution.
 //! The [`fault`] module injects failures deterministically — die at
-//! fixed checkpoints, stall, corrupt or drop result frames, parent-side
+//! fixed checkpoints, stall, corrupt, drop or delay result frames,
 //! SIGKILL after m frames — from hand-built or seeded
 //! ([`FaultPlan::from_seed`]) schedules, which is what lets the
 //! fault-injection suite assert bit-identity rather than mere survival.
+//! The parent delivers every fault on its end of the worker's frame
+//! stream, so the worker binary runs only the production loop.
 //!
 //! ## Overload protection and pooled fleets
 //!

@@ -7,8 +7,10 @@
 //! it to stdin/stdout; the deterministic in-crate tests wire it to
 //! in-memory [`pipe`]s via [`ThreadSpawner`] so every fault schedule
 //! runs without forking. Both transports execute the *same* worker
-//! loop, so the thread-backed tests exercise the protocol and
-//! supervision logic the processes use.
+//! loop, and the same parent-side reader thread, which also executes
+//! injected faults on the frames it reads, so the thread-backed tests
+//! exercise the protocol, fault and supervision logic the processes
+//! use. The worker carries no fault code at all.
 //!
 //! The supervisor stays transport-agnostic through [`WorkerSpawner`]:
 //! spawning yields a [`WorkerHandle`] (send frames, kill) plus a stream
@@ -17,7 +19,7 @@
 //! genuine SIGKILL; [`ThreadSpawner`] backs it with threads — its
 //! `kill` closes the pipes, which a live worker observes as EOF.
 
-use crate::fault::{DiePoint, WorkerFault, FAULT_ENV};
+use crate::fault::{DiePoint, WorkerFault};
 use crate::protocol::{
     read_frame, write_frame, write_frame_raw, ExpResult, Frame, ProtocolError, PROTOCOL_VERSION,
 };
@@ -262,21 +264,17 @@ fn elapsed_nanos(start: std::time::Instant) -> u64 {
 /// heartbeat while computing, and answer with
 /// [`Frame::TaskDone`]/[`Frame::TaskFailed`] until shutdown or EOF.
 ///
-/// `fault` injects at most one worker-side failure (see
-/// [`WorkerFault`]); it is consumed by the first opportunity to fire.
 /// Returning from this function *is* worker death for every transport:
-/// the pipes drop, the parent reads EOF.
-pub fn run_worker<R, W>(mut reader: R, writer: W, fault: Option<WorkerFault>)
+/// the pipes drop, the parent reads EOF. Injected faults never reach
+/// it: the parent executes them on its end of the frame stream (see
+/// [`crate::fault`]).
+pub fn run_worker<R, W>(mut reader: R, writer: W)
 where
     R: Read,
     W: Write + Send + 'static,
 {
-    let mut fault = fault;
     let mut specs = SpecCache::default();
     let writer = Arc::new(Mutex::new(writer));
-    if matches!(fault, Some(WorkerFault::DieAt(DiePoint::Startup))) {
-        return;
-    }
     {
         let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
         if write_frame(
@@ -289,9 +287,6 @@ where
         {
             return;
         }
-    }
-    if matches!(fault, Some(WorkerFault::DieAt(DiePoint::AfterHello))) {
-        return;
     }
     loop {
         let frame = match read_frame(&mut reader) {
@@ -362,55 +357,11 @@ where
                         message: panic_message(p),
                     },
                 };
-                match fault.take() {
-                    Some(WorkerFault::DieAt(DiePoint::BeforeResult)) => return,
-                    Some(WorkerFault::StallBeforeResult) => {
-                        // hold the result long past any heartbeat
-                        // timeout, then die without sending it
-                        for _ in 0..50 {
-                            std::thread::sleep(Duration::from_millis(100));
-                        }
-                        return;
-                    }
-                    Some(WorkerFault::CorruptResult) => {
-                        let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                        if write_frame_raw(&mut *w, &reply, /* corrupt */ true).is_err() {
-                            return;
-                        }
-                    }
-                    Some(WorkerFault::DropResult) => {}
-                    Some(WorkerFault::SlowFrames { delay_ms }) => {
-                        // a deterministic straggler: the result is late,
-                        // not lost — the heartbeater was woken and joined
-                        // above, so the delay runs silent and must stay
-                        // under the supervisor's heartbeat timeout
-                        // (seeded plans keep it small)
-                        std::thread::sleep(Duration::from_millis(delay_ms));
-                        let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                        if let Some(stats) = &stats_frame {
-                            if write_frame(&mut *w, stats).is_err() {
-                                return;
-                            }
-                        }
-                        if write_frame(&mut *w, &reply).is_err() {
-                            return;
-                        }
-                    }
-                    _ => {
-                        let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                        // Phase timings ride immediately ahead of the
-                        // result; a faulting worker (the arms above)
-                        // never sends them, keeping fault frame
-                        // schedules unchanged.
-                        if let Some(stats) = &stats_frame {
-                            if write_frame(&mut *w, stats).is_err() {
-                                return;
-                            }
-                        }
-                        if write_frame(&mut *w, &reply).is_err() {
-                            return;
-                        }
-                    }
+                // phase timings ride immediately ahead of the result
+                let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
+                let mut frames = stats_frame.iter().chain([&reply]);
+                if !frames.all(|f| write_frame(&mut *w, f).is_ok()) {
+                    return;
                 }
             }
             Frame::Shutdown => return,
@@ -422,13 +373,9 @@ where
 }
 
 /// Entry point for the `sparseloop-shard-worker` binary: runs
-/// [`run_worker`] over stdin/stdout, with the worker-side fault (if
-/// any) taken from the [`FAULT_ENV`] environment variable.
+/// [`run_worker`] over stdin/stdout.
 pub fn worker_main() {
-    let fault = std::env::var(FAULT_ENV)
-        .ok()
-        .and_then(|v| WorkerFault::from_env(&v));
-    run_worker(io::stdin(), io::stdout(), fault);
+    run_worker(io::stdin(), io::stdout());
 }
 
 // ---------------------------------------------------------------------------
@@ -471,10 +418,11 @@ pub trait WorkerHandle: Send {
 
 /// Spawns workers and routes their output onto a shared event channel.
 pub trait WorkerSpawner {
-    /// Starts one worker for `slot` at `epoch`, injecting `fault`
-    /// (worker-side faults only; parent-side faults are the
-    /// supervisor's job). Frames and the eventual exit notice arrive on
-    /// `events`.
+    /// Starts one worker for `slot` at `epoch`. Frames and the eventual
+    /// exit notice arrive on `events`, with `fault` (if any) executed on
+    /// them as they arrive (see [`crate::fault`];
+    /// [`WorkerFault::KillAfterFrames`] is the supervisor's and passes
+    /// through).
     fn spawn(
         &self,
         slot: u32,
@@ -489,33 +437,44 @@ pub trait WorkerSpawner {
 /// [`Frame::Hello`] at this build's [`PROTOCOL_VERSION`]: a worker that
 /// opens with anything else is reported as exited, with the reason,
 /// and nothing more of its output is read.
+///
+/// A scheduled `fault` is executed here, on the parent's end of the
+/// stream, by [`tap`]; without one every event is forwarded as read.
 fn forward_events<R: Read + Send + 'static>(
     mut reader: R,
     slot: u32,
     epoch: u64,
+    mut fault: Option<WorkerFault>,
     events: mpsc::Sender<WorkerEvent>,
 ) {
     std::thread::spawn(move || {
         let mut greeted = false;
         loop {
-            let kind = match read_frame(&mut reader) {
-                Ok(frame) if greeted => EventKind::Frame(frame),
-                Ok(
-                    hello @ Frame::Hello {
-                        version: PROTOCOL_VERSION,
-                    },
-                ) => {
-                    greeted = true;
-                    EventKind::Frame(hello)
-                }
-                Ok(Frame::Hello { version }) => EventKind::Exited(Some(format!(
-                    "worker speaks protocol v{version}, parent v{PROTOCOL_VERSION}"
-                ))),
-                Ok(_) => {
-                    EventKind::Exited(Some("worker sent a frame before its Hello".to_string()))
-                }
-                Err(ProtocolError::Eof) => EventKind::Exited(None),
-                Err(e) => EventKind::Exited(Some(e.to_string())),
+            let kind = match fault {
+                // the worker counts as dead before anything more is read
+                Some(WorkerFault::DieAt(DiePoint::Startup)) => EventKind::Exited(None),
+                _ => match read_frame(&mut reader) {
+                    Ok(frame) if greeted => EventKind::Frame(frame),
+                    Ok(
+                        hello @ Frame::Hello {
+                            version: PROTOCOL_VERSION,
+                        },
+                    ) => {
+                        greeted = true;
+                        EventKind::Frame(hello)
+                    }
+                    Ok(Frame::Hello { version }) => EventKind::Exited(Some(format!(
+                        "worker speaks protocol v{version}, parent v{PROTOCOL_VERSION}"
+                    ))),
+                    Ok(_) => {
+                        EventKind::Exited(Some("worker sent a frame before its Hello".to_string()))
+                    }
+                    Err(ProtocolError::Eof) => EventKind::Exited(None),
+                    Err(e) => EventKind::Exited(Some(e.to_string())),
+                },
+            };
+            let Some(kind) = tap(&mut fault, kind, &mut reader) else {
+                continue;
             };
             let done = matches!(kind, EventKind::Exited(_));
             if events.send(WorkerEvent { slot, epoch, kind }).is_err() || done {
@@ -523,6 +482,63 @@ fn forward_events<R: Read + Send + 'static>(
             }
         }
     });
+}
+
+/// Executes a scheduled [`WorkerFault`] on one event read from the
+/// worker and returns what to forward in its place (`None`: nothing).
+/// `DieAt(Startup)` ends the stream before anything is read, and
+/// `DieAt(AfterHello)` turns into it once the Hello is through; the
+/// other stream faults fire at the first result frame (`Stats`,
+/// `TaskDone` or `TaskFailed`). A stall drains the rest of the stream
+/// until the heartbeat audit kills the worker, and a corrupt frame is
+/// re-encoded with a flipped payload byte and decoded again, so the
+/// stream ends on the protocol's own checksum error. `fault` is cleared
+/// once spent; `KillAfterFrames` is the supervisor's and passes all.
+fn tap<R: Read>(
+    fault: &mut Option<WorkerFault>,
+    kind: EventKind,
+    reader: &mut R,
+) -> Option<EventKind> {
+    let (Some(armed), EventKind::Frame(frame)) = (*fault, &kind) else {
+        return Some(kind);
+    };
+    let result = matches!(
+        frame,
+        Frame::Stats { .. } | Frame::TaskDone { .. } | Frame::TaskFailed { .. }
+    );
+    match armed {
+        WorkerFault::DieAt(DiePoint::AfterHello) => {
+            *fault = Some(WorkerFault::DieAt(DiePoint::Startup));
+            Some(kind)
+        }
+        WorkerFault::KillAfterFrames(_) => Some(kind),
+        _ if !result => Some(kind),
+        WorkerFault::DieAt(_) => Some(EventKind::Exited(None)),
+        WorkerFault::StallBeforeResult => {
+            let _ = io::copy(reader, &mut io::sink());
+            None
+        }
+        WorkerFault::DropResult => {
+            if !matches!(frame, Frame::Stats { .. }) {
+                *fault = None;
+            }
+            None
+        }
+        WorkerFault::SlowFrames { delay_ms } => {
+            std::thread::sleep(Duration::from_millis(delay_ms));
+            *fault = None;
+            Some(kind)
+        }
+        WorkerFault::CorruptResult => {
+            let mut bytes = Vec::new();
+            write_frame_raw(&mut bytes, frame, /* corrupt */ true)
+                .expect("a Vec takes every write");
+            Some(match read_frame(&mut bytes.as_slice()) {
+                Ok(frame) => EventKind::Frame(frame),
+                Err(e) => EventKind::Exited(Some(e.to_string())),
+            })
+        }
+    }
 }
 
 /// Thread-backed workers over in-memory pipes — the deterministic
@@ -560,8 +576,8 @@ impl WorkerSpawner for ThreadSpawner {
         let (commands_w, commands_r) = pipe();
         let (results_w, results_r) = pipe();
         let worker_output = Arc::clone(&results_r.0);
-        std::thread::spawn(move || run_worker(commands_r, results_w, fault));
-        forward_events(results_r, slot, epoch, events);
+        std::thread::spawn(move || run_worker(commands_r, results_w));
+        forward_events(results_r, slot, epoch, fault, events);
         Ok(Box::new(ThreadHandle {
             commands: commands_w,
             worker_output,
@@ -570,8 +586,8 @@ impl WorkerSpawner for ThreadSpawner {
 }
 
 /// Process-backed workers: spawns `program` with piped stdin/stdout
-/// (the `sparseloop-shard-worker` binary), ships worker-side faults via
-/// [`FAULT_ENV`], and delivers `kill` as a real signal.
+/// (the `sparseloop-shard-worker` binary) and delivers `kill` as a real
+/// signal.
 #[derive(Debug, Clone)]
 pub struct ProcessSpawner {
     program: PathBuf,
@@ -620,20 +636,14 @@ impl WorkerSpawner for ProcessSpawner {
         fault: Option<WorkerFault>,
         events: mpsc::Sender<WorkerEvent>,
     ) -> io::Result<Box<dyn WorkerHandle>> {
-        let mut cmd = std::process::Command::new(&self.program);
-        cmd.stdin(std::process::Stdio::piped())
+        let mut child = std::process::Command::new(&self.program)
+            .stdin(std::process::Stdio::piped())
             .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null());
-        // a worker with nothing scheduled must not inherit the parent's
-        // fault: restarts come up clean
-        match fault.and_then(WorkerFault::to_env) {
-            Some(env) => cmd.env(FAULT_ENV, env),
-            None => cmd.env_remove(FAULT_ENV),
-        };
-        let mut child = cmd.spawn()?;
+            .stderr(std::process::Stdio::null())
+            .spawn()?;
         let stdin = child.stdin.take().expect("stdin piped");
         let stdout = child.stdout.take().expect("stdout piped");
-        forward_events(stdout, slot, epoch, events);
+        forward_events(stdout, slot, epoch, fault, events);
         Ok(Box::new(ProcessHandle {
             child,
             stdin: Some(stdin),
@@ -1059,15 +1069,15 @@ mod tests {
         handle.kill();
     }
 
-    /// Runs `forward_events` over `frames` written back to back and
-    /// collects every event it sends until it hangs up.
-    fn forwarded(frames: &[Frame]) -> Vec<EventKind> {
+    /// Runs `forward_events` with `fault` over `frames` written back to
+    /// back and collects every event it sends until it hangs up.
+    fn forwarded(fault: Option<WorkerFault>, frames: &[Frame]) -> Vec<EventKind> {
         let mut bytes = Vec::new();
         for f in frames {
             write_frame(&mut bytes, f).unwrap();
         }
         let (tx, rx) = mpsc::channel();
-        forward_events(io::Cursor::new(bytes), 0, 1, tx);
+        forward_events(io::Cursor::new(bytes), 0, 1, fault, tx);
         let mut kinds = Vec::new();
         while let Ok(ev) = rx.recv_timeout(Duration::from_secs(5)) {
             kinds.push(ev.kind);
@@ -1082,7 +1092,7 @@ mod tests {
             results: vec![ExpResult::Skipped],
         };
         let stale = PROTOCOL_VERSION - 1;
-        match forwarded(&[Frame::Hello { version: stale }, done.clone()]).as_slice() {
+        match forwarded(None, &[Frame::Hello { version: stale }, done.clone()]).as_slice() {
             [EventKind::Exited(Some(why))] => {
                 assert!(
                     why.contains(&format!("v{stale}"))
@@ -1092,7 +1102,7 @@ mod tests {
             }
             other => panic!("expected one refusal, got {other:?}"),
         }
-        match forwarded(std::slice::from_ref(&done)).as_slice() {
+        match forwarded(None, std::slice::from_ref(&done)).as_slice() {
             [EventKind::Exited(Some(_))] => {}
             other => panic!("expected a refusal without Hello, got {other:?}"),
         }
@@ -1101,7 +1111,7 @@ mod tests {
             version: PROTOCOL_VERSION,
         };
         let stream = [hello, Frame::Heartbeat { id: 4, seq: 1 }, done];
-        let kinds = forwarded(&stream);
+        let kinds = forwarded(None, &stream);
         assert_eq!(kinds.len(), stream.len() + 1, "{kinds:?}");
         for (kind, sent) in kinds.iter().zip(&stream) {
             match kind {
@@ -1110,5 +1120,70 @@ mod tests {
             }
         }
         assert!(matches!(kinds.last(), Some(EventKind::Exited(None))));
+    }
+
+    #[test]
+    fn every_stream_fault_is_executed_on_the_parents_end() {
+        use crate::fault::DiePoint::{AfterHello, BeforeResult, Startup};
+        use WorkerFault::*;
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        let beat = |id| Frame::Heartbeat { id, seq: 1 };
+        let done = |id| Frame::TaskDone {
+            id,
+            results: vec![ExpResult::Skipped],
+        };
+        let stats = Frame::Stats {
+            id: 1,
+            shard: 0,
+            compile_nanos: 1,
+            search_nanos: 2,
+            generated: 3,
+            evaluated: 4,
+            trace_request: 0,
+            trace_parent: 0,
+        };
+        // two tasks, the first answered with its phase timings
+        let stream = [hello.clone(), beat(1), stats, done(1), beat(2), done(2)];
+        let cases = [
+            (DieAt(Startup), vec![]),
+            (DieAt(AfterHello), vec![hello.clone()]),
+            (DieAt(BeforeResult), vec![hello.clone(), beat(1)]),
+            (StallBeforeResult, vec![hello.clone(), beat(1)]),
+            (DropResult, vec![hello.clone(), beat(1), beat(2), done(2)]),
+            (SlowFrames { delay_ms: 20 }, stream.to_vec()),
+            (KillAfterFrames(1), stream.to_vec()),
+            (CorruptResult, vec![hello.clone(), beat(1)]),
+        ];
+        for (fault, want) in cases {
+            let started = std::time::Instant::now();
+            let mut kinds = forwarded(Some(fault), &stream);
+            let elapsed = started.elapsed();
+            let end = match kinds.pop() {
+                Some(EventKind::Exited(why)) => why,
+                other => panic!("{fault:?}: the stream must end, got {other:?}"),
+            };
+            let got: Vec<Frame> = kinds
+                .into_iter()
+                .map(|kind| match kind {
+                    EventKind::Frame(frame) => frame,
+                    other => panic!("{fault:?}: an end mid-stream: {other:?}"),
+                })
+                .collect();
+            assert_eq!(got, want, "{fault:?}");
+            if fault == CorruptResult {
+                let why = end.expect("a corrupt frame ends the stream on an error");
+                assert!(
+                    why.starts_with("frame checksum mismatch"),
+                    "the protocol's own checksum error, got {why}"
+                );
+            } else {
+                assert_eq!(end, None, "{fault:?}: a clean end of stream");
+            }
+            if let SlowFrames { delay_ms } = fault {
+                assert!(elapsed >= Duration::from_millis(delay_ms), "{elapsed:?}");
+            }
+        }
     }
 }

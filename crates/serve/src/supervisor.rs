@@ -58,11 +58,13 @@
 //!   respawned before dispatch, so it costs that request no retry and
 //!   no backoff.
 //! * **Deterministic fault injection** — a [`FaultPlan`] schedules
-//!   worker-side faults (die/stall/corrupt/drop, delivered at spawn)
-//!   and parent-side kills ([`WorkerFault::KillAfterFrames`], delivered
-//!   as a real kill once the slot has produced that many frames since
-//!   dispatch). Faults are consumed by a slot's first spawn; restarts
-//!   run clean, so every schedule converges.
+//!   stream faults (die/stall/corrupt/drop/slow, handed to the spawner,
+//!   whose reader thread executes them on the frames it forwards) and
+//!   kills ([`WorkerFault::KillAfterFrames`], delivered as a real kill
+//!   once the slot has produced that many frames since dispatch). Both
+//!   run on the parent's side; the worker runs the production loop.
+//!   Faults are consumed by a slot's first spawn; restarts run clean,
+//!   so every schedule converges.
 //!
 //! Stale-epoch hygiene: every spawn gets a fresh epoch, and events from
 //! superseded epochs are discarded — a killed worker's last frames can
@@ -717,13 +719,13 @@ impl<S: WorkerSpawner> ShardHost<S> {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
         let fault = self.fault_plan.take(slot as u32);
-        let (worker_fault, kill_after) = match fault {
+        let (stream_fault, kill_after) = match fault {
             Some(WorkerFault::KillAfterFrames(m)) => (None, Some(m)),
             other => (other, None),
         };
         let handle =
             self.spawner
-                .spawn(slot as u32, epoch, worker_fault, self.events_tx.clone())?;
+                .spawn(slot as u32, epoch, stream_fault, self.events_tx.clone())?;
         self.stats.spawns += 1;
         self.slots[slot] = Some(SlotState {
             handle,
@@ -1158,6 +1160,95 @@ mod tests {
             host.stats().deaths_heartbeat_timeout >= 1,
             "stall must be timed out"
         );
+    }
+
+    #[test]
+    fn slow_frames_ride_through_without_a_death() {
+        let text = sparseloop_spec::emit_scenario(&small_scenario());
+        let want = reference_reply(&text, 2);
+        let plan = FaultPlan::none()
+            .with(0, WorkerFault::SlowFrames { delay_ms: 15 })
+            .with(1, WorkerFault::SlowFrames { delay_ms: 30 });
+        let mut host = ShardHost::new(fast_config(2).with_fault_plan(plan), ThreadSpawner);
+        let started = Instant::now();
+        let got = run(&mut host, &text).unwrap();
+        let elapsed = started.elapsed();
+        assert_bit_identical(&got, &want, "slow frames");
+        let s = host.stats();
+        assert_eq!(s.restarts, 0, "{s:?}");
+        assert_eq!(
+            (s.deaths_eof, s.deaths_heartbeat_timeout, s.kills_injected),
+            (0, 0, 0),
+            "{s:?}"
+        );
+        assert!(
+            elapsed >= Duration::from_millis(30),
+            "slot 1's result must have been held back: {elapsed:?}"
+        );
+    }
+
+    /// How one fault schedule must be booked: the smoke `fault` phase's
+    /// expectation for it, exact where the smoke's is.
+    #[derive(Debug, Clone, Copy)]
+    enum Booking {
+        /// Exactly one death seen as the end of the frame stream,
+        /// survived by exactly one restart.
+        OneEofDeath,
+        /// At least one death declared by the heartbeat audit.
+        HeartbeatDeath,
+    }
+
+    #[test]
+    fn every_fault_kind_is_booked_as_the_smoke_expects() {
+        use Booking::{HeartbeatDeath, OneEofDeath};
+        let text = sparseloop_spec::emit_scenario(&small_scenario());
+        let want = reference_reply(&text, 2);
+        let table = [
+            (WorkerFault::DieAt(DiePoint::Startup), OneEofDeath),
+            (WorkerFault::DieAt(DiePoint::AfterHello), OneEofDeath),
+            (WorkerFault::DieAt(DiePoint::BeforeResult), OneEofDeath),
+            (WorkerFault::StallBeforeResult, HeartbeatDeath),
+            (WorkerFault::DropResult, HeartbeatDeath),
+            (WorkerFault::CorruptResult, OneEofDeath),
+        ];
+        for (fault, booking) in table {
+            for slot in [0u32, 1] {
+                let tag = format!("{fault:?} on slot {slot}");
+                let plan = FaultPlan::none().with(slot, fault);
+                let mut host = ShardHost::new(fast_config(2).with_fault_plan(plan), ThreadSpawner);
+                let got = run(&mut host, &text).unwrap();
+                assert_bit_identical(&got, &want, &tag);
+                let s = host.stats();
+                assert_eq!(s.kills_injected, 0, "{tag}: {s:?}");
+                match booking {
+                    OneEofDeath => assert_eq!(
+                        (s.deaths_eof, s.restarts, s.deaths_heartbeat_timeout),
+                        (1, 1, 0),
+                        "{tag}: {s:?}"
+                    ),
+                    HeartbeatDeath => assert!(
+                        s.deaths_heartbeat_timeout >= 1 && s.restarts >= 1,
+                        "{tag}: {s:?}"
+                    ),
+                }
+            }
+        }
+
+        // the corrupt result's death is the protocol's checksum error:
+        // with no retry left, the request reports it
+        let plan = FaultPlan::none().with(0, WorkerFault::CorruptResult);
+        let config = fast_config(2)
+            .with_retries(0, Duration::ZERO)
+            .with_fault_plan(plan);
+        let mut host = ShardHost::new(config, ThreadSpawner);
+        match run(&mut host, &text) {
+            Err(HostError::WorkerLost { shard: 0, last, .. }) => assert!(
+                last.starts_with("frame checksum mismatch"),
+                "expected the checksum error, got {last}"
+            ),
+            other => panic!("expected WorkerLost on shard 0, got {other:?}"),
+        }
+        assert_eq!(host.stats().deaths_eof, 1, "{:?}", host.stats());
     }
 
     /// A spawner whose workers always die at startup — every spawn
