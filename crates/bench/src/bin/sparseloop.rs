@@ -10,6 +10,7 @@
 //! sparseloop emit --all <dir>         # whole registry -> <dir>/<name>.yaml
 //! sparseloop stats [<spec.yaml | name>] [--shards N] [--metrics-snapshot <path>]
 //!                  [--serve <addr>]
+//! sparseloop paper [<figure>...]      # paper figures beside published values
 //! ```
 //!
 //! `run` searches each experiment's mapspace in `--shards N` disjoint
@@ -23,8 +24,14 @@
 //! `--serve <addr>` it additionally binds the dependency-free
 //! observability HTTP server there (`/metrics`, `/healthz`, `/traces`)
 //! and stays up until stdin reaches EOF, so `curl` can poke around.
+//!
+//! `paper` runs each named figure or table of the paper's evaluation
+//! (`fig01`, ..., `table7`) and prints its rows with the published value
+//! and a computed verdict beside them (`sparseloop_bench::paper`); with
+//! no figure it lists them. It exits non-zero when a row fails to
+//! evaluate; a verdict that reads outside the paper does not.
 
-use sparseloop_bench::{fnum, header, row};
+use sparseloop_bench::{fnum, header, paper, row};
 use sparseloop_core::EvalSession;
 use sparseloop_designs::{Scenario, ScenarioOutcome, ScenarioRegistry};
 use sparseloop_obs::ObsHub;
@@ -41,7 +48,8 @@ const USAGE: &str = "usage:
   sparseloop run <spec.yaml | scenario-name> [--shards N]
   sparseloop emit <scenario-name>
   sparseloop emit --all <dir>
-  sparseloop stats [<spec.yaml | scenario-name>] [--shards N] [--metrics-snapshot <path>] [--serve <addr>]";
+  sparseloop stats [<spec.yaml | scenario-name>] [--shards N] [--metrics-snapshot <path>] [--serve <addr>]
+  sparseloop paper [<figure>...]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,6 +66,7 @@ fn main() -> ExitCode {
         "run" => run(rest),
         "emit" => emit(rest),
         "stats" => stats(rest),
+        "paper" => paper(rest),
         other => {
             eprintln!("unknown command {other:?}\n{USAGE}");
             ExitCode::FAILURE
@@ -347,6 +356,33 @@ fn stats(args: &[String]) -> ExitCode {
     }
     service.shutdown();
     ExitCode::SUCCESS
+}
+
+fn paper(args: &[String]) -> ExitCode {
+    if args.is_empty() {
+        for (id, title) in paper::figures() {
+            println!("{id:8} {title}");
+        }
+        return ExitCode::SUCCESS;
+    }
+    // reject a bad id before running figures that take minutes
+    if let Some(bad) = args
+        .iter()
+        .find(|a| !paper::figures().any(|(id, _)| id == *a))
+    {
+        let ids: Vec<_> = paper::figures().map(|(id, _)| id).collect();
+        eprintln!("paper: unknown figure {bad:?}; known: {ids:?}");
+        return ExitCode::FAILURE;
+    }
+    let mut all_evaluated = true;
+    for id in args {
+        all_evaluated &= paper::print(id).expect("id checked above");
+    }
+    if all_evaluated {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 fn emit(args: &[String]) -> ExitCode {
