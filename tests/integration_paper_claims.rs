@@ -1,10 +1,12 @@
-//! Locks in paper-level qualitative results outside the tier-1 gate of
-//! `sparseloop_bench::paper`: STC's exact 2x (a Table 6 row, which runs
-//! refsim and is not gated) and gating-vs-skipping semantics. Fig. 1's
-//! crossover and Fig. 17's co-design insights are claims of that gate.
+//! Locks in paper-level qualitative results: STC's exact 2x (a Table 6
+//! row, which runs refsim and is not gated by `sparseloop_bench::paper`),
+//! Fig. 17's co-design insights on the 256^3 SpMSpM (the gate checks them
+//! again on the fig17 scenario's own workload), and gating-vs-skipping
+//! semantics. Fig. 1's crossover is a claim of the paper gate.
 
 use sparseloop_density::DensityModelSpec;
 use sparseloop_designs::common::matmul_mapping_2level;
+use sparseloop_designs::fig17::{design as f17design, mapping as f17mapping, Dataflow, SafChoice};
 use sparseloop_designs::{fig1, stc};
 use sparseloop_tensor::einsum::Einsum;
 use sparseloop_workloads::{spmspm, Layer};
@@ -33,6 +35,54 @@ fn stc_two_four_speedup_is_exact() {
         .unwrap();
     let d = dp.evaluate(&mk(DensityModelSpec::Dense), &m).unwrap();
     assert!((d.uarch.compute_cycles / s.uarch.compute_cycles - 2.0).abs() < 1e-9);
+}
+
+#[test]
+fn fig17_best_design_depends_on_density() {
+    let edp = |df, saf, d| {
+        let l = spmspm(256, 256, 256, d, d);
+        f17design(&l.einsum, df, saf)
+            .evaluate(&l, &f17mapping(&l.einsum, df))
+            .unwrap()
+            .edp
+    };
+    // hyper-sparse: hierarchical off-chip skipping with streamed B wins
+    assert!(
+        edp(Dataflow::ReuseAz, SafChoice::HierarchicalSkip, 0.001)
+            < edp(Dataflow::ReuseAbz, SafChoice::InnermostSkip, 0.001)
+    );
+    // NN densities: on-chip reuse wins
+    assert!(
+        edp(Dataflow::ReuseAbz, SafChoice::InnermostSkip, 0.25)
+            < edp(Dataflow::ReuseAz, SafChoice::HierarchicalSkip, 0.25)
+    );
+}
+
+#[test]
+fn fig17_more_safs_is_not_always_better() {
+    // ReuseABZ.HierarchicalSkip combines every saving feature yet never
+    // wins: the reuse dataflow starves the off-chip intersection.
+    for d in [0.001, 0.01, 0.1, 0.5] {
+        let l = spmspm(256, 256, 256, d, d);
+        let abz_h = f17design(&l.einsum, Dataflow::ReuseAbz, SafChoice::HierarchicalSkip)
+            .evaluate(&l, &f17mapping(&l.einsum, Dataflow::ReuseAbz))
+            .unwrap()
+            .edp;
+        let others = [
+            (Dataflow::ReuseAbz, SafChoice::InnermostSkip),
+            (Dataflow::ReuseAz, SafChoice::InnermostSkip),
+            (Dataflow::ReuseAz, SafChoice::HierarchicalSkip),
+        ]
+        .into_iter()
+        .map(|(df, saf)| {
+            f17design(&l.einsum, df, saf)
+                .evaluate(&l, &f17mapping(&l.einsum, df))
+                .unwrap()
+                .edp
+        })
+        .fold(f64::INFINITY, f64::min);
+        assert!(abz_h >= others * 0.999, "never strictly best at d={d}");
+    }
 }
 
 #[test]
